@@ -115,6 +115,11 @@ def _resolve(options, args) -> dict:
                 resolved[name] = parser_of[name](value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"option --{name.replace('_', '-')}: {exc}") from None
+    for name in ("incident_mode", "probe_mode"):
+        if name in resolved and not 0 <= resolved[name] < resolved["n_modes"]:
+            raise ConfigError(f"option --{name.replace('_', '-')}: mode {resolved[name]} "
+                              f"outside 0..{resolved['n_modes'] - 1} for --n-modes "
+                              f"{resolved['n_modes']}")
     if "seed" in resolved and os.environ.get("SQT_SEED"):
         try:
             resolved["seed"] = int(os.environ["SQT_SEED"])

@@ -33,6 +33,10 @@ class SingularResolvent(Exception):
     """The resolvent 1 - z D (1 - S S+) f cannot be inverted."""
 
 
+class ImaginaryResidue(Exception):
+    """A quantity that is real in exact arithmetic kept an imaginary part above tolerance."""
+
+
 class GeneratingFunctionDomainError(Exception):
     """The counting variable lies outside the generating function's domain."""
 

@@ -12,6 +12,31 @@ N x N blocks::
 with modes 1..N on the left of the medium and modes N+1..2N on the right,
 so r' reflects left-to-left, t transmits left-to-right, and the star-product
 identity element is the perfectly transparent segment r = r' = 0, t = t' = 1.
+
+The disorder loop (``build_medium_checkpoints``) works on the four raw block
+arrays and makes a ``ScatteringMatrix`` only at the requested lengths.
+
+Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
+normal draws of a block continue the generator's stream exactly where the
+previous block stopped, and the batched ``eigh`` and matrix products act
+matrix by matrix, so a medium is bitwise the same whatever the block size.
+Only the unitarity spot-check of the sampler looks at its own block.
+
+Cavity bound.  Appending a slice U = exp(i eps K) = V exp(i eps w) V+ to a
+composite A needs the cavity factor 1 - r_A r'_B.  Since r'_B is an
+off-diagonal block of U, it is also an off-diagonal block of U - 1, so
+
+    ||r'_B||_2 <= ||U - 1||_2 = max_j |exp(i eps w_j) - 1| = q,
+
+the last step because U - 1 is normal with eigenvalues exp(i eps w_j) - 1.
+A passive or absorbing composite is a contraction, so ||r_A||_2 <= 1 and
+||r_A r'_B||_2 <= q.  For q < 1 every singular value of the cavity factor
+lies in [1 - q, 1 + q], so cond(1 - r_A r'_B) <= (1 + q) / (1 - q).  The
+eigenvalues w come from ``eigh`` anyway; where this bound stays below
+``CONDITION_LIMIT`` the SVD condition check is skipped.  An amplifying
+composite can have ||r_A||_2 > 1, and a slice replaced by the polar fallback
+no longer has this q, so both keep the SVD guard that ``star_compose``
+always runs.
 """
 
 from __future__ import annotations
@@ -38,6 +63,11 @@ SINGULAR_VALUE_TOL = 1e-10
 UNITARITY_DRIFT_TOL = 1e-12
 #: condition-number limit of the cavity factor in a star product
 CONDITION_LIMIT = 1e12
+#: periods whose slices are sampled together (about 2.6 MB per buffer at N = 50)
+SAMPLING_BLOCK = 16
+# below this q a slice's cavity bound (1 + q) / (1 - q) is under CONDITION_LIMIT,
+# with 1e-6 left for the round-off in ||r_A||_2 <= 1 and ||r'_B||_2 <= q
+_PROVEN_Q_MAX = (CONDITION_LIMIT - 1.0) / (CONDITION_LIMIT + 1.0) - 1e-6
 
 _KIND_FROM_SIGN = {1: ABSORBING, -1: AMPLIFYING, 0: PASSIVE}
 
@@ -182,17 +212,21 @@ class MediumSpec:
 
 
 def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Generator,
-                     count: int) -> np.ndarray:
+                     count: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Sample ``count`` unitaries exp(i * eps * K) with K from the Gaussian ensemble.
 
     K is Hermitian 2N x 2N with independent complex Gaussian off-diagonal
     entries of variance 1/(2N) and real Gaussian diagonal entries of the same
     variance.  The exponential is taken through the eigendecomposition, so the
     result is unitary to round-off.
+
+    Returns the stacked unitaries and, per slice, q = ||U - 1||_2 =
+    max_j |exp(i eps w_j) - 1| over the eigenvalues w of K; q is None when the
+    polar fallback replaced the batch, since it then no longer describes U.
     """
     m = 2 * n_modes
     if count == 0:
-        return np.empty((0, m, m), dtype=complex)
+        return np.empty((0, m, m), dtype=complex), np.empty(0)
     # one contiguous draw per slice, so shorter media are stream prefixes
     draws = rng.standard_normal((count, 2, m, m))
     x, y = draws[:, 0], draws[:, 1]
@@ -204,6 +238,7 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
     k *= scale
     w, v = np.linalg.eigh(k)
     phases = np.exp(1j * scatter_strength * w)
+    distance = np.max(np.abs(phases - 1.0), axis=1)
     np.multiply(v, phases[:, None, :], out=k)
     s = k @ np.conj(v).transpose(0, 2, 1)
     # eigh keeps the batch unitary to round-off; spot-check a few slices and
@@ -214,22 +249,23 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
     )
     if drift > UNITARITY_DRIFT_TOL:
         u, _, vh = np.linalg.svd(s)
-        s = u @ vh
-    return s
+        return u @ vh, None
+    return s, distance
 
 
 def _transparent_order(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a 2N x 2N unitary as scattering blocks with a transparent weak limit.
+    """Read a 2N x 2N unitary (or a stack of them) as scattering blocks with a
+    transparent weak limit.
 
     The blocks are assigned so that exp(i * eps * K) -> identity corresponds to
     the identity-transmission matrix: the dominant (diagonal) blocks of the
     unitary become the transmission blocks t and t'.
     """
-    n = unitary.shape[0] // 2
-    r_prime = unitary[n:, :n]
-    t_prime = unitary[n:, n:]
-    t = unitary[:n, :n]
-    r = unitary[:n, n:]
+    n = unitary.shape[-1] // 2
+    r_prime = unitary[..., n:, :n]
+    t_prime = unitary[..., n:, n:]
+    t = unitary[..., :n, :n]
+    r = unitary[..., :n, n:]
     return r_prime, t_prime, t, r
 
 
@@ -249,7 +285,7 @@ def sample_slice(n_modes: int, scatter_strength: float,
         raise ValueError("n_modes must be >= 1")
     if scatter_strength <= 0:
         raise ValueError("scatter_strength must be positive")
-    unitary = _slice_unitaries(n_modes, scatter_strength, rng, 1)[0]
+    unitary = _slice_unitaries(n_modes, scatter_strength, rng, 1)[0][0]
     r_prime, t_prime, t, r = _transparent_order(unitary)
     return ScatteringMatrix(r_prime=r_prime, t_prime=t_prime, t=t, r=r, medium_kind=PASSIVE)
 
@@ -288,6 +324,41 @@ def _combined_kind(kind_a: str, kind_b: str) -> str:
     raise ValueError("cannot combine absorbing and amplifying segments")
 
 
+def _star_blocks(a: tuple, b: tuple, guard: bool) -> tuple:
+    """Redheffer star product on raw (r', t', t, r) block tuples, ``a`` left of ``b``.
+
+    ``guard`` runs the condition check of the cavity factor; a caller may
+    skip it only where a proven bound keeps the factor well conditioned.
+    """
+    a_r_prime, a_t_prime, a_t, a_r = a
+    b_r_prime, b_t_prime, b_t, b_r = b
+    if not (a_r.any() and b_r_prime.any()):
+        # no internal cavity: one of the facing reflections vanishes exactly
+        return (a_r_prime + a_t_prime @ b_r_prime @ a_t, a_t_prime @ b_t_prime,
+                b_t @ a_t, b_r + b_t @ a_r @ b_t_prime)
+
+    eye = np.eye(a_r.shape[0])
+    loop = a_r @ b_r_prime
+    cavity = eye - loop
+    if guard:
+        # sigma_max(loop) <= sqrt(norm1 * norminf); when the bound keeps
+        # 1 - loop far from singular the SVD condition check is unnecessary
+        abs_loop = np.abs(loop)
+        bound = math.sqrt(abs_loop.sum(axis=0).max() * abs_loop.sum(axis=1).max())
+        if bound > 0.9:
+            sigma = np.linalg.svd(cavity, compute_uv=False)
+            if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > CONDITION_LIMIT:
+                raise NearSingularCavity(
+                    f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}"
+                )
+    cavity_rev = eye - b_r_prime @ a_r
+
+    x = np.linalg.solve(cavity, a_t)
+    y = np.linalg.solve(cavity_rev, b_t_prime)
+    return (a_r_prime + a_t_prime @ (b_r_prime @ x), a_t_prime @ y,
+            b_t @ x, b_r + b_t @ (a_r @ y))
+
+
 def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     """Redheffer star product of two segments, ``a`` to the left of ``b``.
 
@@ -306,39 +377,10 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     """
     if a.n_modes != b.n_modes:
         raise ValueError("segments must carry the same number of modes")
-    n = a.n_modes
     kind = _combined_kind(a.medium_kind, b.medium_kind)
-
-    if not (a.r.any() and b.r_prime.any()):
-        # no internal cavity: one of the facing reflections vanishes exactly
-        t_ab = b.t @ a.t
-        r_prime_ab = a.r_prime + a.t_prime @ b.r_prime @ a.t
-        r_ab = b.r + b.t @ a.r @ b.t_prime
-        t_prime_ab = a.t_prime @ b.t_prime
-        return ScatteringMatrix(r_prime_ab, t_prime_ab, t_ab, r_ab, kind)
-
-    eye = np.eye(n)
-    loop = a.r @ b.r_prime
-    # sigma_max(loop) <= sqrt(norm1 * norminf); when the bound keeps 1 - loop
-    # far from singular the SVD condition check is unnecessary
-    abs_loop = np.abs(loop)
-    bound = math.sqrt(abs_loop.sum(axis=0).max() * abs_loop.sum(axis=1).max())
-    cavity = eye - loop
-    if bound > 0.9:
-        sigma = np.linalg.svd(cavity, compute_uv=False)
-        if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > CONDITION_LIMIT:
-            raise NearSingularCavity(
-                f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}"
-            )
-    cavity_rev = eye - b.r_prime @ a.r
-
-    x = np.linalg.solve(cavity, a.t)
-    y = np.linalg.solve(cavity_rev, b.t_prime)
-    t_ab = b.t @ x
-    r_prime_ab = a.r_prime + a.t_prime @ (b.r_prime @ x)
-    r_ab = b.r + b.t @ (a.r @ y)
-    t_prime_ab = a.t_prime @ y
-    return ScatteringMatrix(r_prime_ab, t_prime_ab, t_ab, r_ab, kind)
+    blocks = _star_blocks((a.r_prime, a.t_prime, a.t, a.r),
+                          (b.r_prime, b.t_prime, b.t, b.r), guard=True)
+    return ScatteringMatrix(*blocks, kind)
 
 
 def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
@@ -348,7 +390,9 @@ def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     seed, the medium of length L is a prefix of the medium of any longer
     length built from the same spec.  This grows the composite once up to
     max(lengths) and captures (and validates) it at every requested length,
-    bit-identical to building each length separately.
+    bit-identical to building each length separately.  The loop works on the
+    four raw blocks and samples slices ``SAMPLING_BLOCK`` periods at a time;
+    a ScatteringMatrix is made only at the requested lengths.
 
     Returns one entry per requested length, in the given order: the validated
     ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
@@ -363,47 +407,58 @@ def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     period_targets = [int(math.ceil(length)) for length in lengths]
     n_periods = period_targets[-1] if period_targets else 0
 
-    composite = ScatteringMatrix.identity_transmission(spec.n_modes, spec.medium_kind)
-    results: list = [None] * len(lengths)
+    n = spec.n_modes
+    eye = np.eye(n, dtype=complex)
+    zero = np.zeros((n, n), dtype=complex)
+    blocks = (zero, eye, eye, zero)
 
     slice_seq, phase_seq = np.random.SeedSequence(spec.seed).spawn(2)
     rng_slices = np.random.default_rng(slice_seq)
     rng_phases = np.random.default_rng(phase_seq)
-    unitaries = _slice_unitaries(spec.n_modes, spec.scatter_strength, rng_slices, n_periods)
-    thetas = rng_phases.uniform(0.0, 2.0 * np.pi, (n_periods, spec.n_modes))
     amplitude = (
         1.0
         if spec.loss_gain_sign == 0
         else math.exp(-spec.loss_gain_sign / (2.0 * spec.ballistic_decay_length))
     )
-    zero = np.zeros((spec.n_modes, spec.n_modes), dtype=complex)
 
+    results: list = []
     failure = None
-    done = 0
-    for target in range(n_periods + 1):
-        while done < len(lengths) and period_targets[done] == target:
-            if failure is not None:
-                results[done] = failure
-            else:
-                try:
-                    composite.validate()
-                    results[done] = composite
-                except GainPositivityViolation as exc:
-                    results[done] = exc
-            done += 1
-        if target == n_periods or failure is not None:
-            if done == len(lengths):
+    period = 0
+    for target in period_targets:
+        while failure is None and period < target:
+            offset = period % SAMPLING_BLOCK
+            if offset == 0:
+                count = min(SAMPLING_BLOCK, n_periods - period)
+                unitaries, distance = _slice_unitaries(n, spec.scatter_strength,
+                                                       rng_slices, count)
+                slices = [np.ascontiguousarray(b) for b in _transparent_order(unitaries)]
+                thetas = rng_phases.uniform(0.0, 2.0 * np.pi, (count, n))
+                # amplifying composites may have ||r_A||_2 > 1, and a polar
+                # fallback leaves no q: both keep the SVD guard
+                guards = (np.ones(count, dtype=bool)
+                          if spec.loss_gain_sign < 0 or distance is None
+                          else distance >= _PROVEN_Q_MAX)
+            try:
+                blocks = _star_blocks(blocks, tuple(b[offset] for b in slices),
+                                      guards[offset])
+            except NearSingularCavity as exc:
+                failure = exc
                 break
+            # the propagation unit: r, r' = 0 and t = t' = diagonal, so
+            # r' + t' 0 t = r' stays and no star product is needed
+            d = np.diag(amplitude * np.exp(1j * thetas[offset]))
+            r_prime, t_prime, t, r = blocks
+            blocks = (r_prime, t_prime @ d, d @ t, d @ r @ d)
+            period += 1
+        if failure is not None:
+            results.append(failure)
             continue
+        matrix = ScatteringMatrix(*blocks, spec.medium_kind)
         try:
-            r_prime, t_prime, t, r = _transparent_order(unitaries[target])
-            slice_matrix = ScatteringMatrix(r_prime, t_prime, t, r, PASSIVE)
-            composite = star_compose(composite, slice_matrix)
-            diag = np.diag(amplitude * np.exp(1j * thetas[target]))
-            unit = ScatteringMatrix(zero, diag, diag, zero, spec.medium_kind)
-            composite = star_compose(composite, unit)
-        except NearSingularCavity as exc:
-            failure = exc
+            matrix.validate()
+            results.append(matrix)
+        except GainPositivityViolation as exc:
+            results.append(exc)
     return results
 
 
@@ -416,8 +471,9 @@ def build_medium(spec: MediumSpec) -> ScatteringMatrix:
     shorter segments built from the same seed share their leading slices.
 
     Raises:
-        NearSingularCavity: propagated from ``star_compose`` (an amplifying
-            realization at or beyond the laser threshold).
+        NearSingularCavity: the cavity factor of a star product is
+            numerically singular (an amplifying realization at or beyond the
+            laser threshold).
         GainPositivityViolation: amplifying composite failing the positivity
             check of S S+ - 1.
     """
@@ -462,7 +518,8 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
     Builds passive media at each requested length, averages tr(t+ t) over
     disorder, and fits N / <tr t+ t> = 1 + L / l by (weighted) least squares.
     Media at different lengths share per-sample seeds, so the fitted curve is
-    smooth in L.
+    smooth in L, and each sample is built once up to the longest length and
+    captured at the shorter ones.
 
     Args:
         lengths: at least three lengths spanning a factor of four or more.
@@ -481,24 +538,27 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
     if lengths[-1] / lengths[0] < 4:
         raise ValueError("lengths must span at least a factor of four")
 
+    # one build per sample, captured at every length
+    g = np.empty((len(lengths), samples_per_length))
+    for k in range(samples_per_length):
+        spec = MediumSpec(
+            n_modes=n_modes,
+            total_length=lengths[-1],
+            scatter_strength=scatter_strength,
+            loss_gain_sign=0,
+            ballistic_decay_length=None,
+            occupation=0.0,
+            seed=derive_sample_seed(seed, k),
+        )
+        for j, matrix in enumerate(build_medium_checkpoints(spec, lengths)):
+            if isinstance(matrix, Exception):
+                raise matrix
+            g[j, k] = np.sum(np.abs(matrix.t) ** 2)
     y = np.empty(len(lengths))
     y_var = np.empty(len(lengths))
-    for j, length in enumerate(lengths):
-        g = np.empty(samples_per_length)
-        for k in range(samples_per_length):
-            spec = MediumSpec(
-                n_modes=n_modes,
-                total_length=length,
-                scatter_strength=scatter_strength,
-                loss_gain_sign=0,
-                ballistic_decay_length=None,
-                occupation=0.0,
-                seed=derive_sample_seed(seed, k),
-            )
-            t = build_medium(spec).t
-            g[k] = np.sum(np.abs(t) ** 2)
-        g_mean = g.mean()
-        g_var = g.var(ddof=1) / samples_per_length
+    for j, g_row in enumerate(g):
+        g_mean = g_row.mean()
+        g_var = g_row.var(ddof=1) / samples_per_length
         y[j] = n_modes / g_mean
         y_var[j] = (n_modes / g_mean**2) ** 2 * g_var
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     GeneratingFunctionDomainError,
+    ImaginaryResidue,
     PrecisionLossWarning,
     SingularResolvent,
     ZeroMeanCount,
@@ -251,8 +252,11 @@ def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
               occupation: float, z: float) -> float:
     """Diagonal element -z [S+ (1 - z D (1 - S S+) f)^-1 D S]_{m0 m0}.
 
-    Real (it is the diagonal element of a Hermitian matrix); the imaginary
-    residue is asserted to stay below 1e-10.
+    Real (it is the diagonal element of a Hermitian matrix).
+
+    Raises:
+        ImaginaryResidue: the computed element has an imaginary part of
+            1e-10 or more.
     """
     if z == 0:
         return 0.0
@@ -266,7 +270,8 @@ def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
     m = -z * complex(column.conj() @ solved)
-    assert abs(m.imag) < 1e-10, f"m acquired imaginary part {m.imag:.3e}"
+    if not abs(m.imag) < 1e-10:
+        raise ImaginaryResidue(f"m acquired imaginary part {m.imag:.3e}")
     return m.real
 
 

@@ -151,6 +151,22 @@ def test_bad_medium_exits_2():
     assert run(["fano-direct", "--medium", "bogus", "--s", "0"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["fano-homodyne", "--n-modes", 4, "--probe-mode", 7, "--mean-free-path", 20,
+     "--samples", 4],
+    ["fano-direct", "--incident-mode", 9, "--n-modes", 6],
+    ["fano-direct", "--incident-mode", -1],
+], ids=["homodyne-probe", "direct-incident", "direct-negative"])
+def test_mode_index_out_of_range_exits_2_before_calibration(args, monkeypatch, capsys):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", no_calibration)
+    monkeypatch.setattr(cli.en, "collect_statistics", no_calibration)
+    assert run(args) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_threshold_exits_3():
     assert run(["fano-direct", "--medium", "amplifying", "--s", "3.2",
                 "--n-modes", 4, "--samples", 4, "--mean-free-path", 9.9]) == 3

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqtransport import medium as md
 from sqtransport.errors import FitFailed, NearSingularCavity, PhysicalityError
@@ -33,7 +36,7 @@ def test_slice_unitarity():
 def test_slice_mean_reflectance_fixture():
     # regression value from a 10^4-sample run: 0.0049652 (close to eps^2/2)
     rng = np.random.default_rng(2024)
-    unitaries = md._slice_unitaries(8, 0.1, rng, 1500)
+    unitaries, _ = md._slice_unitaries(8, 0.1, rng, 1500)
     reflectance = np.mean(np.sum(np.abs(unitaries[:, 8:, :8]) ** 2, axis=(1, 2))) / 8
     assert abs(reflectance - 0.0049652) < 3e-4
 
@@ -141,11 +144,130 @@ def test_build_passive_long_chain_unitary():
 
 def test_checkpoints_match_independent_builds():
     spec = absorbing_spec(4, 40, seed=11)
-    import dataclasses
     checkpoints = md.build_medium_checkpoints(spec, [10, 25, 40])
     for length, captured in zip([10, 25, 40], checkpoints):
         alone = md.build_medium(dataclasses.replace(spec, total_length=length))
         assert np.array_equal(captured.full, alone.full)
+
+
+@given(n_modes=st.integers(1, 12), eps=st.floats(0.01, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_slice_reflection_bounded_by_eigenphases(n_modes, eps, seed):
+    # ||r'||_2 <= ||U - 1||_2 = max_j |exp(i eps w_j) - 1|, the cavity bound's q
+    unitaries, q = md._slice_unitaries(n_modes, eps, np.random.default_rng(seed), 3)
+    assert q is not None  # the polar fallback did not replace the batch
+    for unitary, bound in zip(unitaries, q):
+        r_prime = md._transparent_order(unitary)[0]
+        assert np.linalg.norm(r_prime, 2) <= bound + 1e-12
+        assert abs(np.linalg.norm(unitary - np.eye(2 * n_modes), 2) - bound) < 1e-12
+
+
+def _star_fold(spec, n_periods):
+    """Composites after each period, folded with the public star_compose."""
+    slice_seq, phase_seq = np.random.SeedSequence(spec.seed).spawn(2)
+    rng_slices = np.random.default_rng(slice_seq)
+    rng_phases = np.random.default_rng(phase_seq)
+    composite = md.ScatteringMatrix.identity_transmission(spec.n_modes, spec.medium_kind)
+    out = [composite]
+    for _ in range(n_periods):
+        composite = md.star_compose(
+            composite, md.sample_slice(spec.n_modes, spec.scatter_strength, rng_slices))
+        composite = md.star_compose(
+            composite, md.propagation_unit(spec.n_modes, spec.loss_gain_sign,
+                                           spec.ballistic_decay_length, rng_phases))
+        out.append(composite)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    absorbing_spec(5, 33, seed=12, decay=40.0, scatter_strength=0.45),
+    md.MediumSpec(5, 33, 0.32, 0, None, 0.0, 13),
+    md.MediumSpec(4, 33, 0.32, -1, 30.0, -1.0, 14),
+], ids=["absorbing", "passive", "amplifying"])
+def test_checkpoints_across_sampling_blocks(spec):
+    lengths = sorted([15, md.SAMPLING_BLOCK, 17, 2 * md.SAMPLING_BLOCK + 0.5, 33])
+    checkpoints = md.build_medium_checkpoints(spec, lengths)
+    folded = _star_fold(spec, 33)
+    for length, captured in zip(lengths, checkpoints):
+        alone = md.build_medium(dataclasses.replace(spec, total_length=length))
+        assert np.array_equal(captured.full, alone.full)
+        assert np.array_equal(captured.full, folded[math.ceil(length)].full)
+        assert captured.medium_kind == spec.medium_kind
+
+
+def test_calibrate_equals_per_length_builds():
+    lengths, samples, seed = [4.5, 9, 18, 36], 5, 21
+    cal = md.calibrate_mean_free_path(6, 0.4, lengths, samples, seed)
+    # the definition: every length built on its own from the same sample seeds
+    y = np.empty(len(lengths))
+    y_var = np.empty(len(lengths))
+    for j, length in enumerate(lengths):
+        g = np.empty(samples)
+        for k in range(samples):
+            spec = md.MediumSpec(6, length, 0.4, 0, None, 0.0, md.derive_sample_seed(seed, k))
+            g[k] = np.sum(np.abs(md.build_medium(spec).t) ** 2)
+        g_mean = g.mean()
+        g_var = g.var(ddof=1) / samples
+        y[j] = 6 / g_mean
+        y_var[j] = (6 / g_mean**2) ** 2 * g_var
+    assert cal.inverse_transmittance == tuple(float(v) for v in y)
+    weights = 1.0 / y_var
+    design = np.column_stack([np.ones(len(lengths)), np.asarray(lengths)])
+    wdesign = design * weights[:, None]
+    normal = design.T @ wdesign
+    intercept, slope = np.linalg.solve(normal, wdesign.T @ y)
+    assert cal.mean_free_path == float(1.0 / slope)
+    assert cal.intercept == float(intercept)
+    assert cal.stderr == float(math.sqrt(np.linalg.inv(normal)[1, 1]) / slope**2)
+
+
+def _count_cavity_svds(monkeypatch, n_modes):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (n_modes, n_modes):
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_absorbing_build_runs_no_cavity_svd(monkeypatch):
+    calls = _count_cavity_svds(monkeypatch, 10)
+    spec = absorbing_spec(10, 40, seed=3, decay=40.0, scatter_strength=0.45)
+    md.build_medium(spec)
+    assert not calls
+    # the same slices with gain keep the SVD guard
+    md.build_medium(dataclasses.replace(spec, loss_gain_sign=-1, occupation=-1.0))
+    assert calls
+
+
+@pytest.mark.parametrize("sign,fallback", [(-1, False), (0, True)],
+                         ids=["amplifying", "polar-fallback"])
+def test_cavity_at_threshold_raises(monkeypatch, sign, fallback):
+    # hand-made slices whose round trip through the first propagation unit has
+    # gain one: r_A r'_B then has the eigenvalue 1 and 1 - r_A r'_B is singular.
+    # The sampler reports q = 0, which would prove the cavity harmless for a
+    # contraction; an amplifying medium, or a batch the polar fallback
+    # replaced (q = None), must keep the SVD guard anyway.
+    n, seed, decay = 2, 5, 2.0
+    theta = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]).uniform(
+        0.0, 2.0 * np.pi, (3, n))[0, 0]
+    gain = math.exp(1.0 / decay) if sign else 1.0
+    first = np.eye(2 * n, dtype=complex)
+    first[0, n] = 0.5  # r of the first slice
+    second = np.eye(2 * n, dtype=complex)
+    second[n, 0] = np.exp(-2j * theta) / (0.5 * gain)  # r' of the second slice
+    stack = np.array([first, second, np.eye(2 * n)])
+    monkeypatch.setattr(md, "_slice_unitaries", lambda n_modes, eps, rng, count: (
+        stack[:count], None if fallback else np.zeros(count)))
+    spec = md.MediumSpec(n, 3, 0.32, sign, decay if sign else None,
+                         -1.0 if sign else 0.0, seed)
+    with pytest.raises(NearSingularCavity):
+        md.build_medium(spec)
 
 
 def test_deviation_from_unitarity():

@@ -9,6 +9,7 @@ from sqtransport import medium as md
 from sqtransport import photostatistics as ps
 from sqtransport.errors import (
     GeneratingFunctionDomainError,
+    ImaginaryResidue,
     ZeroMeanCount,
     ZeroTransmission,
 )
@@ -164,10 +165,18 @@ def test_m_element_real_across_random_suite():
     for _ in range(100):
         s = random_scattering(rng, int(rng.integers(1, 4)))
         config = ps.DetectionConfig(float(rng.uniform(0.2, 1.0)))
-        # the imaginary residue is asserted below 1e-10 inside m_element
+        # m_element raises ImaginaryResidue above an imaginary part of 1e-10
         value = ps.m_element(s, 0, config, float(rng.uniform(0, 0.5)),
                              float(rng.uniform(-0.5, 0.5)))
         assert isinstance(value, float)
+
+
+def test_m_element_raises_on_imaginary_residue(monkeypatch):
+    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6j))
+    with pytest.raises(ImaginaryResidue):
+        ps.m_element(s, 0, ps.DetectionConfig(1.0), 0.1, 0.3)
 
 
 def test_generating_function_zero_at_origin():
