@@ -6,6 +6,18 @@ mean free path to the absorption (amplification) length.  The absorbing and
 amplifying expressions are analytic continuations of each other under
 xi_a -> i xi_a, i.e. sinh -> sin and cotanh -> cotan.  The amplifying forms
 hold below the laser threshold s = pi only.
+
+All homodyne averages are ``_homo_avg``,
+
+    1 + (8 l d k / 3 N xi_a sinh s) c sinh rho + (8 l d k / 3 xi_a) f [cotanh s + 1/sinh s]
+
+(sinh -> sin, cotanh -> cotan, + 1/sinh -> - 1/sin when amplifying), with an
+incident factor c set by the probe phase.  A probe locked to each
+realization's optimal phase and detuned by delta has
+c = sinh rho - cosh rho cos(2 delta) (``fano_homo_detuned_avg``).  Its special
+cases keep their exact factors: delta = 0 gives c = -e^{-rho}, the minimum
+(``fano_homo_min_*_avg``), and delta = pi/4 gives c = sinh rho, the same as a
+probe phase fixed across the ensemble (``fano_homo_fixed_phase_avg``).
 """
 
 from __future__ import annotations
@@ -168,6 +180,15 @@ def fano_homo_fixed_phase_avg(w: WaveguideRatios, amplifying: bool = False) -> f
     expressions.
     """
     return _homo_avg(w, amplifying=amplifying, incident_factor=math.sinh(w.rho))
+
+
+def fano_homo_detuned_avg(w: WaveguideRatios, offset: float, amplifying: bool = False) -> float:
+    """Average homodyne Fano factor, each probe detuned by ``offset`` from its optimum.
+
+    The formula and its two special cases are in the module docstring.
+    """
+    factor = math.sinh(w.rho) - math.cosh(w.rho) * math.cos(2.0 * offset)
+    return _homo_avg(w, amplifying=amplifying, incident_factor=factor)
 
 
 def zero_length_limits(state: SqueezedInput, config: DetectionConfig) -> tuple[float, float]:

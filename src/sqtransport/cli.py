@@ -253,7 +253,9 @@ def _direct_rows(cfg):
     for fano_in in fano_ins:
         for s in s_values:
             if s == 0:
-                value = 1.0 + cfg["efficiency"] * (fano_in - 1.0)
+                # a transparent segment: T = 1 and no beating
+                value = 1.0 + sum(ps.direct_fano_terms(1.0, 0.0, fano_in, cfg["efficiency"],
+                                                       occupation))
                 rows.append({"s": s, "n_modes": cfg["n_modes"], "f_in": fano_in,
                              "fano_mc": value, "stderr": 0.0, "fano_analytic": value,
                              "n_samples": cfg["samples"], "n_skipped": 0})
@@ -276,30 +278,6 @@ def _direct_rows(cfg):
     return columns, rows
 
 
-def _homodyne_analytic(cfg, s, occupation, offset=None, fixed=False):
-    amplifying = _medium_sign(cfg) < 0
-    ratios = an.WaveguideRatios(
-        s=s, l_over_xi=cfg["l_over_xi"], efficiency=cfg["efficiency"],
-        occupation=occupation, rho=cfg["rho"], coupling=cfg["coupling"],
-        n_modes=cfg["n_modes"],
-    )
-    if fixed:
-        return an.fano_homo_fixed_phase_avg(ratios, amplifying=amplifying)
-    if offset is None or offset == 0.0:
-        return (an.fano_homo_min_amplifying_avg(ratios) if amplifying
-                else an.fano_homo_min_absorbing_avg(ratios))
-    # detuned from each sample's optimal phase by a fixed offset
-    geometry = math.sin(s) if amplifying else math.sinh(s)
-    front = 8 * cfg["l_over_xi"] * cfg["efficiency"] * cfg["coupling"] / 3.0
-    sh, ch = math.sinh(cfg["rho"]), math.cosh(cfg["rho"])
-    incident = front / (cfg["n_modes"] * geometry) * sh * (sh - ch * math.cos(2 * offset))
-    if amplifying:
-        thermal_shape = math.cos(s) / geometry - 1.0 / geometry
-    else:
-        thermal_shape = math.cosh(s) / geometry + 1.0 / geometry
-    return 1.0 + incident + front * occupation * thermal_shape
-
-
 def _homodyne_rows(cfg):
     s_values = sorted(cfg["s"])
     if any(s <= 0 for s in s_values):
@@ -309,41 +287,39 @@ def _homodyne_rows(cfg):
         raise ConfigError(f"phase_policy must be min, fixed or scan, got {policy!r}")
     stats_per_length, occupation, _ = _collect(
         cfg, s_values, probe_mode=cfg["probe_mode"], incident_mode=cfg["incident_mode"])
-
-    def assemble(stats, probe_phase, offset=0.0):
-        clean = [x for x in stats if x is not None]
-        if not clean:
-            raise AllSamplesAboveThreshold("every realization was above threshold")
-        value, stderr = en.assemble_homodyne_fano(
-            clean, cfg["rho"], cfg["phi"], cfg["efficiency"], cfg["coupling"],
-            occupation, probe_phase, cfg["averaging"], relative_offset=offset)
-        return value, stderr, len(clean), len(stats) - len(clean)
+    amplifying = _medium_sign(cfg) < 0
+    offsets = ([2 * math.pi * k / cfg["n_phases"] for k in range(cfg["n_phases"])]
+               if policy == "scan" else [])
 
     rows = []
     for s, stats in zip(s_values, stats_per_length):
-        if policy in ("min", "scan"):
-            if policy == "scan":
-                for k in range(cfg["n_phases"]):
-                    offset = 2 * math.pi * k / cfg["n_phases"]
-                    value, stderr, kept, skipped = assemble(stats, None, offset)
-                    rows.append({"s": s, "n_modes": cfg["n_modes"], "rho": cfg["rho"],
-                                 "policy": "scan", "probe_phase": offset,
-                                 "fano_mc": value, "stderr": stderr,
-                                 "fano_analytic": _homodyne_analytic(cfg, s, occupation, offset),
-                                 "n_samples": kept, "n_skipped": skipped})
-            value, stderr, kept, skipped = assemble(stats, None)
-            rows.append({"s": s, "n_modes": cfg["n_modes"], "rho": cfg["rho"],
-                         "policy": "min", "probe_phase": float("nan"),
-                         "fano_mc": value, "stderr": stderr,
-                         "fano_analytic": _homodyne_analytic(cfg, s, occupation),
-                         "n_samples": kept, "n_skipped": skipped})
+        ratios = an.WaveguideRatios(
+            s=s, l_over_xi=cfg["l_over_xi"], efficiency=cfg["efficiency"],
+            occupation=occupation, rho=cfg["rho"], coupling=cfg["coupling"],
+            n_modes=cfg["n_modes"],
+        )
+        # (policy column, probe_phase column, assembly probe phase, offset, closed form)
+        if policy == "fixed":
+            cases = [("fixed", cfg["probe_phase"], cfg["probe_phase"], 0.0,
+                      an.fano_homo_fixed_phase_avg(ratios, amplifying=amplifying))]
         else:
-            value, stderr, kept, skipped = assemble(stats, cfg["probe_phase"])
+            cases = [("scan", offset, None, offset,
+                      an.fano_homo_detuned_avg(ratios, offset, amplifying=amplifying))
+                     for offset in offsets]
+            minimum = (an.fano_homo_min_amplifying_avg(ratios) if amplifying
+                       else an.fano_homo_min_absorbing_avg(ratios))
+            cases.append(("min", float("nan"), None, 0.0, minimum))
+        clean = [x for x in stats if x is not None]
+        if not clean:
+            raise AllSamplesAboveThreshold("every realization was above threshold")
+        for label, shown_phase, probe_phase, offset, analytic in cases:
+            value, stderr = en.assemble_homodyne_fano(
+                clean, cfg["rho"], cfg["phi"], cfg["efficiency"], cfg["coupling"],
+                occupation, probe_phase, cfg["averaging"], relative_offset=offset)
             rows.append({"s": s, "n_modes": cfg["n_modes"], "rho": cfg["rho"],
-                         "policy": "fixed", "probe_phase": cfg["probe_phase"],
-                         "fano_mc": value, "stderr": stderr,
-                         "fano_analytic": _homodyne_analytic(cfg, s, occupation, fixed=True),
-                         "n_samples": kept, "n_skipped": skipped})
+                         "policy": label, "probe_phase": shown_phase,
+                         "fano_mc": value, "stderr": stderr, "fano_analytic": analytic,
+                         "n_samples": len(clean), "n_skipped": len(stats) - len(clean)})
     columns = ["s", "n_modes", "rho", "policy", "probe_phase", "fano_mc", "stderr",
                "fano_analytic", "n_samples", "n_skipped"]
     return columns, rows
@@ -383,13 +359,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-FIGURE3_OPTIONS = [
+_FIGURE_HEAD = [
     ("medium", "str", "both", "absorbing, amplifying or both"),
     ("l_over_xi", "float", 0.1, "mean free path over absorption length"),
     ("efficiency", "float", 1.0, "detector efficiency d"),
+]
+_FIGURE_OCCUPATIONS = [
     ("occupation_absorbing", "float", 1e-3, "occupation of the absorbing panel"),
     ("occupation_amplifying", "float", -1.0, "occupation of the amplifying panel"),
-    ("fano_in", "floats", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], "incident Fano curve family"),
+]
+_FIGURE_TAIL = [
     ("points", "int", 240, "points per curve"),
     ("s_max_absorbing", "float", 12.0, "largest s of the absorbing panel"),
     ("s_max_amplifying", "float", 3.12, "largest s of the amplifying panel (< pi)"),
@@ -398,78 +377,50 @@ FIGURE3_OPTIONS = [
     ("seed", "int", 1, "unused; kept for config uniformity"),
 ]
 
+FIGURE3_OPTIONS = _FIGURE_HEAD + _FIGURE_OCCUPATIONS + [
+    ("fano_in", "floats", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], "incident Fano curve family"),
+] + _FIGURE_TAIL
 
-def cmd_figure3(args) -> int:
-    cfg = _resolve(FIGURE3_OPTIONS, args)
-    if cfg["s_max_amplifying"] >= math.pi:
-        raise ConfigError("the amplifying panel must end below s = pi")
-    panels = []
-    if cfg["medium"] in ("absorbing", "both"):
-        panels.append(("absorbing", cfg["s_max_absorbing"], cfg["occupation_absorbing"],
-                       an.fano_direct_absorbing_avg))
-    if cfg["medium"] in ("amplifying", "both"):
-        panels.append(("amplifying", cfg["s_max_amplifying"], cfg["occupation_amplifying"],
-                       an.fano_direct_amplifying_avg))
-    if not panels:
-        raise ConfigError(f"medium must be absorbing, amplifying or both, got {cfg['medium']!r}")
-    rows = []
-    for name, s_max, occupation, formula in panels:
-        grid = np.linspace(0.05, s_max, cfg["points"])
-        for fano_in in cfg["fano_in"]:
-            for s in grid:
-                ratios = an.WaveguideRatios(s=float(s), l_over_xi=cfg["l_over_xi"],
-                                            efficiency=cfg["efficiency"],
-                                            occupation=occupation, fano_in=fano_in)
-                rows.append({"medium": name, "f_in": fano_in, "s": float(s),
-                             "fano": formula(ratios)})
-    _emit(cfg, "figure3", ["medium", "f_in", "s", "fano"], rows)
-    return 0
-
-
-FIGURE4_OPTIONS = [
-    ("medium", "str", "both", "absorbing, amplifying or both"),
-    ("l_over_xi", "float", 0.1, "mean free path over absorption length"),
-    ("efficiency", "float", 1.0, "detector efficiency d"),
+FIGURE4_OPTIONS = _FIGURE_HEAD + [
     ("coupling", "float", 0.5, "homodyne coupling kappa"),
     ("n_modes", "int", 10, "number of propagating modes N"),
-    ("occupation_absorbing", "float", 1e-3, "occupation of the absorbing panel"),
-    ("occupation_amplifying", "float", -1.0, "occupation of the amplifying panel"),
+] + _FIGURE_OCCUPATIONS + [
     ("rho", "floats", [0.0, 0.25, 0.5, 0.75, 1.0], "squeezing curve family"),
-    ("points", "int", 240, "points per curve"),
-    ("s_max_absorbing", "float", 12.0, "largest s of the absorbing panel"),
-    ("s_max_amplifying", "float", 3.12, "largest s of the amplifying panel (< pi)"),
-    ("output", "str", None, "CSV output path"),
-    ("json", "str", None, "JSON output path"),
-    ("seed", "int", 1, "unused; kept for config uniformity"),
-]
+] + _FIGURE_TAIL
+
+# command -> (options, curve-family column, family key of the config and of
+# WaveguideRatios, absorbing and amplifying closed forms in ``analytics``)
+_FIGURES = {
+    "figure3": (FIGURE3_OPTIONS, "f_in", "fano_in",
+                "fano_direct_absorbing_avg", "fano_direct_amplifying_avg"),
+    "figure4": (FIGURE4_OPTIONS, "rho", "rho",
+                "fano_homo_min_absorbing_avg", "fano_homo_min_amplifying_avg"),
+}
 
 
-def cmd_figure4(args) -> int:
-    cfg = _resolve(FIGURE4_OPTIONS, args)
+def cmd_figure(args) -> int:
+    """Closed-form curve families: figure 3 (direct) or figure 4 (homodyne minimum)."""
+    options, column, family, *formulas = _FIGURES[args.command]
+    cfg = _resolve(options, args)
     if cfg["s_max_amplifying"] >= math.pi:
         raise ConfigError("the amplifying panel must end below s = pi")
-    panels = []
-    if cfg["medium"] in ("absorbing", "both"):
-        panels.append(("absorbing", cfg["s_max_absorbing"], cfg["occupation_absorbing"],
-                       an.fano_homo_min_absorbing_avg))
-    if cfg["medium"] in ("amplifying", "both"):
-        panels.append(("amplifying", cfg["s_max_amplifying"], cfg["occupation_amplifying"],
-                       an.fano_homo_min_amplifying_avg))
-    if not panels:
+    if cfg["medium"] not in ("absorbing", "amplifying", "both"):
         raise ConfigError(f"medium must be absorbing, amplifying or both, got {cfg['medium']!r}")
+    shared = {key: cfg[key] for key in ("coupling", "n_modes") if key in cfg}
     rows = []
-    for name, s_max, occupation, formula in panels:
-        grid = np.linspace(0.05, s_max, cfg["points"])
-        for rho in cfg["rho"]:
+    for name, formula in zip(("absorbing", "amplifying"), formulas):
+        if cfg["medium"] not in (name, "both"):
+            continue
+        grid = np.linspace(0.05, cfg[f"s_max_{name}"], cfg["points"])
+        for value in cfg[family]:
             for s in grid:
                 ratios = an.WaveguideRatios(s=float(s), l_over_xi=cfg["l_over_xi"],
                                             efficiency=cfg["efficiency"],
-                                            occupation=occupation, rho=rho,
-                                            coupling=cfg["coupling"],
-                                            n_modes=cfg["n_modes"])
-                rows.append({"medium": name, "rho": rho, "s": float(s),
-                             "fano": formula(ratios)})
-    _emit(cfg, "figure4", ["medium", "rho", "s", "fano"], rows)
+                                            occupation=cfg[f"occupation_{name}"],
+                                            **{family: value}, **shared)
+                rows.append({"medium": name, column: value, "s": float(s),
+                             "fano": getattr(an, formula)(ratios)})
+    _emit(cfg, args.command, ["medium", column, "s", "fano"], rows)
     return 0
 
 
@@ -534,8 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("fano-direct", DIRECT_OPTIONS, cmd_fano_direct),
         ("fano-homodyne", HOMODYNE_OPTIONS, cmd_fano_homodyne),
         ("sweep", SWEEP_OPTIONS, cmd_sweep),
-        ("figure3", FIGURE3_OPTIONS, cmd_figure3),
-        ("figure4", FIGURE4_OPTIONS, cmd_figure4),
+        ("figure3", FIGURE3_OPTIONS, cmd_figure),
+        ("figure4", FIGURE4_OPTIONS, cmd_figure),
         ("calibrate", CALIBRATE_OPTIONS, cmd_calibrate),
         ("validate", VALIDATE_OPTIONS, cmd_validate),
     ):

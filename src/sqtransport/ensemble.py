@@ -26,32 +26,21 @@ from .medium import (
     build_medium_checkpoints,
     derive_sample_seed,
 )
-from .photostatistics import DetectionConfig, SqueezedInput, fano_in_squeezed
+from .photostatistics import (
+    DetectionConfig,
+    SampleStatistics,
+    SqueezedInput,
+    direct_fano_terms,
+    fano_in_squeezed,
+    homodyne_fano_terms,
+    sample_statistics,
+)
 
 RATIO_OF_MEANS = "ratio_of_means"
 MEAN_OF_RATIOS = "mean_of_ratios"
 
 MIN_PHASE = "min"
 FIXED_PHASE = "fixed"
-
-
-@dataclass(frozen=True)
-class SampleStatistics:
-    """Disorder-dependent scalars of one realization, enough for any Fano assembly.
-
-    Attributes:
-        transmittance: [t+ t]_{m0 m0}, or tr(t+ t)/N when mode-averaged.
-        beating: [t+ (1 - r r+ - t t+) t]_{m0 m0}, or its trace/N.
-        probe_transmittance: |t_{n0 m0}|^2, or tr(t t+)/N^2 when mode-averaged.
-        probe_noise: (1 - r r+ - t t+)_{n0 n0}.
-        probe_amplitude: the complex element t_{n0 m0}.
-    """
-
-    transmittance: float
-    beating: float
-    probe_transmittance: float
-    probe_noise: float
-    probe_amplitude: complex
 
 
 @dataclass(frozen=True)
@@ -102,28 +91,6 @@ def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: fl
     )
 
 
-def _measure(matrix, incident_mode: int, probe_mode: int, mode_average: bool) -> SampleStatistics:
-    t = matrix.t
-    n = matrix.n_modes
-    x_bb = np.eye(n) - matrix.r @ matrix.r.conj().T - t @ t.conj().T
-    if mode_average:
-        transmittance = float(np.sum(np.abs(t) ** 2)) / n
-        beating = float(np.trace(t.conj().T @ x_bb @ t).real) / n
-        probe_transmittance = float(np.sum(np.abs(t) ** 2)) / n**2
-    else:
-        column = t[:, incident_mode]
-        transmittance = float(np.sum(np.abs(column) ** 2))
-        beating = float((column.conj() @ x_bb @ column).real)
-        probe_transmittance = float(abs(t[probe_mode, incident_mode]) ** 2)
-    return SampleStatistics(
-        transmittance=transmittance,
-        beating=beating,
-        probe_transmittance=probe_transmittance,
-        probe_noise=float(x_bb[probe_mode, probe_mode].real),
-        probe_amplitude=complex(t[probe_mode, incident_mode]),
-    )
-
-
 def _simulate_sample(args):
     """One realization at several lengths; module-level for multiprocessing."""
     spec, lengths, incident_mode, probe_mode, mode_average = args
@@ -133,7 +100,7 @@ def _simulate_sample(args):
         if isinstance(matrix, (NearSingularCavity, GainPositivityViolation)):
             out.append(None)
         else:
-            out.append(_measure(matrix, incident_mode, probe_mode, mode_average))
+            out.append(sample_statistics(matrix, incident_mode, probe_mode, mode_average))
     return out
 
 
@@ -171,27 +138,31 @@ def _jackknife(samples: np.ndarray, assemble) -> tuple[float, float]:
     return full, math.sqrt(variance)
 
 
+def _jackknife_fano(columns: np.ndarray, fano, averaging_mode: str) -> tuple[float, float]:
+    """Jackknifed Fano factor of per-sample ``columns`` [n_samples, k].
+
+    ``fano`` maps a row, or a stack of rows, to Fano factors.  Ratio of means
+    applies it to the column means; mean of ratios applies it to every sample
+    row and averages the results.
+    """
+    if averaging_mode == RATIO_OF_MEANS:
+        return _jackknife(columns, fano)
+    if averaging_mode == MEAN_OF_RATIOS:
+        return _jackknife(fano(columns)[:, None], lambda means: float(means[0]))
+    raise ValueError(f"unknown averaging mode {averaging_mode!r}")
+
+
 def assemble_direct_fano(stats: list[SampleStatistics], fano_in: float, efficiency: float,
                          occupation: float, averaging_mode: str = RATIO_OF_MEANS
                          ) -> tuple[float, float]:
     """Disorder-averaged direct-detection Fano factor from per-sample statistics."""
-    d = efficiency
+    def fano(columns):
+        incident, beating = direct_fano_terms(columns[..., 0], columns[..., 1], fano_in,
+                                              efficiency, occupation)
+        return 1.0 + incident + beating
+
     columns = np.array([[s.transmittance, s.beating] for s in stats])
-
-    if averaging_mode == RATIO_OF_MEANS:
-        def assemble(means):
-            t_mean, b_mean = means
-            return 1.0 + d * t_mean * (fano_in - 1.0) + 2.0 * d * occupation * b_mean / t_mean
-
-        return _jackknife(columns, assemble)
-    if averaging_mode == MEAN_OF_RATIOS:
-        per_sample = (
-            1.0
-            + d * columns[:, 0] * (fano_in - 1.0)
-            + 2.0 * d * occupation * columns[:, 1] / columns[:, 0]
-        )
-        return _jackknife(per_sample[:, None], lambda means: float(means[0]))
-    raise ValueError(f"unknown averaging mode {averaging_mode!r}")
+    return _jackknife_fano(columns, fano, averaging_mode)
 
 
 def assemble_homodyne_fano(stats: list[SampleStatistics], rho: float, phi: float,
@@ -205,29 +176,17 @@ def assemble_homodyne_fano(stats: list[SampleStatistics], rho: float, phi: float
     sample sits at its own minimum, optionally detuned from it by
     ``relative_offset``; a number holds the phase fixed across the ensemble,
     in which case the phase-sensitive term is averaged directly (and averages
-    toward zero through the random phase of t_{n0 m0}).
+    toward zero through the random phase of t_{n0 m0}).  The terms are linear
+    in the per-sample statistics, so the ratio of means averages each term.
     """
-    dk = efficiency * coupling
-    sh = math.sinh(rho)
-    rows = []
-    for s in stats:
-        if probe_phase is None:
-            phase_term = (-dk * s.probe_transmittance * math.cos(2.0 * relative_offset)
-                          * math.sinh(2.0 * rho))
-        else:
-            rotated = np.exp(1j * (phi - 2.0 * probe_phase)) * s.probe_amplitude**2
-            phase_term = -dk * rotated.real * math.sinh(2.0 * rho)
-        incident = 2.0 * dk * s.probe_transmittance * sh * sh
-        thermal = 2.0 * dk * occupation * s.probe_noise
-        rows.append([incident, thermal, phase_term])
-    columns = np.array(rows)
-
-    if averaging_mode == RATIO_OF_MEANS:
-        return _jackknife(columns, lambda means: 1.0 + float(means.sum()))
-    if averaging_mode == MEAN_OF_RATIOS:
-        per_sample = 1.0 + columns.sum(axis=1)
-        return _jackknife(per_sample[:, None], lambda means: float(means[0]))
-    raise ValueError(f"unknown averaging mode {averaging_mode!r}")
+    terms = homodyne_fano_terms(
+        np.array([s.probe_transmittance for s in stats]),
+        np.array([s.probe_noise for s in stats]),
+        np.array([s.probe_amplitude for s in stats]),
+        rho, phi, efficiency * coupling, occupation, probe_phase, relative_offset,
+    )
+    columns = np.column_stack(terms)
+    return _jackknife_fano(columns, lambda rows: 1.0 + rows.sum(axis=-1), averaging_mode)
 
 
 def run_ensemble(medium: MediumSpec, state: SqueezedInput, config: DetectionConfig,

@@ -244,10 +244,6 @@ def direct_cumulants_squeezed(s: ScatteringMatrix, state: SqueezedInput,
                              thermal_kappa1=k1_th, thermal_kappa2=k2_th)
 
 
-def _efficiency_matrix(s: ScatteringMatrix, config: DetectionConfig) -> np.ndarray:
-    return config.efficiency * config.mode_mask(s.n_modes).astype(float)
-
-
 def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
               occupation: float, z: float) -> float:
     """Diagonal element -z [S+ (1 - z D (1 - S S+) f)^-1 D S]_{m0 m0}.
@@ -261,7 +257,7 @@ def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
     if z == 0:
         return 0.0
     full = s.full
-    d_diag = _efficiency_matrix(s, config)
+    d_diag = config.efficiency * config.mode_mask(s.n_modes).astype(float)
     x = deviation_from_unitarity(s)
     resolvent = np.eye(2 * s.n_modes) - z * occupation * (d_diag[:, None] * x)
     column = full[:, incident_mode]
@@ -291,9 +287,7 @@ def log_generating_density_direct(z: float, s: ScatteringMatrix, state: Squeezed
     Raises:
         GeneratingFunctionDomainError: a logarithm argument is not positive.
     """
-    mask = config.mode_mask(s.n_modes)
-    x = deviation_from_unitarity(s)
-    block = config.efficiency * x[np.ix_(mask, mask)]
+    block = config.efficiency * _detected_deviation_block(s, config)
     eigenvalues = np.linalg.eigvalsh(block)
     factors = 1.0 - z * occupation * eigenvalues
     if np.any(factors <= 0):
@@ -372,6 +366,91 @@ def numeric_factorial_cumulants(s: ScatteringMatrix, state: SqueezedInput,
     return results
 
 
+@dataclass(frozen=True)
+class SampleStatistics:
+    """Disorder-dependent scalars of one realization, enough for any Fano factor.
+
+    Attributes:
+        transmittance: [t+ t]_{m0 m0}, or tr(t+ t)/N when mode-averaged.
+        beating: [t+ (1 - r r+ - t t+) t]_{m0 m0}, or its trace/N.
+        probe_transmittance: |t_{n0 m0}|^2, or tr(t t+)/N^2 when mode-averaged.
+        probe_noise: (1 - r r+ - t t+)_{n0 n0}.
+        probe_amplitude: the complex element t_{n0 m0}.
+    """
+
+    transmittance: float
+    beating: float
+    probe_transmittance: float
+    probe_noise: float
+    probe_amplitude: complex
+
+
+def sample_statistics(s: ScatteringMatrix, incident_mode: int, probe_mode: int,
+                      mode_average: bool = False) -> SampleStatistics:
+    """The scalars of one realization that the direct and homodyne Fano factors use.
+
+    The only place that forms the noise matrix 1 - r r+ - t t+.  With
+    ``mode_average`` the transmittance and beating weights are averaged over
+    the incident mode, and the probe transmittance over both mode indices.
+    """
+    t = s.t
+    n = s.n_modes
+    noise = np.eye(n) - s.r @ s.r.conj().T - t @ t.conj().T
+    if mode_average:
+        transmittance = float(np.sum(np.abs(t) ** 2)) / n
+        beating = float(np.trace(t.conj().T @ noise @ t).real) / n
+        probe_transmittance = float(np.sum(np.abs(t) ** 2)) / n**2
+    else:
+        column = t[:, incident_mode]
+        transmittance = float(np.sum(np.abs(column) ** 2))
+        beating = float((column.conj() @ noise @ column).real)
+        probe_transmittance = float(abs(t[probe_mode, incident_mode]) ** 2)
+    return SampleStatistics(transmittance, beating, probe_transmittance,
+                            float(noise[probe_mode, probe_mode].real),
+                            complex(t[probe_mode, incident_mode]))
+
+
+def direct_fano_terms(transmittance, beating, fano_in, efficiency, occupation):
+    """Terms of F = 1 + incident + beating: d T (F_in - 1) and 2 d f B / T.
+
+    T and B are the ``transmittance`` and ``beating`` of ``SampleStatistics``,
+    as scalars or as numpy columns of samples.
+    """
+    return (efficiency * transmittance * (fano_in - 1.0),
+            2.0 * efficiency * occupation * beating / transmittance)
+
+
+def homodyne_fano_terms(probe_transmittance, probe_noise, probe_amplitude, rho, phi,
+                        dk, occupation, probe_phase=None, offset=0.0):
+    """Incident, beating and probe terms of homodyne detection.
+
+    F = 1 + incident + beating + probe, with d k = ``dk``::
+
+        incident = 2 d k |t_{n0 m0}|^2 sinh^2 rho
+        beating  = 2 d k f (1 - r r+ - t t+)_{n0 n0}
+        probe    = -d k Re[e^{i(phi - 2 arg beta)} t_{n0 m0}^2] sinh(2 rho)
+
+    A ``probe_phase`` fixes arg beta.  ``None`` locks the probe to the optimal
+    phase arg beta = phi/2 + arg t_{n0 m0} detuned by ``offset``, where
+    probe = -d k |t_{n0 m0}|^2 cos(2 offset) sinh(2 rho).  Takes scalars or
+    numpy columns of samples alike.
+    """
+    sh = math.sinh(rho)
+    incident = 2.0 * dk * probe_transmittance * sh * sh
+    beating = 2.0 * dk * occupation * probe_noise
+    if probe_phase is None:
+        probe = -dk * probe_transmittance * math.cos(2.0 * offset) * math.sinh(2.0 * rho)
+    else:
+        # Re[e^{i theta} t^2] product by product: numpy's vectorised complex
+        # multiply rounds differently from its scalar one, and a column of
+        # samples must give the bits of one sample at a time
+        rotation = np.exp(1j * (phi - 2.0 * probe_phase))
+        re, im = np.real(probe_amplitude), np.imag(probe_amplitude)
+        rotated = rotation.real * (re * re - im * im) - rotation.imag * (re * im + im * re)
+        probe = -dk * rotated * math.sinh(2.0 * rho)
+    return incident, beating, probe
+
+
 def fano_direct(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConfig,
                 occupation: float) -> FanoBreakdown:
     """Fano factor of direct detection in transmission, narrowband measurement.
@@ -382,55 +461,36 @@ def fano_direct(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConf
     The broadband thermal densities are excluded; they are available
     separately through ``thermal_cumulant_densities``.
     """
-    column = s.t[:, state.incident_mode]
-    transmittance = float(np.sum(np.abs(column) ** 2))
-    if transmittance < 1e-200:
+    stats = sample_statistics(s, state.incident_mode, state.incident_mode)
+    if stats.transmittance < 1e-200:
         raise ZeroTransmission("no transmitted signal in the incident mode")
-    x_bb = (
-        np.eye(s.n_modes)
-        - s.r @ s.r.conj().T
-        - s.t @ s.t.conj().T
-    )
-    beating_weight = float((column.conj() @ x_bb @ column).real)
-    d = config.efficiency
-    incident = d * transmittance * (fano_in_squeezed(state) - 1.0)
-    beating = 2.0 * d * occupation * beating_weight / transmittance
-    return FanoBreakdown.from_terms(incident, beating)
+    return FanoBreakdown.from_terms(*direct_fano_terms(
+        stats.transmittance, stats.beating, fano_in_squeezed(state), config.efficiency,
+        occupation))
 
 
-def _homodyne_pieces(s: ScatteringMatrix, state: SqueezedInput,
-                     config: DetectionConfig, occupation: float):
+def _homodyne(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConfig,
+              occupation: float, at_minimum: bool) -> tuple:
     if config.homodyne is None:
         raise ValueError("homodyne configuration required")
     hom = config.homodyne
-    t_element = complex(s.t[hom.probe_mode, state.incident_mode])
-    x_bb = (
-        np.eye(s.n_modes)
-        - s.r @ s.r.conj().T
-        - s.t @ s.t.conj().T
-    )
-    noise_element = float(x_bb[hom.probe_mode, hom.probe_mode].real)
-    dk = config.efficiency * hom.coupling
-    beating = 2.0 * dk * occupation * noise_element
-    return hom, t_element, dk, beating
+    stats = sample_statistics(s, state.incident_mode, hom.probe_mode)
+    terms = homodyne_fano_terms(stats.probe_transmittance, stats.probe_noise,
+                                stats.probe_amplitude, state.rho, state.phi,
+                                config.efficiency * hom.coupling, occupation,
+                                None if at_minimum else hom.probe_phase)
+    return stats, terms
 
 
 def fano_homodyne(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConfig,
                   occupation: float) -> FanoBreakdown:
     """Fano factor of strong-probe homodyne detection at the configured probe phase.
 
-    F - 1 = 2 d k |t_{n0 m0}|^2 sinh^2 rho
-            + 2 d k f (1 - r r+ - t t+)_{n0 n0}
-            - d k Re[e^{i(phi - 2 arg beta)} t_{n0 m0}^2] sinh(2 rho)
-
-    independent of the displacement alpha and of the probe amplitude.
+    The terms are those of ``homodyne_fano_terms``, independent of the
+    displacement alpha and of the probe amplitude.
     """
-    hom, t_element, dk, beating = _homodyne_pieces(s, state, config, occupation)
-    sh = math.sinh(state.rho)
-    incident = 2.0 * dk * abs(t_element) ** 2 * sh * sh
-    interference = cmath.exp(1j * (state.phi - 2.0 * hom.probe_phase)) * t_element**2
-    probe = -dk * interference.real * math.sinh(2.0 * state.rho)
-    return FanoBreakdown.from_terms(incident, beating, probe)
+    _, terms = _homodyne(s, state, config, occupation, at_minimum=False)
+    return FanoBreakdown.from_terms(*terms)
 
 
 def fano_homodyne_min(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConfig,
@@ -446,10 +506,6 @@ def fano_homodyne_min(s: ScatteringMatrix, state: SqueezedInput, config: Detecti
     probe terms of the breakdown are those of ``fano_homodyne`` evaluated
     there, so their sum is the e^{-rho} sinh(rho) combination above.
     """
-    hom, t_element, dk, beating = _homodyne_pieces(s, state, config, occupation)
-    sh = math.sinh(state.rho)
-    magnitude = abs(t_element) ** 2
-    incident = 2.0 * dk * magnitude * sh * sh
-    probe = -dk * magnitude * math.sinh(2.0 * state.rho)
-    best_phase = 0.5 * state.phi + cmath.phase(t_element)
-    return FanoBreakdown.from_terms(incident, beating, probe, optimal_probe_phase=best_phase)
+    stats, terms = _homodyne(s, state, config, occupation, at_minimum=True)
+    best_phase = 0.5 * state.phi + cmath.phase(stats.probe_amplitude)
+    return FanoBreakdown.from_terms(*terms, optimal_probe_phase=best_phase)

@@ -4,7 +4,8 @@
 fixture; ``full`` adds Monte Carlo versus closed-form comparisons.  Each check
 returns silently on success and raises AssertionError (or any exception) on
 failure; the runner turns that into a per-check report and a process exit
-code.
+code.  Checks test through ``_expect``, never ``assert``, which ``python -O``
+would strip.
 """
 
 from __future__ import annotations
@@ -31,14 +32,31 @@ BRACKET_AMPLIFYING_S1 = -0.7975470963839293817886
 BRACKET_AMPLIFYING_S2 = -6.878974998124291584899
 
 
-def random_contraction(rng, n_modes, smin=0.2, smax=0.95, kind=md.ABSORBING):
-    """Random 2N x 2N scattering matrix with prescribed singular-value range."""
-    def haar(m):
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def _expect(condition, message: str = "") -> None:
+    """A check's assertion as an explicit raise, so that ``python -O`` keeps it."""
+    if not condition:
+        raise AssertionError(message)
 
-    u, v = haar(2 * n_modes), haar(2 * n_modes)
+
+def haar_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-random dim x dim unitary: QR of a complex Gaussian matrix, phases fixed."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def scalar_channel(amplitude: complex, kind: str) -> md.ScatteringMatrix:
+    """One-mode medium with transmission amplitude ``amplitude`` and no reflection."""
+    zero = np.zeros((1, 1), dtype=complex)
+    t = amplitude * np.ones((1, 1), dtype=complex)
+    return md.ScatteringMatrix(zero, t, t, zero, kind)
+
+
+def random_contraction(rng, n_modes: int, smin=0.2, smax=0.95,
+                       kind=md.ABSORBING) -> md.ScatteringMatrix:
+    """Random 2N x 2N scattering matrix U diag(sigma) V, sigma uniform in [smin, smax]."""
+    u = haar_unitary(rng, 2 * n_modes)
+    v = haar_unitary(rng, 2 * n_modes)
     sigma = rng.uniform(smin, smax, 2 * n_modes)
     return md.ScatteringMatrix.from_full(u @ np.diag(sigma) @ v, kind)
 
@@ -51,7 +69,7 @@ def check_slice_unitarity():
     rng = np.random.default_rng(10)
     for _ in range(5):
         s = md.sample_slice(8, 0.1, rng).full
-        assert np.max(np.abs(s @ s.conj().T - np.eye(16))) < 1e-12
+        _expect(np.max(np.abs(s @ s.conj().T - np.eye(16))) < 1e-12)
 
 
 def check_star_identity_element():
@@ -60,7 +78,7 @@ def check_star_identity_element():
     b = md.sample_slice(6, 0.3, rng)
     for pair in ((ident, b), (b, ident)):
         c = md.star_compose(*pair)
-        assert np.max(np.abs(c.full - b.full)) < 1e-14
+        _expect(np.max(np.abs(c.full - b.full)) < 1e-14)
 
 
 def check_scalar_fabry_perot():
@@ -70,19 +88,19 @@ def check_scalar_fabry_perot():
         b = random_contraction(rng, 1)
         c = md.star_compose(a, b)
         expected = b.t[0, 0] * a.t[0, 0] / (1 - a.r[0, 0] * b.r_prime[0, 0])
-        assert abs(c.t[0, 0] - expected) < 1e-12
+        _expect(abs(c.t[0, 0] - expected) < 1e-12)
 
 
 def check_passive_composition_unitary():
     spec = md.MediumSpec(6, 120, 0.32, 0, None, 0.0, 1234)
     matrix = md.build_medium(spec)
-    assert np.max(np.abs(matrix.singular_values() - 1)) < 1e-9
+    _expect(np.max(np.abs(matrix.singular_values() - 1)) < 1e-9)
 
 
 def check_absorbing_contraction():
     for seed in range(40):
         matrix = md.build_medium(_absorbing_spec(5, 30, seed))
-        assert np.max(matrix.singular_values()) <= 1 + 1e-10
+        _expect(np.max(matrix.singular_values()) <= 1 + 1e-10)
 
 
 def check_amplifying_positivity():
@@ -90,29 +108,25 @@ def check_amplifying_positivity():
         spec = md.MediumSpec(5, 25, 0.32, -1, 500.0, -1.0, seed)
         matrix = md.build_medium(spec)
         deviation = md.deviation_from_unitarity(matrix)
-        assert np.linalg.eigvalsh(deviation)[-1] <= 1e-10  # 1 - SS+ <= 0
+        _expect(np.linalg.eigvalsh(deviation)[-1] <= 1e-10)  # 1 - SS+ <= 0
 
 
 def check_determinism():
     spec = _absorbing_spec(4, 17, 99)
     a, b = md.build_medium(spec), md.build_medium(spec)
-    assert a.full.tobytes() == b.full.tobytes()
+    _expect(a.full.tobytes() == b.full.tobytes())
 
 
 def check_thermal_cumulants_scalar():
-    zero = np.zeros((1, 1), complex)
-    t = math.sqrt(0.6) * np.ones((1, 1), complex)
-    s = md.ScatteringMatrix(zero, t, t, zero, md.ABSORBING)
+    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
     k1, k2 = ps.thermal_cumulant_densities(s, ps.DetectionConfig(1.0), 0.1)
-    assert abs(k1 - 0.04) < 1e-15 and abs(k2 - 0.0016) < 1e-15
+    _expect(abs(k1 - 0.04) < 1e-15 and abs(k2 - 0.0016) < 1e-15)
 
 
 def check_m_element_scalar():
-    zero = np.zeros((1, 1), complex)
-    t = math.sqrt(0.6) * np.ones((1, 1), complex)
-    s = md.ScatteringMatrix(zero, t, t, zero, md.ABSORBING)
+    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
     m = ps.m_element(s, 0, ps.DetectionConfig(1.0), 0.1, 0.3)
-    assert abs(m - (-0.3 * 0.6 / (1 - 0.3 * 0.4 * 0.1))) < 1e-14
+    _expect(abs(m - (-0.3 * 0.6 / (1 - 0.3 * 0.4 * 0.1))) < 1e-14)
 
 
 def check_generating_function_consistency():
@@ -130,17 +144,17 @@ def check_generating_function_consistency():
         f = float(rng.uniform(0.0, 0.3))
         closed = ps.direct_cumulants_squeezed(s, state, config, f)
         numeric = ps.numeric_factorial_cumulants(s, state, config, f, order=2)
-        assert abs(numeric[0] - closed.kappa1) <= 1e-6 * abs(closed.kappa1)
-        assert abs(numeric[1] - closed.kappa2) <= 1e-6 * max(abs(closed.kappa2), 1e-12)
+        _expect(abs(numeric[0] - closed.kappa1) <= 1e-6 * abs(closed.kappa1))
+        _expect(abs(numeric[1] - closed.kappa2) <= 1e-6 * max(abs(closed.kappa2), 1e-12))
 
 
 def check_fano_in_limits():
-    assert ps.fano_in_squeezed(ps.SqueezedInput(alpha=1.7)) == 1.0
+    _expect(ps.fano_in_squeezed(ps.SqueezedInput(alpha=1.7)) == 1.0)
     for rho in (0.2, 0.8, 1.5):
         got = ps.fano_in_squeezed(ps.SqueezedInput(alpha=0, rho=rho))
-        assert abs(got - (1 + math.cosh(2 * rho))) < 1e-12
+        _expect(abs(got - (1 + math.cosh(2 * rho))) < 1e-12)
     large = ps.fano_in_squeezed(ps.SqueezedInput(alpha=10.0, rho=0.5))
-    assert abs(large - math.exp(-1.0)) < 0.02
+    _expect(abs(large - math.exp(-1.0)) < 0.02)
 
 
 def check_homodyne_scan_minimum():
@@ -157,7 +171,7 @@ def check_homodyne_scan_minimum():
             phase = best.optimal_probe_phase + 2 * math.pi * k / 64
             probe = dataclasses.replace(config, homodyne=dataclasses.replace(hom, probe_phase=phase))
             value = ps.fano_homodyne(s, state, probe, f).value
-            assert value >= best.value - 1e-10
+            _expect(value >= best.value - 1e-10)
 
 
 def check_breakdown_identity():
@@ -172,27 +186,27 @@ def check_breakdown_identity():
             ps.fano_homodyne_min(s, state, config, 0.1),
         ):
             total = 1 + breakdown.incident_term + breakdown.beating_term + breakdown.probe_term
-            assert abs(breakdown.value - total) < 1e-12
+            _expect(abs(breakdown.value - total) < 1e-12)
 
 
 def check_analytic_brackets_pinned():
-    assert abs(an.direct_bracket_absorbing(1.0) - BRACKET_ABSORBING_S1) < 1e-13
-    assert abs(an.direct_bracket_absorbing(2.0) - BRACKET_ABSORBING_S2) < 1e-13
-    assert abs(an.direct_bracket_amplifying(1.0) - BRACKET_AMPLIFYING_S1) < 1e-13
-    assert abs(an.direct_bracket_amplifying(2.0) - BRACKET_AMPLIFYING_S2) < 1e-12
+    _expect(abs(an.direct_bracket_absorbing(1.0) - BRACKET_ABSORBING_S1) < 1e-13)
+    _expect(abs(an.direct_bracket_absorbing(2.0) - BRACKET_ABSORBING_S2) < 1e-13)
+    _expect(abs(an.direct_bracket_amplifying(1.0) - BRACKET_AMPLIFYING_S1) < 1e-13)
+    _expect(abs(an.direct_bracket_amplifying(2.0) - BRACKET_AMPLIFYING_S2) < 1e-12)
 
 
 def check_universal_absorbing_limit():
     for fano_in in (0.0, 1.5, 3.0):
         w = an.WaveguideRatios(s=12.0, l_over_xi=0.01, efficiency=1.0,
                                occupation=1e-3, fano_in=fano_in)
-        assert abs(an.fano_direct_absorbing_avg(w) - 1.0015) < 1e-6
+        _expect(abs(an.fano_direct_absorbing_avg(w) - 1.0015) < 1e-6)
 
 
 def check_threshold_divergence():
     w = an.WaveguideRatios(s=math.pi - 1e-3, l_over_xi=0.1, efficiency=1.0,
                            occupation=-1.0, fano_in=1.0)
-    assert an.fano_direct_amplifying_avg(w) > 1e3
+    _expect(an.fano_direct_amplifying_avg(w) > 1e3)
     try:
         an.fano_direct_amplifying_avg(dataclasses.replace(w, s=math.pi))
     except ThresholdReached:
@@ -208,31 +222,27 @@ def check_analytic_continuation():
         sh = cmath.sinh(1j * s)
         coth = cmath.cosh(1j * s) / sh
         rotated = 3 - (2 * 1j * s + coth) / sh - (1j * s * coth - 1) / sh**2 + 1j * s / sh**3
-        assert abs(rotated - an.direct_bracket_amplifying(s)) < 1e-11
+        _expect(abs(rotated - an.direct_bracket_amplifying(s)) < 1e-11)
 
 
 def check_fock_oracle_lossy():
     state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
     out = fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.1)
-    zero = np.zeros((1, 1), complex)
-    t = math.sqrt(0.6) * np.ones((1, 1), complex)
-    s = md.ScatteringMatrix(zero, t, t, zero, md.ABSORBING)
+    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
     closed = ps.direct_cumulants_squeezed(
         s, ps.SqueezedInput(1.3, 0.5, 0.7), ps.DetectionConfig(1.0), 0.1)
-    assert abs(out.kappa1 - closed.kappa1) <= 1e-8 * closed.kappa1
-    assert abs(out.kappa2 - closed.kappa2) <= 1e-8 * abs(closed.kappa2)
+    _expect(abs(out.kappa1 - closed.kappa1) <= 1e-8 * closed.kappa1)
+    _expect(abs(out.kappa2 - closed.kappa2) <= 1e-8 * abs(closed.kappa2))
 
 
 def check_fock_oracle_amplifying():
     state = fock.squeezed_coherent_fock(1.0, 0.4, 0.0, 120)
     out = fock.amplifying_channel_photostats(state, math.sqrt(1.5))
-    zero = np.zeros((1, 1), complex)
-    g = math.sqrt(1.5) * np.ones((1, 1), complex)
-    s = md.ScatteringMatrix(zero, g, g, zero, md.AMPLIFYING)
+    s = scalar_channel(math.sqrt(1.5), md.AMPLIFYING)
     closed = ps.direct_cumulants_squeezed(
         s, ps.SqueezedInput(1.0, 0.4, 0.0), ps.DetectionConfig(1.0), -1.0)
-    assert abs(out.kappa1 - closed.kappa1) <= 1e-7 * closed.kappa1
-    assert abs(out.kappa2 - closed.kappa2) <= 1e-7 * abs(closed.kappa2)
+    _expect(abs(out.kappa1 - closed.kappa1) <= 1e-7 * closed.kappa1)
+    _expect(abs(out.kappa2 - closed.kappa2) <= 1e-7 * abs(closed.kappa2))
 
 
 def check_zero_length_ensemble():
@@ -241,9 +251,9 @@ def check_zero_length_ensemble():
     spec = md.MediumSpec(4, 0.0, 0.32, 1, 400.0, 1e-3, 0)
     direct0, homodyne0 = an.zero_length_limits(state, config)
     res = en.run_ensemble(spec, state, ps.DetectionConfig(0.8), 4, 5, mode_average=False)
-    assert res.mean_fano == direct0 and res.stderr == 0.0
+    _expect(res.mean_fano == direct0 and res.stderr == 0.0)
     res_h = en.run_ensemble(spec, state, config, 4, 5, mode_average=False)
-    assert abs(res_h.mean_fano - homodyne0) < 1e-12 and res_h.stderr < 1e-15
+    _expect(abs(res_h.mean_fano - homodyne0) < 1e-12 and res_h.stderr < 1e-15)
 
 
 FAST_CHECKS = [
@@ -274,7 +284,7 @@ def _full_checks(mc_samples: int):
     def check_mc_passive_ohm():
         cal = md.calibrate_mean_free_path(10, 0.32, [8, 16, 32, 64],
                                           max(60, mc_samples // 2), seed=21)
-        assert cal.residual_rel < 0.10
+        _expect(cal.residual_rel < 0.10)
 
     def check_mc_direct_absorbing():
         # Monte Carlo vs the closed-form average; see the acceptance suite for
@@ -302,7 +312,7 @@ def _full_checks(mc_samples: int):
                     failures.append(
                         f"s={point.s}: MC {point.result.mean_fano:.4f} vs {target:.4f}"
                     )
-        assert not failures, "; ".join(failures)
+        _expect(not failures, "; ".join(failures))
 
     return [
         ("MC passive Ohm fit", check_mc_passive_ohm),

@@ -1,9 +1,11 @@
-import math
-
-import numpy as np
 import pytest
 
 from sqtransport import medium as md
+from sqtransport.validation import (  # noqa: F401
+    haar_unitary,
+    random_contraction,
+    scalar_channel,
+)
 
 
 @pytest.fixture(scope="session")
@@ -11,27 +13,6 @@ def calibrated_n50():
     """Mean free path of the eps = 0.45 slice model, shared by the MC tests."""
     result = md.calibrate_mean_free_path(50, 0.45, [5, 10, 20, 40], 120, seed=101)
     return result
-
-
-def scalar_channel(amplitude: complex, kind: str) -> md.ScatteringMatrix:
-    zero = np.zeros((1, 1), dtype=complex)
-    t = amplitude * np.ones((1, 1), dtype=complex)
-    return md.ScatteringMatrix(zero, t, t, zero, kind)
-
-
-def haar_unitary(rng, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_scattering(rng, n_modes: int, smin=0.2, smax=0.95,
-                      kind=md.ABSORBING) -> md.ScatteringMatrix:
-    """Random 2N x 2N scattering matrix with singular values in [smin, smax]."""
-    u = haar_unitary(rng, 2 * n_modes)
-    v = haar_unitary(rng, 2 * n_modes)
-    sigma = rng.uniform(smin, smax, 2 * n_modes)
-    return md.ScatteringMatrix.from_full(u @ np.diag(sigma) @ v, kind)
 
 
 def absorbing_spec(n_modes, length, seed, decay=400.0, occupation=1e-3,

@@ -24,7 +24,7 @@ from sqtransport import medium as md
 from sqtransport import photostatistics as ps
 from sqtransport.errors import ThresholdReached, ValidityWarning
 
-from conftest import random_scattering, scalar_channel
+from conftest import random_contraction, scalar_channel
 
 pytestmark = pytest.mark.acceptance
 
@@ -163,9 +163,9 @@ def test_criterion_06_generating_function_consistency():
     for trial in range(100):
         n = int(rng.integers(1, 4))
         if rng.uniform() < 0.3:
-            s = random_scattering(rng, n, smin=0.999999, smax=1.0)  # near-unitary
+            s = random_contraction(rng, n, smin=0.999999, smax=1.0)  # near-unitary
         else:
-            s = random_scattering(rng, n, smin=0.2, smax=0.95)
+            s = random_contraction(rng, n, smin=0.2, smax=0.95)
         state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
                                  float(rng.uniform(0, 0.9)),
                                  float(rng.uniform(0, 2 * math.pi)),
@@ -263,7 +263,7 @@ def test_criterion_08_homodyne_minimum_property():
                                  md.derive_sample_seed(88, trial))
             s = md.build_medium(spec)
         else:
-            s = random_scattering(rng, 4)
+            s = random_contraction(rng, 4)
         state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
                                  float(rng.uniform(0.05, 1.2)),
                                  float(rng.uniform(0, 2 * math.pi)),

@@ -127,6 +127,52 @@ def test_homodyne_min_fixtures():
         1.003369308170231885437, rel=1e-14)
 
 
+def _mp_homodyne_detuned(s, rho, offset, amplifying, l_over_xi=0.1, d=0.9, kappa=0.4,
+                         f=1e-3, n_modes=20):
+    s, rho, offset = mp.mpf(s), mp.mpf(rho), mp.mpf(offset)
+    front = 8 * mp.mpf(l_over_xi) * mp.mpf(d) * mp.mpf(kappa) / 3
+    if amplifying:
+        geometry, thermal = mp.sin(s), (mp.cos(s) - 1) / mp.sin(s)
+    else:
+        geometry, thermal = mp.sinh(s), (mp.cosh(s) + 1) / mp.sinh(s)
+    incident = mp.sinh(rho) * (mp.sinh(rho) - mp.cosh(rho) * mp.cos(2 * offset))
+    return 1 + front * incident / (n_modes * geometry) + front * mp.mpf(f) * thermal
+
+
+def _homodyne_ratios(s, rho, occupation=1e-3):
+    return an.WaveguideRatios(s=s, l_over_xi=0.1, efficiency=0.9, occupation=occupation,
+                              rho=rho, coupling=0.4, n_modes=20)
+
+
+def test_detuned_average_special_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for amplifying, occupation in ((False, 1e-3), (True, -1.0)):
+            minimum = (an.fano_homo_min_amplifying_avg if amplifying
+                       else an.fano_homo_min_absorbing_avg)
+            for s in (0.5, 1.0, 2.5):
+                for rho in (0.0, 0.3, 1.2):
+                    w = _homodyne_ratios(s, rho, occupation)
+                    assert an.fano_homo_detuned_avg(w, 0.0, amplifying) == pytest.approx(
+                        minimum(w), rel=1e-13)
+                    assert an.fano_homo_detuned_avg(w, math.pi / 4, amplifying) == (
+                        pytest.approx(an.fano_homo_fixed_phase_avg(w, amplifying),
+                                      rel=1e-13))
+
+
+@pytest.mark.parametrize("amplifying", [False, True], ids=["absorbing", "amplifying"])
+def test_detuned_average_matches_high_precision(amplifying):
+    occupation = -1.0 if amplifying else 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for s, rho, offset in ((0.7, 0.5, 0.3), (1.5, 1.0, 1.9), (2.9, 0.2, 4.0),
+                               (1.0, 0.8, math.pi / 3)):
+            got = an.fano_homo_detuned_avg(_homodyne_ratios(s, rho, occupation), offset,
+                                           amplifying)
+            exact = _mp_homodyne_detuned(s, rho, offset, amplifying, f=occupation)
+            assert got == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_homodyne_trivial_cases():
     w = an.WaveguideRatios(s=0.8, l_over_xi=0.1, efficiency=0.9, occupation=0.0,
                            rho=0.0, coupling=0.4, n_modes=12)

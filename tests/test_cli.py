@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from sqtransport import analytics as an
 from sqtransport import cli
 from sqtransport import io as sio
 from sqtransport import validation
+from sqtransport.errors import ValidityWarning
 
 
 def run(args):
@@ -72,6 +78,27 @@ def test_fano_homodyne_scan_min_equals_min_policy(tmp_path):
     assert min(r["fano_mc"] for r in scan) == pytest.approx(minimum[0]["fano_mc"],
                                                             abs=1e-10)
     assert all(r["fano_mc"] >= minimum[0]["fano_mc"] - 1e-12 for r in scan)
+
+
+@pytest.mark.parametrize("medium", ["absorbing", "amplifying"])
+def test_fano_homodyne_scan_analytic_is_the_detuned_average(tmp_path, medium):
+    out = tmp_path / "h.csv"
+    assert run(["fano-homodyne", "--medium", medium, "--n-modes", 5, "--s", "0.5,1.0",
+                "--rho", 0.7, "--efficiency", 0.9, "--coupling", 0.4, "--samples", 4,
+                "--mean-free-path", 9.9, "--scatter-strength", 0.45,
+                "--phase-policy", "scan", "--n-phases", 12, "--output", out]) == 0
+    _, _, rows = sio.read_csv(out)
+    scan = [r for r in rows if r["policy"] == "scan"]
+    assert len(scan) == 24
+    amplifying = medium == "amplifying"
+    for row in scan:
+        w = an.WaveguideRatios(s=row["s"], l_over_xi=0.1, efficiency=0.9,
+                               occupation=-1.0 if amplifying else 1e-3, rho=0.7,
+                               coupling=0.4, n_modes=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            expected = an.fano_homo_detuned_avg(w, row["probe_phase"], amplifying)
+        assert row["fano_analytic"] == expected
 
 
 def test_fano_homodyne_rho_zero_scan_is_flat(tmp_path):
@@ -198,6 +225,28 @@ def test_validate_detects_corrupted_formula(monkeypatch, capsys):
     assert run(["validate", "--level", "fast"]) == 4
     out = capsys.readouterr().out
     assert "[FAIL] analytic brackets pinned" in out
+
+
+_CORRUPTED_VALIDATE = """
+import sys
+from sqtransport import analytics as an, cli, validation
+exact = an.direct_bracket_absorbing
+validation.an.direct_bracket_absorbing = lambda s: exact(s) * (1 + 1e-6)
+print("optimize", sys.flags.optimize)
+sys.exit(cli.main(["validate", "--level", "fast"]))
+"""
+
+
+def test_validate_detects_corrupted_formula_under_python_O():
+    # python -O strips assert statements; the checks must still fail
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_VALIDATE],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=300)
+    assert "optimize 1" in result.stdout
+    assert "[FAIL] analytic brackets pinned" in result.stdout
+    assert result.returncode == 4
 
 
 @pytest.mark.slow

@@ -10,7 +10,7 @@ from sqtransport import medium as md
 from sqtransport import photostatistics as ps
 from sqtransport.errors import AllSamplesAboveThreshold, NearSingularCavity
 
-from conftest import absorbing_spec
+from conftest import absorbing_spec, random_contraction
 
 
 STATE = ps.SqueezedInput(alpha=1.2, rho=0.4, phi=0.3, incident_mode=1)
@@ -186,3 +186,37 @@ def test_spec_for_ratios_mapping():
     assert spec.total_length == pytest.approx(1.5 * 200.0)
     assert spec.ballistic_decay_length == pytest.approx(3 * 200.0**2 / 20.0)
     assert spec.medium_kind == md.ABSORBING and spec.seed == 99
+
+
+def _homodyne_loop_reference(stats, rho, phi, dk, occupation, probe_phase, averaging_mode,
+                             offset):
+    """Per-sample loop reference for the vectorised homodyne assembly."""
+    sh = math.sinh(rho)
+    rows = []
+    for s in stats:
+        if probe_phase is None:
+            phase_term = (-dk * s.probe_transmittance * math.cos(2.0 * offset)
+                          * math.sinh(2.0 * rho))
+        else:
+            rotated = np.exp(1j * (phi - 2.0 * probe_phase)) * s.probe_amplitude**2
+            phase_term = -dk * rotated.real * math.sinh(2.0 * rho)
+        rows.append([2.0 * dk * s.probe_transmittance * sh * sh,
+                     2.0 * dk * occupation * s.probe_noise, phase_term])
+    columns = np.array(rows)
+    if averaging_mode == en.RATIO_OF_MEANS:
+        return en._jackknife(columns, lambda means: 1.0 + float(means.sum()))
+    per_sample = 1.0 + columns.sum(axis=1)
+    return en._jackknife(per_sample[:, None], lambda means: float(means[0]))
+
+
+@pytest.mark.parametrize("mode_average", [True, False])
+def test_homodyne_assembly_equals_per_sample_loop(mode_average):
+    rng = np.random.default_rng(41)
+    stats = [ps.sample_statistics(random_contraction(rng, 3), 1, 2, mode_average)
+             for _ in range(9)]
+    for probe_phase, offset in ((None, 0.0), (None, 0.9), (0.7, 0.0)):
+        for mode in (en.RATIO_OF_MEANS, en.MEAN_OF_RATIOS):
+            got = en.assemble_homodyne_fano(stats, 0.6, 0.4, 0.9, 0.5, 0.02, probe_phase,
+                                            mode, relative_offset=offset)
+            assert got == _homodyne_loop_reference(stats, 0.6, 0.4, 0.9 * 0.5, 0.02,
+                                                   probe_phase, mode, offset)

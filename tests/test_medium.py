@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sqtransport import medium as md
 from sqtransport.errors import FitFailed, NearSingularCavity, PhysicalityError
 
-from conftest import absorbing_spec, random_scattering, scalar_channel
+from conftest import absorbing_spec, random_contraction, scalar_channel
 
 
 def test_slice_zero_strength_is_transparent():
@@ -87,8 +87,8 @@ def test_star_scalar_slabs():
 def test_star_scalar_fabry_perot():
     rng = np.random.default_rng(6)
     for _ in range(30):
-        a = random_scattering(rng, 1)
-        b = random_scattering(rng, 1)
+        a = random_contraction(rng, 1)
+        b = random_contraction(rng, 1)
         c = md.star_compose(a, b)
         expected = b.t[0, 0] * a.t[0, 0] / (1.0 - a.r[0, 0] * b.r_prime[0, 0])
         assert abs(abs(c.t[0, 0]) ** 2 - abs(expected) ** 2) < 1e-12

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sqtransport import ensemble as en
 from sqtransport import medium as md
 from sqtransport import photostatistics as ps
 from sqtransport.errors import (
@@ -14,7 +17,7 @@ from sqtransport.errors import (
     ZeroTransmission,
 )
 
-from conftest import random_scattering, scalar_channel
+from conftest import random_contraction, scalar_channel
 
 
 def test_bose_einstein():
@@ -98,7 +101,7 @@ def test_thermal_cumulants_spectral_oracle(mode_set):
     # independent path: eigenvalues of the detected block of 1 - SS+
     rng = np.random.default_rng(23)
     for _ in range(10):
-        s = random_scattering(rng, 3)
+        s = random_contraction(rng, 3)
         config = ps.DetectionConfig(0.7, mode_set)
         f = 0.2
         k1, k2 = ps.thermal_cumulant_densities(s, config, f)
@@ -125,7 +128,7 @@ def _coherent_cumulants_reference(s, alpha, mode, config, f):
 def test_direct_cumulants_coherent_reduction():
     rng = np.random.default_rng(24)
     for _ in range(20):
-        s = random_scattering(rng, 3)
+        s = random_contraction(rng, 3)
         alpha = complex(rng.normal(), rng.normal())
         mode = int(rng.integers(0, 3))
         config = ps.DetectionConfig(float(rng.uniform(0.2, 1.0)))
@@ -163,7 +166,7 @@ def test_m_element_limits():
 def test_m_element_real_across_random_suite():
     rng = np.random.default_rng(27)
     for _ in range(100):
-        s = random_scattering(rng, int(rng.integers(1, 4)))
+        s = random_contraction(rng, int(rng.integers(1, 4)))
         config = ps.DetectionConfig(float(rng.uniform(0.2, 1.0)))
         # m_element raises ImaginaryResidue above an imaginary part of 1e-10
         value = ps.m_element(s, 0, config, float(rng.uniform(0, 0.5)),
@@ -180,7 +183,7 @@ def test_m_element_raises_on_imaginary_residue(monkeypatch):
 
 
 def test_generating_function_zero_at_origin():
-    s = random_scattering(np.random.default_rng(28), 2)
+    s = random_contraction(np.random.default_rng(28), 2)
     state = ps.SqueezedInput(0.7, 0.5, 0.3)
     assert ps.log_generating_density_direct(0.0, s, state, ps.DetectionConfig(0.9), 0.2) == 0.0
 
@@ -189,7 +192,7 @@ def test_generating_function_coherent_reduction():
     # at rho = 0 the density must equal the full-resolvent coherent expression
     rng = np.random.default_rng(29)
     for _ in range(10):
-        s = random_scattering(rng, 2)
+        s = random_contraction(rng, 2)
         alpha = complex(rng.normal(), rng.normal())
         state = ps.SqueezedInput(alpha, 0.0, 0.0, 1)
         config = ps.DetectionConfig(0.8)
@@ -219,7 +222,7 @@ def test_numeric_cumulants_match_closed_forms():
     rng = np.random.default_rng(30)
     for _ in range(25):
         n = int(rng.integers(1, 4))
-        s = random_scattering(rng, n)
+        s = random_contraction(rng, n)
         state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
                                  float(rng.uniform(0, 0.9)),
                                  float(rng.uniform(0, 2 * math.pi)),
@@ -244,7 +247,7 @@ def test_numeric_cumulants_poisson_higher_orders_vanish():
 
 
 def test_numeric_cumulants_squeezed_vacuum_mean():
-    s = random_scattering(np.random.default_rng(32), 2)
+    s = random_contraction(np.random.default_rng(32), 2)
     state = ps.SqueezedInput(0.0, 0.7, 1.1, 0)
     config = ps.DetectionConfig(0.85)
     column = s.t[:, 0]
@@ -280,7 +283,7 @@ def test_fano_direct_beating_spectral_oracle():
     # eigenbasis of X = 1 - r r+ - t t+
     rng = np.random.default_rng(34)
     for _ in range(10):
-        s = random_scattering(rng, 3)
+        s = random_contraction(rng, 3)
         state = ps.SqueezedInput(1.0, 0.0, 0.0, 1)
         d, f = float(rng.uniform(0.2, 1.0)), float(rng.uniform(0, 0.4))
         breakdown = ps.fano_direct(s, state, ps.DetectionConfig(d), f)
@@ -300,7 +303,7 @@ def test_fano_direct_zero_transmission():
 
 
 def _random_homodyne_case(rng, n=3):
-    s = random_scattering(rng, n)
+    s = random_contraction(rng, n)
     state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
                              float(rng.uniform(0.05, 1.2)),
                              float(rng.uniform(0, 2 * math.pi)),
@@ -375,3 +378,52 @@ def test_detection_config_validation():
         ps.HomodyneConfig(coupling=1.0)
     with pytest.raises(ValueError):
         ps.SqueezedInput(alpha=1.0, rho=-0.1)
+
+
+def _close(value, reference, tol=1e-12):
+    return abs(value - reference) <= tol * max(1.0, abs(reference))
+
+
+@given(
+    n_modes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+    amplifying=st.booleans(),
+    alpha=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+    rho=st.floats(0.0, 1.5), phi=st.floats(0.0, 2 * math.pi),
+    efficiency=st.floats(0.0, 1.0), occupation=st.floats(0.0, 0.5),
+    coupling=st.floats(0.05, 0.95), probe_phase=st.floats(-math.pi, math.pi),
+    modes=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=80, deadline=None)
+def test_single_matrix_fano_equals_one_sample_ensemble(
+        n_modes, seed, amplifying, alpha, rho, phi, efficiency, occupation, coupling,
+        probe_phase, modes):
+    rng = np.random.default_rng(seed)
+    if amplifying:  # singular values above 1 and an inverted population
+        s = random_contraction(rng, n_modes, 1.05, 2.0, md.AMPLIFYING)
+        occupation = -1.0 - occupation
+    else:
+        s = random_contraction(rng, n_modes)
+    incident, probe = (m % n_modes for m in modes)
+    state = ps.SqueezedInput(alpha, rho, phi, incident)
+    config = ps.DetectionConfig(efficiency, ps.TRANSMISSION,
+                                ps.HomodyneConfig(coupling, probe, probe_phase))
+    stats = [ps.sample_statistics(s, incident, probe)]
+
+    direct = ps.fano_direct(s, state, config, occupation)
+    fixed = ps.fano_homodyne(s, state, config, occupation)
+    best = ps.fano_homodyne_min(s, state, config, occupation)
+    one_sample = {
+        "direct": en.assemble_direct_fano(stats, ps.fano_in_squeezed(state), efficiency,
+                                          occupation, en.MEAN_OF_RATIOS),
+        "fixed": en.assemble_homodyne_fano(stats, rho, phi, efficiency, coupling, occupation,
+                                           probe_phase, en.MEAN_OF_RATIOS),
+        "min": en.assemble_homodyne_fano(stats, rho, phi, efficiency, coupling, occupation,
+                                         None, en.MEAN_OF_RATIOS),
+    }
+    for name, breakdown in (("direct", direct), ("fixed", fixed), ("min", best)):
+        assert _close(breakdown.value, one_sample[name][0]), name
+        assert one_sample[name][1] == 0.0
+        total = 1 + breakdown.incident_term + breakdown.beating_term + breakdown.probe_term
+        assert _close(breakdown.value, total), name
+    assert direct.probe_term == 0.0
+    assert best.value <= fixed.value + 1e-12 * max(1.0, abs(fixed.value))
