@@ -120,6 +120,8 @@ def _resolve(options, args) -> dict:
             raise ConfigError(f"option --{name.replace('_', '-')}: mode {resolved[name]} "
                               f"outside 0..{resolved['n_modes'] - 1} for --n-modes "
                               f"{resolved['n_modes']}")
+    if "threads" in resolved and resolved["threads"] < 1:
+        raise ConfigError(f"option --threads: {resolved['threads']} worker processes, need >= 1")
     if "seed" in resolved and os.environ.get("SQT_SEED"):
         try:
             resolved["seed"] = int(os.environ["SQT_SEED"])

@@ -13,7 +13,6 @@ adds no random-number stream of its own.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +22,11 @@ import numpy as np
 from .errors import AllSamplesAboveThreshold, GainPositivityViolation, NearSingularCavity
 from .medium import (
     MediumSpec,
-    build_medium_checkpoints,
+    batch_size,
+    build_batch_checkpoints,
+    # unused here since the disorder loop builds whole batches; kept because
+    # perfbench/tracing.py wraps ensemble.build_medium_checkpoints
+    build_medium_checkpoints,  # noqa: F401
     derive_sample_seed,
 )
 from .photostatistics import (
@@ -91,17 +94,19 @@ def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: fl
     )
 
 
-def _simulate_sample(args):
-    """One realization at several lengths; module-level for multiprocessing."""
-    spec, lengths, incident_mode, probe_mode, mode_average = args
-    matrices = build_medium_checkpoints(spec, lengths)
-    out = []
-    for matrix in matrices:
-        if isinstance(matrix, (NearSingularCavity, GainPositivityViolation)):
-            out.append(None)
-        else:
-            out.append(sample_statistics(matrix, incident_mode, probe_mode, mode_average))
-    return out
+def _collect_chunk(args):
+    """Statistics of one chunk of samples, built batch by batch; module-level for multiprocessing."""
+    base_spec, lengths, seeds, incident_mode, probe_mode, mode_average = args
+    size = batch_size(base_spec.n_modes)
+    rows = []
+    for first in range(0, len(seeds), size):
+        for matrices in build_batch_checkpoints(base_spec, seeds[first:first + size], lengths):
+            rows.append([
+                None if isinstance(matrix, (NearSingularCavity, GainPositivityViolation))
+                else sample_statistics(matrix, incident_mode, probe_mode, mode_average)
+                for matrix in matrices
+            ])
+    return rows
 
 
 def collect_statistics(base_spec: MediumSpec, lengths, n_samples: int, master_seed: int,
@@ -110,19 +115,24 @@ def collect_statistics(base_spec: MediumSpec, lengths, n_samples: int, master_se
                        workers: int = 1) -> list[list[SampleStatistics | None]]:
     """Per-sample statistics at each length; entry None marks a skipped realization.
 
-    Results are ordered [length][sample] and independent of worker scheduling.
+    The sample range is split into ``workers`` contiguous chunks, one pool
+    task each (in this process when ``workers`` is 1).  Results are ordered
+    [length][sample] and independent of the worker count.
     """
-    tasks = []
-    for k in range(n_samples):
-        spec = dataclasses.replace(base_spec, seed=derive_sample_seed(master_seed, k),
-                                   total_length=max(lengths))
-        tasks.append((spec, list(lengths), incident_mode, probe_mode, mode_average))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_simulate_sample, tasks, chunksize=4))
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    lengths = list(lengths)
+    seeds = [derive_sample_seed(master_seed, k) for k in range(n_samples)]
+    edges = [n_samples * i // workers for i in range(workers + 1)]
+    tasks = [(base_spec, lengths, seeds[start:stop], incident_mode, probe_mode, mode_average)
+             for start, stop in zip(edges, edges[1:]) if stop > start]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            chunks = list(pool.map(_collect_chunk, tasks))
     else:
-        rows = [_simulate_sample(task) for task in tasks]
-    return [[rows[k][j] for k in range(n_samples)] for j in range(len(lengths))]
+        chunks = [_collect_chunk(task) for task in tasks]
+    rows = [row for chunk in chunks for row in chunk]
+    return [[row[j] for row in rows] for j in range(len(lengths))]
 
 
 def _jackknife(samples: np.ndarray, assemble) -> tuple[float, float]:

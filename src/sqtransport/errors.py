@@ -13,8 +13,14 @@ class NearSingularCavity(Exception):
     """The internal cavity factor 1 - r_A r'_B is numerically singular.
 
     For amplifying media this signals a disorder realization at or beyond
-    the laser threshold; the ensemble runner records and skips it.
+    the laser threshold; the ensemble runner records and skips it.  A
+    stacked star product lists the stack positions that failed in
+    ``samples``.
     """
+
+    def __init__(self, message: str = "", samples=()):
+        super().__init__(message)
+        self.samples = tuple(samples)
 
 
 class FitFailed(Exception):

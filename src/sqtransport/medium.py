@@ -13,8 +13,24 @@ with modes 1..N on the left of the medium and modes N+1..2N on the right,
 so r' reflects left-to-left, t transmits left-to-right, and the star-product
 identity element is the perfectly transparent segment r = r' = 0, t = t' = 1.
 
-The disorder loop (``build_medium_checkpoints``) works on the four raw block
+The disorder loop (``build_batch_checkpoints``) works on the four raw block
 arrays and makes a ``ScatteringMatrix`` only at the requested lengths.
+
+Batched samples.  The loop advances a batch of B samples together.  Each
+sample draws its slices and phases from its own two streams, exactly as a
+sample built alone does; the composites are [B, N, N] stacks, so each period
+costs one stacked star product and one stacked propagation unit instead of B
+of each.  For small N this removes most of the per-call Python overhead.
+The batch's slice buffers, one sampling block of every sample, are allocated
+once and refilled in place; B = max(1, BATCH_BYTES // (SAMPLING_BLOCK (2N)^2
+16 bytes)) keeps them near ``BATCH_BYTES``, which gives B = 12 at N = 10 and
+one sample per batch from N = 26 up.  Stacking leaves every sample bitwise
+unchanged: ``matmul``, ``solve`` and ``svd`` on a stack call the same BLAS or
+LAPACK routine matrix by matrix that they call on one matrix, and the
+elementwise steps do not depend on their neighbours.  The branches are
+decided per sample too: the cavity-free formula, the cavity guard, and a
+failure, which takes the sample out of the stack.
+``build_medium_checkpoints`` is the batch of one.
 
 Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
 normal draws of a block continue the generator's stream exactly where the
@@ -65,6 +81,8 @@ UNITARITY_DRIFT_TOL = 1e-12
 CONDITION_LIMIT = 1e12
 #: periods whose slices are sampled together (about 2.6 MB per buffer at N = 50)
 SAMPLING_BLOCK = 16
+#: memory for the slice buffers of one batch of samples; N >= 26 gets one sample
+BATCH_BYTES = 1_300_000
 # below this q a slice's cavity bound (1 + q) / (1 - q) is under CONDITION_LIMIT,
 # with 1e-6 left for the round-off in ||r_A||_2 <= 1 and ||r'_B||_2 <= q
 _PROVEN_Q_MAX = (CONDITION_LIMIT - 1.0) / (CONDITION_LIMIT + 1.0) - 1e-6
@@ -324,32 +342,59 @@ def _combined_kind(kind_a: str, kind_b: str) -> str:
     raise ValueError("cannot combine absorbing and amplifying segments")
 
 
-def _star_blocks(a: tuple, b: tuple, guard: bool) -> tuple:
-    """Redheffer star product on raw (r', t', t, r) block tuples, ``a`` left of ``b``.
+def _star_blocks(a: tuple, b: tuple, guard) -> tuple:
+    """Redheffer star product on raw (r', t', t, r) blocks, ``a`` left of ``b``.
 
-    ``guard`` runs the condition check of the cavity factor; a caller may
-    skip it only where a proven bound keeps the factor well conditioned.
+    The blocks are N x N matrices, or [B, N, N] stacks of B samples with one
+    ``guard`` flag per sample.  ``guard`` runs the condition check of the
+    cavity factor; a caller may skip it only where a proven bound keeps the
+    factor well conditioned.  Every step acts matrix by matrix, so a sample's
+    composite does not depend on the other samples of its stack.
+
+    Raises:
+        NearSingularCavity: a guarded cavity factor is numerically singular;
+            ``samples`` lists the failing stack positions.
     """
     a_r_prime, a_t_prime, a_t, a_r = a
     b_r_prime, b_t_prime, b_t, b_r = b
-    if not (a_r.any() and b_r_prime.any()):
-        # no internal cavity: one of the facing reflections vanishes exactly
+    # no internal cavity where one of the facing reflections vanishes exactly
+    open_ = ~(a_r.any(axis=(-2, -1)) & b_r_prime.any(axis=(-2, -1)))
+    if open_.all():
         return (a_r_prime + a_t_prime @ b_r_prime @ a_t, a_t_prime @ b_t_prime,
                 b_t @ a_t, b_r + b_t @ a_r @ b_t_prime)
+    guard = np.broadcast_to(guard, open_.shape)
+    if open_.any():
+        # a stack mixing both cases: each part keeps its own formula
+        out = tuple(np.empty_like(block) for block in a)
+        for part in (open_, ~open_):
+            rows = np.flatnonzero(part)
+            try:
+                blocks = _star_blocks(tuple(x[rows] for x in a), tuple(x[rows] for x in b),
+                                      guard[rows])
+            except NearSingularCavity as exc:
+                raise NearSingularCavity(str(exc), rows[list(exc.samples)]) from None
+            for whole, block in zip(out, blocks):
+                whole[rows] = block
+        return out
 
-    eye = np.eye(a_r.shape[0])
+    n = a_r.shape[-1]
+    eye = np.eye(n)
     loop = a_r @ b_r_prime
     cavity = eye - loop
-    if guard:
-        # sigma_max(loop) <= sqrt(norm1 * norminf); when the bound keeps
+    if guard.any():
+        # sigma_max(loop) <= sqrt(norm1 * norminf); where the bound keeps
         # 1 - loop far from singular the SVD condition check is unnecessary
         abs_loop = np.abs(loop)
-        bound = math.sqrt(abs_loop.sum(axis=0).max() * abs_loop.sum(axis=1).max())
-        if bound > 0.9:
-            sigma = np.linalg.svd(cavity, compute_uv=False)
-            if sigma[-1] == 0.0 or sigma[0] / sigma[-1] > CONDITION_LIMIT:
+        bound = np.sqrt(abs_loop.sum(axis=-2).max(axis=-1) * abs_loop.sum(axis=-1).max(axis=-1))
+        flagged = np.flatnonzero(guard & (bound > 0.9))
+        if flagged.size:
+            sigma = np.linalg.svd(cavity.reshape(-1, n, n)[flagged], compute_uv=False)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                singular = (sigma[:, -1] == 0.0) | (sigma[:, 0] / sigma[:, -1] > CONDITION_LIMIT)
+            if singular.any():
                 raise NearSingularCavity(
-                    f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}"
+                    f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}",
+                    flagged[singular],
                 )
     cavity_rev = eye - b_r_prime @ a_r
 
@@ -383,21 +428,26 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix(*blocks, kind)
 
 
-def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
-    """Composites of one disorder realization at several lengths, one pass.
+def batch_size(n_modes: int) -> int:
+    """Samples advanced together: as many as fit their slice buffers in ``BATCH_BYTES``."""
+    return max(1, BATCH_BYTES // (SAMPLING_BLOCK * (2 * n_modes) ** 2 * 16))
 
-    Because the slice and phase streams are deterministic functions of the
-    seed, the medium of length L is a prefix of the medium of any longer
-    length built from the same spec.  This grows the composite once up to
-    max(lengths) and captures (and validates) it at every requested length,
-    bit-identical to building each length separately.  The loop works on the
-    four raw blocks and samples slices ``SAMPLING_BLOCK`` periods at a time;
-    a ScatteringMatrix is made only at the requested lengths.
 
-    Returns one entry per requested length, in the given order: the validated
-    ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
-    instance if that length is unreachable (every longer length then carries
-    the same failure).
+def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> list[list]:
+    """Composites of one disorder realization per seed at several lengths, one pass.
+
+    ``spec`` fixes the medium; each seed replaces ``spec.seed`` for one
+    sample.  The samples are advanced together as [B, N, N] stacks of raw
+    blocks, B = len(seeds), one stacked star product and one stacked
+    propagation unit per period; each sample keeps its own slice and phase
+    streams, its own cavity guard and its own failure.  Callers keep B at
+    ``batch_size(spec.n_modes)`` or below to stay within ``BATCH_BYTES``.
+
+    Returns, per seed, one entry per requested length in the given order: the
+    validated ScatteringMatrix, or the NearSingularCavity /
+    GainPositivityViolation instance if that length is unreachable.  A sample
+    whose cavity fails leaves the stack, and every longer length carries the
+    same NearSingularCavity.
     """
     lengths = list(lengths)
     if any(length < 0 for length in lengths):
@@ -408,58 +458,100 @@ def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     n_periods = period_targets[-1] if period_targets else 0
 
     n = spec.n_modes
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    blocks = (zero, eye, eye, zero)
-
-    slice_seq, phase_seq = np.random.SeedSequence(spec.seed).spawn(2)
-    rng_slices = np.random.default_rng(slice_seq)
-    rng_phases = np.random.default_rng(phase_seq)
+    size = len(seeds)
+    streams = [[np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(2)]
+               for seed in seeds]
     amplitude = (
         1.0
         if spec.loss_gain_sign == 0
         else math.exp(-spec.loss_gain_sign / (2.0 * spec.ballistic_decay_length))
     )
+    zero = np.zeros((size, n, n), dtype=complex)
+    eye = np.repeat(np.eye(n, dtype=complex)[None], size, axis=0)
+    blocks = (zero, eye, eye, zero)
 
-    results: list = []
-    failure = None
+    # one sampling block of every active sample, refilled in place: the
+    # (r', t', t, r) blocks of the slices, the diagonals of the propagation
+    # units and the cavity guards
+    period_block = min(SAMPLING_BLOCK, n_periods)
+    slices = np.empty((4, period_block, size, n, n), dtype=complex)
+    diagonals = np.empty((period_block, size, n), dtype=complex)
+    guards = np.empty((period_block, size), dtype=bool)
+    # the propagation units of one period; only the diagonal is ever written
+    units = np.zeros((size, n, n), dtype=complex)
+    unit_diagonals = units.reshape(size, n * n)[:, :: n + 1]
+
+    active = np.arange(size)  # seed positions of the samples still in the stack
+    results: list[list] = [[] for _ in range(size)]
+    failures: dict = {}
     period = 0
     for target in period_targets:
-        while failure is None and period < target:
+        while active.size and period < target:
             offset = period % SAMPLING_BLOCK
+            live = active.size
             if offset == 0:
                 count = min(SAMPLING_BLOCK, n_periods - period)
-                unitaries, distance = _slice_unitaries(n, spec.scatter_strength,
-                                                       rng_slices, count)
-                slices = [np.ascontiguousarray(b) for b in _transparent_order(unitaries)]
-                thetas = rng_phases.uniform(0.0, 2.0 * np.pi, (count, n))
-                # amplifying composites may have ||r_A||_2 > 1, and a polar
-                # fallback leaves no q: both keep the SVD guard
-                guards = (np.ones(count, dtype=bool)
-                          if spec.loss_gain_sign < 0 or distance is None
-                          else distance >= _PROVEN_Q_MAX)
+                for row, sample in enumerate(active):
+                    rng_slices, rng_phases = streams[sample]
+                    unitaries, distance = _slice_unitaries(n, spec.scatter_strength,
+                                                           rng_slices, count)
+                    for buffer, block in zip(slices, _transparent_order(unitaries)):
+                        buffer[:count, row] = block
+                    thetas = rng_phases.uniform(0.0, 2.0 * np.pi, (count, n))
+                    diagonals[:count, row] = amplitude * np.exp(1j * thetas)
+                    # amplifying composites may have ||r_A||_2 > 1, and a polar
+                    # fallback leaves no q: both keep the SVD guard
+                    guards[:count, row] = (True if spec.loss_gain_sign < 0 or distance is None
+                                           else distance >= _PROVEN_Q_MAX)
             try:
-                blocks = _star_blocks(blocks, tuple(b[offset] for b in slices),
-                                      guards[offset])
+                blocks = _star_blocks(blocks, tuple(buffer[offset, :live] for buffer in slices),
+                                      guards[offset, :live])
             except NearSingularCavity as exc:
-                failure = exc
-                break
+                # the failing samples leave the stack; the rest redo this period
+                keep = np.ones(live, dtype=bool)
+                keep[list(exc.samples)] = False
+                for sample in active[~keep]:
+                    failures[sample] = exc
+                active = active[keep]
+                blocks = tuple(block[keep] for block in blocks)
+                for buffer in (*slices, diagonals, guards):
+                    buffer[:, :active.size] = buffer[:, :live][:, keep]
+                continue
             # the propagation unit: r, r' = 0 and t = t' = diagonal, so
             # r' + t' 0 t = r' stays and no star product is needed
-            d = np.diag(amplitude * np.exp(1j * thetas[offset]))
+            unit_diagonals[:live] = diagonals[offset, :live]
+            d = units[:live]
             r_prime, t_prime, t, r = blocks
             blocks = (r_prime, t_prime @ d, d @ t, d @ r @ d)
             period += 1
-        if failure is not None:
-            results.append(failure)
-            continue
-        matrix = ScatteringMatrix(*blocks, spec.medium_kind)
-        try:
-            matrix.validate()
-            results.append(matrix)
-        except GainPositivityViolation as exc:
-            results.append(exc)
+        for sample, failure in failures.items():
+            results[sample].append(failure)
+        for row, sample in enumerate(active):
+            matrix = ScatteringMatrix(*(block[row] for block in blocks), spec.medium_kind)
+            try:
+                matrix.validate()
+                results[sample].append(matrix)
+            except GainPositivityViolation as exc:
+                results[sample].append(exc)
     return results
+
+
+def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
+    """Composites of one disorder realization at several lengths, one pass.
+
+    Because the slice and phase streams are deterministic functions of the
+    seed, the medium of length L is a prefix of the medium of any longer
+    length built from the same spec.  This grows the composite once up to
+    max(lengths) and captures (and validates) it at every requested length,
+    bit-identical to building each length separately: the batch of one of
+    ``build_batch_checkpoints``.
+
+    Returns one entry per requested length, in the given order: the validated
+    ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
+    instance if that length is unreachable (every longer length then carries
+    the same failure).
+    """
+    return build_batch_checkpoints(spec, [spec.seed], lengths)[0]
 
 
 def build_medium(spec: MediumSpec) -> ScatteringMatrix:
@@ -538,22 +630,20 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
     if lengths[-1] / lengths[0] < 4:
         raise ValueError("lengths must span at least a factor of four")
 
-    # one build per sample, captured at every length
+    # one build per sample, captured at every length, batch by batch
+    spec = MediumSpec(n_modes=n_modes, total_length=lengths[-1],
+                      scatter_strength=scatter_strength, loss_gain_sign=0,
+                      ballistic_decay_length=None, occupation=0.0, seed=seed)
     g = np.empty((len(lengths), samples_per_length))
-    for k in range(samples_per_length):
-        spec = MediumSpec(
-            n_modes=n_modes,
-            total_length=lengths[-1],
-            scatter_strength=scatter_strength,
-            loss_gain_sign=0,
-            ballistic_decay_length=None,
-            occupation=0.0,
-            seed=derive_sample_seed(seed, k),
-        )
-        for j, matrix in enumerate(build_medium_checkpoints(spec, lengths)):
-            if isinstance(matrix, Exception):
-                raise matrix
-            g[j, k] = np.sum(np.abs(matrix.t) ** 2)
+    size = batch_size(n_modes)
+    for first in range(0, samples_per_length, size):
+        stop = min(first + size, samples_per_length)
+        seeds = [derive_sample_seed(seed, k) for k in range(first, stop)]
+        for k, matrices in enumerate(build_batch_checkpoints(spec, seeds, lengths), first):
+            for j, matrix in enumerate(matrices):
+                if isinstance(matrix, Exception):
+                    raise matrix
+                g[j, k] = np.sum(np.abs(matrix.t) ** 2)
     y = np.empty(len(lengths))
     y_var = np.empty(len(lengths))
     for j, g_row in enumerate(g):

@@ -194,6 +194,28 @@ def test_mode_index_out_of_range_exits_2_before_calibration(args, monkeypatch, c
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["fano-direct", "--threads", 0],
+    ["fano-homodyne", "--threads", -2, "--mean-free-path", 20],
+    ["sweep", "--threads", 0],
+], ids=["direct-zero", "homodyne-negative", "sweep-zero"])
+def test_threads_below_one_exits_2_before_calibration(args, monkeypatch, capsys):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", no_calibration)
+    monkeypatch.setattr(cli.en, "collect_statistics", no_calibration)
+    assert run(args) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("threads = 0\n")
+    assert run(["fano-direct", "--config", config]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_threshold_exits_3():
     assert run(["fano-direct", "--medium", "amplifying", "--s", "3.2",
                 "--n-modes", 4, "--samples", 4, "--mean-free-path", 9.9]) == 3

@@ -104,24 +104,24 @@ def test_averaging_modes_agree_for_many_modes(calibrated_n50):
 
 
 def test_all_samples_above_threshold(monkeypatch):
-    def always_failing(spec, lengths):
-        return [NearSingularCavity("forced") for _ in lengths]
+    def always_failing(spec, seeds, lengths):
+        return [[NearSingularCavity("forced") for _ in lengths] for _ in seeds]
 
-    monkeypatch.setattr(en, "build_medium_checkpoints", always_failing)
+    monkeypatch.setattr(en, "build_batch_checkpoints", always_failing)
     spec = md.MediumSpec(3, 5, 0.32, -1, 50.0, -1.0, 0)
     with pytest.raises(AllSamplesAboveThreshold):
         en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 4, 1)
 
 
 def test_partial_skips_are_counted(monkeypatch):
-    real = en.build_medium_checkpoints
+    real = en.build_batch_checkpoints
 
-    def flaky(spec, lengths):
-        if spec.seed % 2 == 0:
-            return [NearSingularCavity("forced") for _ in lengths]
-        return real(spec, lengths)
+    def flaky(spec, seeds, lengths):
+        built = real(spec, seeds, lengths)
+        return [[NearSingularCavity("forced") for _ in lengths] if seed % 2 == 0 else row
+                for seed, row in zip(seeds, built)]
 
-    monkeypatch.setattr(en, "build_medium_checkpoints", flaky)
+    monkeypatch.setattr(en, "build_batch_checkpoints", flaky)
     spec = md.MediumSpec(3, 5, 0.32, -1, 500.0, -1.0, 0)
     result = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 12, 1)
     assert result.n_samples + result.n_skipped_above_threshold == 12
@@ -151,10 +151,10 @@ def test_sweep_shares_slice_prefixes():
 
 
 def test_sweep_records_point_errors(monkeypatch):
-    def always_failing(spec, lengths):
-        return [NearSingularCavity("forced") for _ in lengths]
+    def always_failing(spec, seeds, lengths):
+        return [[NearSingularCavity("forced") for _ in lengths] for _ in seeds]
 
-    monkeypatch.setattr(en, "build_medium_checkpoints", always_failing)
+    monkeypatch.setattr(en, "build_batch_checkpoints", always_failing)
     base = md.MediumSpec(3, 10, 0.32, -1, 100.0, -1.0, 0)
     points = en.sweep_lengths(base, [0.5, 1.0], STATE, ps.DetectionConfig(1.0), 4, 1, 10.0)
     assert all(p.result is None and p.error for p in points)
@@ -220,3 +220,39 @@ def test_homodyne_assembly_equals_per_sample_loop(mode_average):
                                             mode, relative_offset=offset)
             assert got == _homodyne_loop_reference(stats, 0.6, 0.4, 0.9 * 0.5, 0.02,
                                                    probe_phase, mode, offset)
+
+
+def _per_sample_statistics(spec, lengths, seeds, incident_mode, probe_mode):
+    """Reference: each sample built on its own and measured on its own."""
+    rows = []
+    for seed in seeds:
+        built = md.build_medium_checkpoints(dataclasses.replace(spec, seed=seed), lengths)
+        rows.append([None if isinstance(m, Exception)
+                     else ps.sample_statistics(m, incident_mode, probe_mode, False)
+                     for m in built])
+    return rows
+
+
+@pytest.mark.parametrize("spec", [
+    md.MediumSpec(16, 20, 0.45, 0, None, 0.0, 0),
+    absorbing_spec(16, 20, 0, decay=30.0, scatter_strength=0.45),
+    md.MediumSpec(16, 20, 0.45, -1, 30.0, -1.0, 0),
+], ids=["passive", "absorbing", "amplifying"])
+def test_collect_statistics_across_batch_boundaries(spec):
+    size = md.batch_size(spec.n_modes)
+    assert size > 2
+    lengths = [7, md.SAMPLING_BLOCK + 2.5]
+    seeds = [md.derive_sample_seed(31, k) for k in range(2 * size + 1)]
+    reference = _per_sample_statistics(spec, lengths, seeds, 1, 2)
+    for n_samples in (1, size - 1, size, size + 1, 2 * size + 1):
+        expected = [[reference[k][j] for k in range(n_samples)] for j in range(len(lengths))]
+        for workers in (1, 2, 3):
+            got = en.collect_statistics(spec, lengths, n_samples, 31, incident_mode=1,
+                                        probe_mode=2, mode_average=False, workers=workers)
+            assert got == expected, (n_samples, workers)
+
+
+def test_collect_statistics_needs_a_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            en.collect_statistics(_zero_length_spec(), [0.0], 2, 1, workers=workers)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqtransport import medium as md
@@ -349,3 +349,107 @@ def test_ohms_law_at_ten_mean_free_paths():
     observed = 25 / g.mean()
     stderr = 25 / g.mean() ** 2 * g.std(ddof=1) / math.sqrt(g.size)
     assert abs(observed - 11.0) < 3 * stderr + 0.01 * 11.0
+
+
+def _blocks(matrix):
+    return (matrix.r_prime, matrix.t_prime, matrix.t, matrix.r)
+
+
+_SIGMA_RANGE = {md.PASSIVE: (1.0, 1.0), md.ABSORBING: (0.2, 0.95), md.AMPLIFYING: (1.0, 1.3)}
+
+
+def _random_medium(rng, n_modes, kind):
+    low, high = _SIGMA_RANGE[kind]
+    return random_contraction(rng, n_modes, low, high, kind)
+
+
+def _cavity_condition(a, b):
+    return np.linalg.cond(np.eye(a.n_modes) - a.r @ b.r_prime)
+
+
+@given(n_modes=st.integers(1, 4), kind=st.sampled_from(sorted(_SIGMA_RANGE)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_star_product_algebra(n_modes, kind, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (_random_medium(rng, n_modes, kind) for _ in range(3))
+    # amplifying cavities can sit near their lasing poles; keep the cases
+    # whose every cavity factor is well conditioned
+    assume(max(_cavity_condition(a, b), _cavity_condition(b, c)) < 1e3)
+    ab, bc = md.star_compose(a, b), md.star_compose(b, c)
+    assume(max(_cavity_condition(ab, c), _cavity_condition(a, bc)) < 1e3)
+    ident = md.ScatteringMatrix.identity_transmission(n_modes, kind)
+    assert np.array_equal(md.star_compose(ident, a).full, a.full)
+    assert np.array_equal(md.star_compose(a, ident).full, a.full)
+    left, right = md.star_compose(ab, c), md.star_compose(a, bc)
+    assert np.max(np.abs(left.full - right.full)) < 1e-9
+    # the kind survives composition: unitary, contractive or gain-positive
+    for composite in (ab, left):
+        assert composite.medium_kind == kind
+        composite.validate()
+
+
+@given(n_modes=st.integers(1, 4), kind=st.sampled_from(sorted(_SIGMA_RANGE)),
+       openings=st.lists(st.booleans(), min_size=1, max_size=6),
+       guards=st.lists(st.booleans(), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_stacked_star_blocks_equal_per_matrix_calls(n_modes, kind, openings, guards, seed):
+    # a sample whose r_A vanishes takes the cavity-free formula; a stack may mix both
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for opened in openings:
+        a, b = _random_medium(rng, n_modes, kind), _random_medium(rng, n_modes, kind)
+        a_blocks = _blocks(a)
+        if opened:
+            a_blocks = a_blocks[:3] + (np.zeros_like(a.r),)
+        pairs.append((a_blocks, _blocks(b)))
+    assume(all(np.linalg.cond(np.eye(n_modes) - a[3] @ b[0]) < 1e6 for a, b in pairs))
+    guard = np.array(guards[:len(pairs)])
+    stacked = md._star_blocks(tuple(np.array(x) for x in zip(*(a for a, _ in pairs))),
+                              tuple(np.array(x) for x in zip(*(b for _, b in pairs))), guard)
+    for k, (a, b) in enumerate(pairs):
+        single = md._star_blocks(a, b, guard[k])
+        for whole, block in zip(stacked, single):
+            assert np.array_equal(whole[k], block)
+
+
+def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch):
+    # one amplifying sample of a batch gets hand-made slices: identity slices,
+    # then at period 17 (the second sampling block) a slice with r = 0.5 and
+    # at period 18 one whose r' closes a round trip of gain one through
+    # propagation unit 17, as in test_cavity_at_threshold_raises
+    n, decay, n_periods, fail_period = 3, 20.0, 40, 18
+    spec = md.MediumSpec(n, n_periods, 0.32, -1, decay, -1.0, 0)
+    seeds = [md.derive_sample_seed(9, k) for k in range(5)]
+    doomed = seeds[2]
+    theta = np.random.default_rng(np.random.SeedSequence(doomed).spawn(2)[1]).uniform(
+        0.0, 2.0 * np.pi, (n_periods, n))[fail_period - 1, 0]
+    stack = np.repeat(np.eye(2 * n, dtype=complex)[None], n_periods, axis=0)
+    stack[fail_period - 1, 0, n] = 0.5
+    stack[fail_period, n, 0] = np.exp(-2j * theta) / (0.5 * math.exp(1.0 / decay))
+    drawn = []
+    real = md._slice_unitaries
+
+    def rigged(n_modes, eps, rng, count):
+        if rng.bit_generator.seed_seq.entropy != doomed:
+            return real(n_modes, eps, rng, count)
+        start = len(drawn)
+        drawn.extend(range(count))
+        return stack[start:start + count], np.zeros(count)
+
+    monkeypatch.setattr(md, "_slice_unitaries", rigged)
+    lengths = [10, 17.5, fail_period, fail_period + 0.5, 30, n_periods]
+    batch = md.build_batch_checkpoints(spec, seeds, lengths)
+    for seed, row in zip(seeds, batch):
+        if seed == doomed:
+            continue
+        alone = md.build_medium_checkpoints(dataclasses.replace(spec, seed=seed), lengths)
+        assert all(np.array_equal(got.full, want.full) for got, want in zip(row, alone))
+    failed = batch[seeds.index(doomed)]
+    assert all(isinstance(entry, md.ScatteringMatrix) for entry in failed[:3])
+    assert isinstance(failed[3], NearSingularCavity)
+    assert all(entry is failed[3] for entry in failed[3:])
+    drawn.clear()
+    alone = md.build_medium_checkpoints(dataclasses.replace(spec, seed=doomed), lengths[:3])
+    assert all(np.array_equal(got.full, want.full) for got, want in zip(failed, alone))
