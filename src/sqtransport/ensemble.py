@@ -22,7 +22,6 @@ import numpy as np
 from .errors import AllSamplesAboveThreshold, GainPositivityViolation, NearSingularCavity
 from .medium import (
     MediumSpec,
-    batch_size,
     build_batch_checkpoints,
     # unused here since the disorder loop builds whole batches; kept because
     # perfbench/tracing.py wraps ensemble.build_medium_checkpoints
@@ -95,18 +94,14 @@ def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: fl
 
 
 def _collect_chunk(args):
-    """Statistics of one chunk of samples, built batch by batch; module-level for multiprocessing."""
+    """Statistics of one chunk of samples; module-level for multiprocessing."""
     base_spec, lengths, seeds, incident_mode, probe_mode, mode_average = args
-    size = batch_size(base_spec.n_modes)
-    rows = []
-    for first in range(0, len(seeds), size):
-        for matrices in build_batch_checkpoints(base_spec, seeds[first:first + size], lengths):
-            rows.append([
-                None if isinstance(matrix, (NearSingularCavity, GainPositivityViolation))
-                else sample_statistics(matrix, incident_mode, probe_mode, mode_average)
-                for matrix in matrices
-            ])
-    return rows
+    return [
+        [None if isinstance(matrix, (NearSingularCavity, GainPositivityViolation))
+         else sample_statistics(matrix, incident_mode, probe_mode, mode_average)
+         for matrix in matrices]
+        for matrices in build_batch_checkpoints(base_spec, seeds, lengths)
+    ]
 
 
 def collect_statistics(base_spec: MediumSpec, lengths, n_samples: int, master_seed: int,

@@ -27,9 +27,11 @@ once and refilled in place; B = max(1, BATCH_BYTES // (SAMPLING_BLOCK (2N)^2
 one sample per batch from N = 26 up.  Stacking leaves every sample bitwise
 unchanged: ``matmul``, ``solve`` and ``svd`` on a stack call the same BLAS or
 LAPACK routine matrix by matrix that they call on one matrix, and the
-elementwise steps do not depend on their neighbours.  The branches are
-decided per sample too: the cavity-free formula, the cavity guard, and a
-failure, which takes the sample out of the stack.
+elementwise steps do not depend on their neighbours.  The cavity guard and
+a failure, which takes the sample out of the stack, are decided per sample.
+The cavity-free formula is decided for the whole stack; every sample takes
+it in the first period and, with probability one, in no other.
+``build_batch_checkpoints`` splits any number of seeds into such batches;
 ``build_medium_checkpoints`` is the batch of one.
 
 Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
@@ -58,6 +60,7 @@ always runs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,36 +354,29 @@ def _star_blocks(a: tuple, b: tuple, guard) -> tuple:
     factor well conditioned.  Every step acts matrix by matrix, so a sample's
     composite does not depend on the other samples of its stack.
 
+    The cavity-free formula is taken when r_A or r'_B vanishes for the whole
+    stack.  In the disorder loop that decision is the same for every sample:
+    at period 0 all composites have r_A = 0, and afterwards a slice's r'_B
+    vanishes with probability zero.  A sample whose facing reflection
+    vanishes inside a cavity stack gets the cavity factor 1, and a composite
+    equal to the cavity-free one up to rounding.
+
     Raises:
         NearSingularCavity: a guarded cavity factor is numerically singular;
             ``samples`` lists the failing stack positions.
     """
     a_r_prime, a_t_prime, a_t, a_r = a
     b_r_prime, b_t_prime, b_t, b_r = b
-    # no internal cavity where one of the facing reflections vanishes exactly
-    open_ = ~(a_r.any(axis=(-2, -1)) & b_r_prime.any(axis=(-2, -1)))
-    if open_.all():
+    if not (a_r.any() and b_r_prime.any()):
+        # no internal cavity: one of the facing reflections vanishes exactly
         return (a_r_prime + a_t_prime @ b_r_prime @ a_t, a_t_prime @ b_t_prime,
                 b_t @ a_t, b_r + b_t @ a_r @ b_t_prime)
-    guard = np.broadcast_to(guard, open_.shape)
-    if open_.any():
-        # a stack mixing both cases: each part keeps its own formula
-        out = tuple(np.empty_like(block) for block in a)
-        for part in (open_, ~open_):
-            rows = np.flatnonzero(part)
-            try:
-                blocks = _star_blocks(tuple(x[rows] for x in a), tuple(x[rows] for x in b),
-                                      guard[rows])
-            except NearSingularCavity as exc:
-                raise NearSingularCavity(str(exc), rows[list(exc.samples)]) from None
-            for whole, block in zip(out, blocks):
-                whole[rows] = block
-        return out
 
     n = a_r.shape[-1]
     eye = np.eye(n)
     loop = a_r @ b_r_prime
     cavity = eye - loop
+    guard = np.broadcast_to(guard, loop.shape[:-2])
     if guard.any():
         # sigma_max(loop) <= sqrt(norm1 * norminf); where the bound keeps
         # 1 - loop far from singular the SVD condition check is unnecessary
@@ -428,26 +424,25 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix(*blocks, kind)
 
 
-def batch_size(n_modes: int) -> int:
+def _batch_size(n_modes: int) -> int:
     """Samples advanced together: as many as fit their slice buffers in ``BATCH_BYTES``."""
     return max(1, BATCH_BYTES // (SAMPLING_BLOCK * (2 * n_modes) ** 2 * 16))
 
 
-def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> list[list]:
+def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
     """Composites of one disorder realization per seed at several lengths, one pass.
 
     ``spec`` fixes the medium; each seed replaces ``spec.seed`` for one
-    sample.  The samples are advanced together as [B, N, N] stacks of raw
-    blocks, B = len(seeds), one stacked star product and one stacked
-    propagation unit per period; each sample keeps its own slice and phase
-    streams, its own cavity guard and its own failure.  Callers keep B at
-    ``batch_size(spec.n_modes)`` or below to stay within ``BATCH_BYTES``.
+    sample.  The seeds are built in consecutive batches of
+    ``_batch_size(spec.n_modes)``, so the slice buffers stay within
+    ``BATCH_BYTES`` however many seeds are passed, and a batch is built only
+    when the returned iterator reaches it.
 
-    Returns, per seed, one entry per requested length in the given order: the
-    validated ScatteringMatrix, or the NearSingularCavity /
-    GainPositivityViolation instance if that length is unreachable.  A sample
-    whose cavity fails leaves the stack, and every longer length carries the
-    same NearSingularCavity.
+    Yields, per seed in order, one list with an entry per requested length in
+    the given order: the validated ScatteringMatrix, or the
+    NearSingularCavity / GainPositivityViolation instance if that length is
+    unreachable.  A sample whose cavity fails leaves its batch, and every
+    longer length carries the same NearSingularCavity.
     """
     lengths = list(lengths)
     if any(length < 0 for length in lengths):
@@ -455,10 +450,22 @@ def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> list[list]:
     if sorted(lengths) != lengths:
         raise ValueError("lengths must be sorted ascending")
     period_targets = [int(math.ceil(length)) for length in lengths]
-    n_periods = period_targets[-1] if period_targets else 0
+    size = _batch_size(spec.n_modes)
+    return (row for first in range(0, len(seeds), size)
+            for row in _build_batch(spec, seeds[first:first + size], period_targets))
 
+
+def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
+    """One batch of ``build_batch_checkpoints``, captured after each period target.
+
+    The samples are advanced together as [B, N, N] stacks of raw blocks,
+    B = len(seeds), one stacked star product and one stacked propagation unit
+    per period; each sample keeps its own slice and phase streams, its own
+    cavity guard and its own failure.
+    """
     n = spec.n_modes
     size = len(seeds)
+    n_periods = period_targets[-1] if period_targets else 0
     streams = [[np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(2)]
                for seed in seeds]
     amplitude = (
@@ -485,11 +492,13 @@ def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> list[list]:
     results: list[list] = [[] for _ in range(size)]
     failures: dict = {}
     period = 0
+    drawn = -1  # index of the sampling block held in the buffers
     for target in period_targets:
         while active.size and period < target:
-            offset = period % SAMPLING_BLOCK
+            sampling_block, offset = divmod(period, SAMPLING_BLOCK)
             live = active.size
-            if offset == 0:
+            if sampling_block != drawn:
+                drawn = sampling_block
                 count = min(SAMPLING_BLOCK, n_periods - period)
                 for row, sample in enumerate(active):
                     rng_slices, rng_phases = streams[sample]
@@ -507,7 +516,8 @@ def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> list[list]:
                 blocks = _star_blocks(blocks, tuple(buffer[offset, :live] for buffer in slices),
                                       guards[offset, :live])
             except NearSingularCavity as exc:
-                # the failing samples leave the stack; the rest redo this period
+                # the failing samples leave the stack; the rest redo the star
+                # product of this period with the slices already drawn
                 keep = np.ones(live, dtype=bool)
                 keep[list(exc.samples)] = False
                 for sample in active[~keep]:
@@ -551,7 +561,7 @@ def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     instance if that length is unreachable (every longer length then carries
     the same failure).
     """
-    return build_batch_checkpoints(spec, [spec.seed], lengths)[0]
+    return next(build_batch_checkpoints(spec, [spec.seed], lengths))
 
 
 def build_medium(spec: MediumSpec) -> ScatteringMatrix:
@@ -630,20 +640,17 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
     if lengths[-1] / lengths[0] < 4:
         raise ValueError("lengths must span at least a factor of four")
 
-    # one build per sample, captured at every length, batch by batch
+    # one build per sample, captured at every length
     spec = MediumSpec(n_modes=n_modes, total_length=lengths[-1],
                       scatter_strength=scatter_strength, loss_gain_sign=0,
                       ballistic_decay_length=None, occupation=0.0, seed=seed)
+    seeds = [derive_sample_seed(seed, k) for k in range(samples_per_length)]
     g = np.empty((len(lengths), samples_per_length))
-    size = batch_size(n_modes)
-    for first in range(0, samples_per_length, size):
-        stop = min(first + size, samples_per_length)
-        seeds = [derive_sample_seed(seed, k) for k in range(first, stop)]
-        for k, matrices in enumerate(build_batch_checkpoints(spec, seeds, lengths), first):
-            for j, matrix in enumerate(matrices):
-                if isinstance(matrix, Exception):
-                    raise matrix
-                g[j, k] = np.sum(np.abs(matrix.t) ** 2)
+    for k, matrices in enumerate(build_batch_checkpoints(spec, seeds, lengths)):
+        for j, matrix in enumerate(matrices):
+            if isinstance(matrix, Exception):
+                raise matrix
+            g[j, k] = np.sum(np.abs(matrix.t) ** 2)
     y = np.empty(len(lengths))
     y_var = np.empty(len(lengths))
     for j, g_row in enumerate(g):

@@ -239,7 +239,7 @@ def _per_sample_statistics(spec, lengths, seeds, incident_mode, probe_mode):
     md.MediumSpec(16, 20, 0.45, -1, 30.0, -1.0, 0),
 ], ids=["passive", "absorbing", "amplifying"])
 def test_collect_statistics_across_batch_boundaries(spec):
-    size = md.batch_size(spec.n_modes)
+    size = md._batch_size(spec.n_modes)
     assert size > 2
     lengths = [7, md.SAMPLING_BLOCK + 2.5]
     seeds = [md.derive_sample_seed(31, k) for k in range(2 * size + 1)]

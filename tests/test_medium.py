@@ -390,22 +390,22 @@ def test_star_product_algebra(n_modes, kind, seed):
 
 
 @given(n_modes=st.integers(1, 4), kind=st.sampled_from(sorted(_SIGMA_RANGE)),
-       openings=st.lists(st.booleans(), min_size=1, max_size=6),
-       guards=st.lists(st.booleans(), min_size=6, max_size=6),
+       opened=st.booleans(), guards=st.lists(st.booleans(), min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_stacked_star_blocks_equal_per_matrix_calls(n_modes, kind, openings, guards, seed):
-    # a sample whose r_A vanishes takes the cavity-free formula; a stack may mix both
+def test_stacked_star_blocks_equal_per_matrix_calls(n_modes, kind, opened, guards, seed):
+    # a stack whose r_A all vanish takes the cavity-free formula, as each of
+    # its matrices does alone; the guard is per sample
     rng = np.random.default_rng(seed)
     pairs = []
-    for opened in openings:
+    for _ in guards:
         a, b = _random_medium(rng, n_modes, kind), _random_medium(rng, n_modes, kind)
         a_blocks = _blocks(a)
         if opened:
             a_blocks = a_blocks[:3] + (np.zeros_like(a.r),)
         pairs.append((a_blocks, _blocks(b)))
     assume(all(np.linalg.cond(np.eye(n_modes) - a[3] @ b[0]) < 1e6 for a, b in pairs))
-    guard = np.array(guards[:len(pairs)])
+    guard = np.array(guards)
     stacked = md._star_blocks(tuple(np.array(x) for x in zip(*(a for a, _ in pairs))),
                               tuple(np.array(x) for x in zip(*(b for _, b in pairs))), guard)
     for k, (a, b) in enumerate(pairs):
@@ -414,12 +414,15 @@ def test_stacked_star_blocks_equal_per_matrix_calls(n_modes, kind, openings, gua
             assert np.array_equal(whole[k], block)
 
 
-def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch):
+@pytest.mark.parametrize("fail_period", [md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 2])
+def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail_period):
     # one amplifying sample of a batch gets hand-made slices: identity slices,
-    # then at period 17 (the second sampling block) a slice with r = 0.5 and
-    # at period 18 one whose r' closes a round trip of gain one through
-    # propagation unit 17, as in test_cavity_at_threshold_raises
-    n, decay, n_periods, fail_period = 3, 20.0, 40, 18
+    # then at period fail_period - 1 a slice with r = 0.5 and at fail_period
+    # one whose r' closes a round trip of gain one through the propagation
+    # unit between them, as in test_cavity_at_threshold_raises.  At
+    # fail_period = SAMPLING_BLOCK the failure hits the first period of a
+    # sampling block, which the survivors must not draw a second time.
+    n, decay, n_periods = 3, 20.0, 40
     spec = md.MediumSpec(n, n_periods, 0.32, -1, decay, -1.0, 0)
     seeds = [md.derive_sample_seed(9, k) for k in range(5)]
     doomed = seeds[2]
@@ -439,8 +442,8 @@ def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch):
         return stack[start:start + count], np.zeros(count)
 
     monkeypatch.setattr(md, "_slice_unitaries", rigged)
-    lengths = [10, 17.5, fail_period, fail_period + 0.5, 30, n_periods]
-    batch = md.build_batch_checkpoints(spec, seeds, lengths)
+    lengths = [10, fail_period - 0.5, fail_period, fail_period + 0.5, 30, n_periods]
+    batch = list(md.build_batch_checkpoints(spec, seeds, lengths))
     for seed, row in zip(seeds, batch):
         if seed == doomed:
             continue
