@@ -15,7 +15,7 @@ from .analytics import (
     fano_homo_min_amplifying_avg,
     zero_length_limits,
 )
-from .ensemble import EnsembleResult, run_ensemble, spec_for_ratios, sweep_lengths
+from .ensemble import EnsembleResult, run_ensemble, spec_for_ratios
 from .fock import (
     FockState,
     amplifying_channel_photostats,
@@ -101,7 +101,6 @@ __all__ = [
     "spec_for_ratios",
     "squeezed_coherent_fock",
     "star_compose",
-    "sweep_lengths",
     "thermal_cumulant_densities",
     "zero_length_limits",
 ]

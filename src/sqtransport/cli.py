@@ -122,6 +122,14 @@ def _resolve(options, args) -> dict:
                               f"{resolved['n_modes']}")
     if "threads" in resolved and resolved["threads"] < 1:
         raise ConfigError(f"option --threads: {resolved['threads']} worker processes, need >= 1")
+    for name in ("samples", "calibration_samples", "mc_samples"):
+        if name in resolved and resolved[name] < 2:
+            raise ConfigError(f"option --{name.replace('_', '-')}: {resolved[name]} "
+                              f"realizations, need >= 2")
+    if "averaging" in resolved and resolved["averaging"] not in (en.RATIO_OF_MEANS,
+                                                                 en.MEAN_OF_RATIOS):
+        raise ConfigError(f"option --averaging: must be {en.RATIO_OF_MEANS} or "
+                          f"{en.MEAN_OF_RATIOS}, got {resolved['averaging']!r}")
     if "seed" in resolved and os.environ.get("SQT_SEED"):
         try:
             resolved["seed"] = int(os.environ["SQT_SEED"])

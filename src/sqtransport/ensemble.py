@@ -2,7 +2,9 @@
 
 Sample k of an ensemble uses the seed derived from (master_seed, k), so runs
 are reproducible and media at different lengths share their leading slices
-(common random numbers across a length sweep).  Averages follow the
+(common random numbers across a length sweep).  A sweep over s = L / xi_a is
+one ``collect_statistics`` over all lengths, then one
+``result_from_statistics`` per length, as the CLI runs it.  Averages follow the
 separate-averaging convention of the large-N theory: the disorder averages of
 numerator and denominator of each Fano-factor term are taken individually
 before forming the ratio ("ratio of means"); the plain sample mean of the
@@ -41,9 +43,6 @@ from .photostatistics import (
 RATIO_OF_MEANS = "ratio_of_means"
 MEAN_OF_RATIOS = "mean_of_ratios"
 
-MIN_PHASE = "min"
-FIXED_PHASE = "fixed"
-
 
 @dataclass(frozen=True)
 class EnsembleResult:
@@ -62,14 +61,6 @@ class EnsembleResult:
     averaging_mode: str
     mean_of_ratios: float
     mean_of_ratios_stderr: float
-    per_sample: tuple | None = None
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    s: float
-    result: EnsembleResult | None
-    error: str | None = None
 
 
 def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: float,
@@ -196,17 +187,16 @@ def assemble_homodyne_fano(stats: list[SampleStatistics], rho: float, phi: float
 
 def run_ensemble(medium: MediumSpec, state: SqueezedInput, config: DetectionConfig,
                  n_samples: int, master_seed: int, *, incident_fano: float | None = None,
-                 mode_average: bool = True, probe_phase_policy=MIN_PHASE,
-                 averaging_mode: str = RATIO_OF_MEANS, workers: int = 1,
-                 keep_samples: bool = False) -> EnsembleResult:
+                 mode_average: bool = True, averaging_mode: str = RATIO_OF_MEANS,
+                 workers: int = 1) -> EnsembleResult:
     """Monte Carlo average of the requested Fano factor over disorder.
 
     Direct detection is used unless ``config.homodyne`` is present.  The
     incident state enters the direct-detection average only through its Fano
     factor, which may be overridden by ``incident_fano`` (the average holds
     for any incident state, also non-Gaussian ones with F_in unreachable by a
-    squeezed state).   ``probe_phase_policy`` is "min" (per-sample optimal
-    phase), "fixed" (the phase of ``config.homodyne``), or a number.
+    squeezed state).  Homodyne detection takes each realization's optimal
+    probe phase.
 
     Raises:
         AllSamplesAboveThreshold: no realization was below the laser threshold.
@@ -221,16 +211,13 @@ def run_ensemble(medium: MediumSpec, state: SqueezedInput, config: DetectionConf
     )
     return result_from_statistics(
         per_length[0], state, config, medium.occupation,
-        incident_fano=incident_fano, probe_phase_policy=probe_phase_policy,
-        averaging_mode=averaging_mode, keep_samples=keep_samples,
+        incident_fano=incident_fano, averaging_mode=averaging_mode,
     )
 
 
 def result_from_statistics(stats_with_gaps, state: SqueezedInput, config: DetectionConfig,
                            occupation: float, *, incident_fano: float | None = None,
-                           probe_phase_policy=MIN_PHASE,
-                           averaging_mode: str = RATIO_OF_MEANS,
-                           keep_samples: bool = False) -> EnsembleResult:
+                           averaging_mode: str = RATIO_OF_MEANS) -> EnsembleResult:
     """Assemble an EnsembleResult from already-collected per-sample statistics."""
     stats = [s for s in stats_with_gaps if s is not None]
     n_skipped = len(stats_with_gaps) - len(stats)
@@ -243,17 +230,10 @@ def result_from_statistics(stats_with_gaps, state: SqueezedInput, config: Detect
         def run(mode):
             return assemble_direct_fano(stats, fano_in, config.efficiency, occupation, mode)
     else:
-        if probe_phase_policy == MIN_PHASE:
-            phase = None
-        elif probe_phase_policy == FIXED_PHASE:
-            phase = config.homodyne.probe_phase
-        else:
-            phase = float(probe_phase_policy)
-
         def run(mode):
             return assemble_homodyne_fano(
                 stats, state.rho, state.phi, config.efficiency,
-                config.homodyne.coupling, occupation, phase, mode,
+                config.homodyne.coupling, occupation, None, mode,
             )
 
     primary = run(averaging_mode)
@@ -266,41 +246,4 @@ def result_from_statistics(stats_with_gaps, state: SqueezedInput, config: Detect
         averaging_mode=averaging_mode,
         mean_of_ratios=diagnostic[0],
         mean_of_ratios_stderr=diagnostic[1],
-        per_sample=tuple(stats) if keep_samples else None,
     )
-
-
-def sweep_lengths(base_spec: MediumSpec, s_values, state: SqueezedInput,
-                  config: DetectionConfig, n_samples: int, master_seed: int,
-                  mean_free_path: float, **kwargs) -> list[SweepPoint]:
-    """Ensemble averages over a grid of dimensionless lengths s = L / xi_a.
-
-    ``base_spec`` fixes everything but the length; xi_a is recovered from its
-    ballistic decay length through xi_a = sqrt(l * l_decay / 3).  All points
-    share per-sample seeds (and hence their leading slices), so the curve is
-    smooth in s; realizations above threshold are skipped per point, and a
-    fully skipped point is recorded as an error rather than raised.
-    """
-    s_values = list(s_values)
-    if sorted(s_values) != s_values:
-        raise ValueError("s_values must be sorted ascending")
-    if base_spec.ballistic_decay_length is None:
-        raise ValueError("sweeping in s needs a lossy or amplifying base spec")
-    xi = math.sqrt(mean_free_path * base_spec.ballistic_decay_length / 3.0)
-    lengths = [s * xi for s in s_values]
-
-    probe_mode = config.homodyne.probe_mode if config.homodyne is not None else 0
-    per_length = collect_statistics(
-        base_spec, lengths, n_samples, master_seed,
-        incident_mode=state.incident_mode, probe_mode=probe_mode,
-        mode_average=kwargs.pop("mode_average", True),
-        workers=kwargs.pop("workers", 1),
-    )
-    points = []
-    for s, stats in zip(s_values, per_length):
-        try:
-            result = result_from_statistics(stats, state, config, base_spec.occupation, **kwargs)
-            points.append(SweepPoint(s=s, result=result))
-        except AllSamplesAboveThreshold as exc:
-            points.append(SweepPoint(s=s, result=None, error=str(exc)))
-    return points

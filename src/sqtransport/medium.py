@@ -625,7 +625,7 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
 
     Args:
         lengths: at least three lengths spanning a factor of four or more.
-        samples_per_length: disorder realizations per length.
+        samples_per_length: disorder realizations per length, at least two.
         seed: master seed for the disorder ensemble.
 
     Raises:
@@ -639,6 +639,8 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
         raise ValueError("lengths must be positive")
     if lengths[-1] / lengths[0] < 4:
         raise ValueError("lengths must span at least a factor of four")
+    if samples_per_length < 2:
+        raise ValueError("need at least two samples per length")
 
     # one build per sample, captured at every length
     spec = MediumSpec(n_modes=n_modes, total_length=lengths[-1],

@@ -292,26 +292,26 @@ def _full_checks(mc_samples: int):
         n_modes, l_over_xi, seed = 25, 0.1, 31
         cal = md.calibrate_mean_free_path(n_modes, 0.32, [8, 16, 32, 64],
                                           max(80, mc_samples // 2), seed=22)
-        base = en.spec_for_ratios(n_modes, 2.0, l_over_xi, cal.mean_free_path,
+        s_values = [0.5, 1.0, 2.0]
+        base = en.spec_for_ratios(n_modes, max(s_values), l_over_xi, cal.mean_free_path,
                                   1, 1e-3, 0.32, 0)
+        xi = cal.mean_free_path / l_over_xi
+        per_length = en.collect_statistics(base, [s * xi for s in s_values],
+                                           mc_samples, seed)
         state = ps.SqueezedInput(alpha=1.0)
         config = ps.DetectionConfig(1.0)
         failures = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            points = en.sweep_lengths(base, [0.5, 1.0, 2.0], state, config,
-                                      mc_samples, seed, cal.mean_free_path,
-                                      incident_fano=0.0)
-            for point in points:
-                w = an.WaveguideRatios(s=point.s, l_over_xi=l_over_xi, efficiency=1.0,
+            for s, stats in zip(s_values, per_length):
+                result = en.result_from_statistics(stats, state, config, base.occupation,
+                                                   incident_fano=0.0)
+                w = an.WaveguideRatios(s=s, l_over_xi=l_over_xi, efficiency=1.0,
                                        occupation=1e-3, fano_in=0.0)
                 target = an.fano_direct_absorbing_avg(w)
-                tolerance = max(3 * point.result.stderr,
-                                0.05 * abs(target - 1.0) + 0.01)
-                if abs(point.result.mean_fano - target) > tolerance:
-                    failures.append(
-                        f"s={point.s}: MC {point.result.mean_fano:.4f} vs {target:.4f}"
-                    )
+                tolerance = max(3 * result.stderr, 0.05 * abs(target - 1.0) + 0.01)
+                if abs(result.mean_fano - target) > tolerance:
+                    failures.append(f"s={s}: MC {result.mean_fano:.4f} vs {target:.4f}")
         _expect(not failures, "; ".join(failures))
 
     return [

@@ -11,7 +11,10 @@ import pytest
 
 from sqtransport import analytics as an
 from sqtransport import cli
+from sqtransport import ensemble as en
 from sqtransport import io as sio
+from sqtransport import medium as md
+from sqtransport import photostatistics as ps
 from sqtransport import validation
 from sqtransport.errors import ValidityWarning
 
@@ -214,6 +217,51 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     config.write_text("threads = 0\n")
     assert run(["fano-direct", "--config", config]) == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["calibrate", "--n-modes", 4, "--samples", 1], "--samples"),
+    (["fano-direct", "--samples", 0], "--samples"),
+    (["fano-homodyne", "--samples", 1, "--mean-free-path", 20], "--samples"),
+    (["sweep", "--calibration-samples", 1], "--calibration-samples"),
+    (["fano-direct", "--calibration-samples", 1, "--samples", 4], "--calibration-samples"),
+    (["validate", "--level", "full", "--mc-samples", 1], "--mc-samples"),
+    (["fano-direct", "--n-modes", 10, "--s", "0.5,1", "--samples", 20,
+      "--averaging", "bogus"], "--averaging"),
+], ids=["calibrate-one", "direct-zero", "homodyne-one", "sweep-calibration-one",
+        "direct-calibration-one", "validate-mc-one", "unknown-averaging"])
+def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
+                                                             capsys):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", no_calibration)
+    monkeypatch.setattr(cli.en, "collect_statistics", no_calibration)
+    assert run(args) == 2
+    assert option in capsys.readouterr().err
+
+
+def test_calibration_needs_two_samples_per_length():
+    for samples in (1, 0):
+        with pytest.raises(ValueError):
+            md.calibrate_mean_free_path(4, 0.32, [8, 16, 32], samples, seed=1)
+
+
+def test_fano_direct_rows_equal_run_ensemble(tmp_path):
+    # the CLI sweeps all s in one collection; each row must equal the
+    # library's single-length ensemble at the same seed and sample count
+    out = tmp_path / "d.csv"
+    assert run(["fano-direct", "--n-modes", 5, "--s", "0.5,1", "--fano-in", "0,1.5",
+                "--samples", 8, "--seed", 21, "--mean-free-path", 9.9,
+                "--scatter-strength", 0.45, "--output", out]) == 0
+    _, _, rows = sio.read_csv(out)
+    assert len(rows) == 4
+    for row in rows:
+        spec = en.spec_for_ratios(5, row["s"], 0.1, 9.9, 1, 1e-3, 0.45, 0)
+        result = en.run_ensemble(spec, ps.SqueezedInput(alpha=1.0), ps.DetectionConfig(1.0),
+                                 8, 21, incident_fano=row["f_in"])
+        assert row["fano_mc"] == result.mean_fano
+        assert row["stderr"] == result.stderr
 
 
 def test_threshold_exits_3():

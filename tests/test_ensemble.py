@@ -20,6 +20,22 @@ def _zero_length_spec(n_modes=4):
     return md.MediumSpec(n_modes, 0.0, 0.32, 1, 400.0, 1e-3, 0)
 
 
+def _statistics(spec, n_samples, master_seed):
+    """Per-sample statistics behind ``run_ensemble`` with the same arguments."""
+    return en.collect_statistics(spec, [spec.total_length], n_samples, master_seed,
+                                 incident_mode=STATE.incident_mode)[0]
+
+
+def _sweep(base, s_values, mean_free_path, l_over_xi, n_samples, master_seed, **kwargs):
+    """Results over s = L / xi_a the way the CLI sweeps: one collection, one result per s."""
+    xi = mean_free_path / l_over_xi
+    per_length = en.collect_statistics(base, [s * xi for s in s_values], n_samples,
+                                       master_seed, incident_mode=STATE.incident_mode)
+    return [en.result_from_statistics(stats, STATE, ps.DetectionConfig(1.0), base.occupation,
+                                      **kwargs)
+            for stats in per_length]
+
+
 def test_zero_length_matches_limits_exactly():
     config = ps.DetectionConfig(0.8)
     result = en.run_ensemble(_zero_length_spec(), STATE, config, 5, 7, mode_average=False)
@@ -49,9 +65,10 @@ def test_passive_coherent_is_poisson():
 
 def test_reproducibility_bitwise():
     spec = absorbing_spec(5, 18, 0)
-    a = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 123, keep_samples=True)
-    b = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 123, keep_samples=True)
+    a = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 123)
+    b = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 123)
     assert a == b
+    assert _statistics(spec, 6, 123) == _statistics(spec, 6, 123)
 
 
 def test_workers_do_not_change_results():
@@ -64,18 +81,19 @@ def test_workers_do_not_change_results():
 def test_incident_fano_override_is_linear_in_transmittance():
     spec = absorbing_spec(5, 20, 0)
     config = ps.DetectionConfig(0.9)
-    r0 = en.run_ensemble(spec, STATE, config, 10, 11, incident_fano=0.0, keep_samples=True)
+    r0 = en.run_ensemble(spec, STATE, config, 10, 11, incident_fano=0.0)
     r1 = en.run_ensemble(spec, STATE, config, 10, 11, incident_fano=1.0)
-    mean_t = np.mean([s.transmittance for s in r0.per_sample])
+    mean_t = np.mean([s.transmittance for s in _statistics(spec, 10, 11)])
     assert r1.mean_fano - r0.mean_fano == pytest.approx(0.9 * mean_t, rel=1e-12)
 
 
 def test_ratio_of_means_uses_separate_averages():
     spec = absorbing_spec(4, 15, 0)
     result = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 12, 5,
-                             incident_fano=0.0, keep_samples=True)
-    t = np.array([s.transmittance for s in result.per_sample])
-    b = np.array([s.beating for s in result.per_sample])
+                             incident_fano=0.0)
+    stats = _statistics(spec, 12, 5)
+    t = np.array([s.transmittance for s in stats])
+    b = np.array([s.beating for s in stats])
     expected = 1.0 - t.mean() + 2e-3 * b.mean() / t.mean()
     assert result.mean_fano == pytest.approx(expected, rel=1e-12)
     per_sample = 1.0 - t + 2e-3 * b / t
@@ -85,15 +103,16 @@ def test_ratio_of_means_uses_separate_averages():
 def test_mean_of_ratios_jackknife_matches_standard_error():
     spec = absorbing_spec(4, 15, 0)
     result = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 16, 5,
-                             incident_fano=0.0, averaging_mode=en.MEAN_OF_RATIOS,
-                             keep_samples=True)
-    t = np.array([s.transmittance for s in result.per_sample])
-    b = np.array([s.beating for s in result.per_sample])
+                             incident_fano=0.0, averaging_mode=en.MEAN_OF_RATIOS)
+    stats = _statistics(spec, 16, 5)
+    t = np.array([s.transmittance for s in stats])
+    b = np.array([s.beating for s in stats])
     per_sample = 1.0 - t + 2e-3 * b / t
     assert result.mean_fano == pytest.approx(per_sample.mean(), rel=1e-12)
     assert result.stderr == pytest.approx(per_sample.std(ddof=1) / math.sqrt(16), rel=1e-10)
 
 
+@pytest.mark.slow
 def test_averaging_modes_agree_for_many_modes(calibrated_n50):
     # sample-to-sample fluctuations shrink with N, so the two conventions meet
     l = calibrated_n50.mean_free_path
@@ -128,36 +147,14 @@ def test_partial_skips_are_counted(monkeypatch):
     assert result.n_skipped_above_threshold > 0
 
 
-def test_sweep_single_point_equals_run_ensemble():
-    l = 9.9
-    base = en.spec_for_ratios(5, 1.0, 0.1, l, 1, 1e-3, 0.45, 0)
-    points = en.sweep_lengths(base, [1.0], STATE, ps.DetectionConfig(1.0), 8, 21, l,
-                              incident_fano=0.0)
-    single = en.run_ensemble(base, STATE, ps.DetectionConfig(1.0), 8, 21,
-                             incident_fano=0.0)
-    assert points[0].result.mean_fano == single.mean_fano
-    assert points[0].result.stderr == single.stderr
-
-
 def test_sweep_shares_slice_prefixes():
     l = 9.9
     base = en.spec_for_ratios(5, 2.0, 0.1, l, 1, 1e-3, 0.45, 0)
-    points = en.sweep_lengths(base, [0.5, 2.0], STATE, ps.DetectionConfig(1.0), 8, 22, l,
-                              incident_fano=0.0)
+    points = _sweep(base, [0.5, 2.0], l, 0.1, 8, 22, incident_fano=0.0)
     short_spec = dataclasses.replace(base, total_length=0.5 * l / 0.1)
     alone = en.run_ensemble(short_spec, STATE, ps.DetectionConfig(1.0), 8, 22,
                             incident_fano=0.0)
-    assert points[0].result.mean_fano == alone.mean_fano
-
-
-def test_sweep_records_point_errors(monkeypatch):
-    def always_failing(spec, seeds, lengths):
-        return [[NearSingularCavity("forced") for _ in lengths] for _ in seeds]
-
-    monkeypatch.setattr(en, "build_batch_checkpoints", always_failing)
-    base = md.MediumSpec(3, 10, 0.32, -1, 100.0, -1.0, 0)
-    points = en.sweep_lengths(base, [0.5, 1.0], STATE, ps.DetectionConfig(1.0), 4, 1, 10.0)
-    assert all(p.result is None and p.error for p in points)
+    assert points[0].mean_fano == alone.mean_fano
 
 
 def test_amplifying_near_threshold_skip_fixture():
@@ -167,12 +164,11 @@ def test_amplifying_near_threshold_skip_fixture():
     # still reported per point
     l = 9.9
     base = en.spec_for_ratios(6, 4.0, 0.1, l, -1, -1.0, 0.45, 0)
-    points = en.sweep_lengths(base, [2.0, 3.0, 3.8], STATE, ps.DetectionConfig(1.0),
-                              20, 11, l)
-    skips = [p.result.n_skipped_above_threshold for p in points]
+    points = _sweep(base, [2.0, 3.0, 3.8], l, 0.1, 20, 11)
+    skips = [p.n_skipped_above_threshold for p in points]
     assert skips == [0, 0, 0]
     assert all(b >= a for a, b in zip(skips, skips[1:]))
-    stderrs = [p.result.stderr for p in points]
+    stderrs = [p.stderr for p in points]
     assert stderrs[1] > stderrs[0] and max(stderrs) > 1.0
 
 
