@@ -46,21 +46,27 @@ def _parse_bool(text):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    values = [float(part) for part in str(text).split(",") if part.strip() != ""]
-    if not values:
-        raise ConfigError("empty list")
-    return values
+    parts = (text if isinstance(text, (list, tuple))
+             else [part for part in str(text).split(",") if part.strip() != ""])
+    if not parts:
+        raise ValueError("empty list")
+    return [_parse_float(part) for part in parts]
 
 
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "bool": _parse_bool,
     "floats": _parse_float_list,
@@ -115,27 +121,76 @@ def _resolve(options, args) -> dict:
                 resolved[name] = parser_of[name](value)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"option --{name.replace('_', '-')}: {exc}") from None
-    for name in ("incident_mode", "probe_mode"):
-        if name in resolved and not 0 <= resolved[name] < resolved["n_modes"]:
-            raise ConfigError(f"option --{name.replace('_', '-')}: mode {resolved[name]} "
-                              f"outside 0..{resolved['n_modes'] - 1} for --n-modes "
-                              f"{resolved['n_modes']}")
-    if "threads" in resolved and resolved["threads"] < 1:
-        raise ConfigError(f"option --threads: {resolved['threads']} worker processes, need >= 1")
-    for name in ("samples", "calibration_samples", "mc_samples"):
-        if name in resolved and resolved[name] < 2:
-            raise ConfigError(f"option --{name.replace('_', '-')}: {resolved[name]} "
-                              f"realizations, need >= 2")
-    if "averaging" in resolved and resolved["averaging"] not in (en.RATIO_OF_MEANS,
-                                                                 en.MEAN_OF_RATIOS):
-        raise ConfigError(f"option --averaging: must be {en.RATIO_OF_MEANS} or "
-                          f"{en.MEAN_OF_RATIOS}, got {resolved['averaging']!r}")
     if "seed" in resolved and os.environ.get("SQT_SEED"):
         try:
             resolved["seed"] = int(os.environ["SQT_SEED"])
         except ValueError:
             raise ConfigError("SQT_SEED must be an integer") from None
+    _check_domains(resolved)
     return resolved
+
+
+def _reject(name: str, message: str):
+    raise ConfigError(f"option --{name.replace('_', '-')}: {message}")
+
+
+def _check_lengths(name: str, lengths, hint: str = "") -> None:
+    """The Ohm's-law fit needs three or more positive lengths spanning a factor of four."""
+    if len(lengths) < 3 or min(lengths) <= 0 or max(lengths) / min(lengths) < 4:
+        _reject(name, f"calibration lengths {lengths} are not three or more positive "
+                      f"lengths spanning a factor of four{hint}")
+
+
+def _check_domains(cfg) -> None:
+    """Reject every option value outside its domain, before any work starts."""
+    if cfg.get("n_modes", 1) < 1:
+        _reject("n_modes", f"{cfg['n_modes']} modes, need >= 1")
+    for name in ("incident_mode", "probe_mode"):
+        if name in cfg and not 0 <= cfg[name] < cfg["n_modes"]:
+            _reject(name, f"mode {cfg[name]} outside 0..{cfg['n_modes'] - 1} for --n-modes "
+                          f"{cfg['n_modes']}")
+    if cfg.get("threads", 1) < 1:
+        _reject("threads", f"{cfg['threads']} worker processes, need >= 1")
+    for name in ("samples", "calibration_samples", "mc_samples"):
+        if cfg.get(name, 2) < 2:
+            _reject(name, f"{cfg[name]} realizations, need >= 2")
+    if cfg.get("averaging", en.RATIO_OF_MEANS) not in (en.RATIO_OF_MEANS, en.MEAN_OF_RATIOS):
+        _reject("averaging", f"must be {en.RATIO_OF_MEANS} or {en.MEAN_OF_RATIOS}, "
+                             f"got {cfg['averaging']!r}")
+    if cfg.get("seed", 0) < 0:
+        _reject("seed", f"{cfg['seed']}, need >= 0")
+    for name in ("l_over_xi", "scatter_strength", "mean_free_path", "s_max_absorbing",
+                 "s_max_amplifying"):
+        if cfg.get(name) is not None and cfg[name] <= 0:
+            _reject(name, f"{cfg[name]}, need > 0")
+    for name in ("n_phases", "points"):
+        if cfg.get(name, 1) < 1:
+            _reject(name, f"{cfg[name]}, need >= 1")
+    if not 0 <= cfg.get("efficiency", 0) <= 1:
+        _reject("efficiency", f"{cfg['efficiency']} outside [0, 1]")
+    if not 0 < cfg.get("coupling", 0.5) < 1:
+        _reject("coupling", f"{cfg['coupling']} outside (0, 1)")
+    for name in ("rho", "s"):
+        values = cfg.get(name, [])
+        if min(values if isinstance(values, list) else [values], default=0) < 0:
+            _reject(name, f"{values}, need >= 0")
+    if "lengths" in cfg:
+        _check_lengths("lengths", cfg["lengths"])
+    if "mean_free_path" in cfg and cfg["mean_free_path"] is None:
+        _check_lengths("scatter_strength", _calibration_lengths(cfg["scatter_strength"]),
+                       "; give --mean-free-path")
+    if "occupation" in cfg:  # the Monte Carlo commands
+        if cfg["medium"] not in _MEDIUM_SIGNS:
+            _reject("medium", f"must be absorbing or amplifying, got {cfg['medium']!r}")
+        f = _default_occupation(cfg)
+        if cfg["medium"] == "absorbing" and f < 0:
+            _reject("occupation", f"{f}, an absorbing medium needs >= 0")
+        if cfg["medium"] == "amplifying" and not -1 <= f < 0:
+            _reject("occupation", f"{f}, an amplifying medium needs [-1, 0)")
+    if ("fano_in" in cfg and "alpha" in cfg and cfg.get("quantity", "direct") == "direct"
+            and cfg["fano_in"] is None and cfg["alpha"] == 0 and cfg["rho"] == 0):
+        _reject("fano_in", "the vacuum input (--alpha 0 --rho 0) has no Fano factor; "
+                           "give --fano-in")
 
 
 def _add_options(parser, options):
@@ -149,26 +204,23 @@ def _add_options(parser, options):
 _MEDIUM_SIGNS = {"absorbing": 1, "amplifying": -1}
 
 
-def _medium_sign(cfg) -> int:
-    try:
-        return _MEDIUM_SIGNS[cfg["medium"]]
-    except KeyError:
-        raise ConfigError(f"medium must be absorbing or amplifying, got {cfg['medium']!r}") from None
-
-
 def _default_occupation(cfg) -> float:
     if cfg["occupation"] is not None:
         return cfg["occupation"]
     return 1e-3 if cfg["medium"] == "absorbing" else -1.0
 
 
+def _calibration_lengths(scatter_strength: float) -> list[int]:
+    """Slab lengths of the auto-calibration, around the slice model's 2 / eps^2."""
+    base = 2.0 / scatter_strength ** 2
+    return [max(2, round(base * factor)) for factor in (0.5, 1, 2, 4)]
+
+
 def _mean_free_path(cfg) -> float:
     if cfg["mean_free_path"] is not None:
         return cfg["mean_free_path"]
-    base = 2.0 / cfg["scatter_strength"] ** 2
-    lengths = [max(2, round(base * factor)) for factor in (0.5, 1, 2, 4)]
     result = md.calibrate_mean_free_path(
-        cfg["n_modes"], cfg["scatter_strength"], lengths,
+        cfg["n_modes"], cfg["scatter_strength"], _calibration_lengths(cfg["scatter_strength"]),
         cfg["calibration_samples"], cfg["seed"],
     )
     return result.mean_free_path
@@ -182,9 +234,7 @@ def _emit(cfg, command, columns, rows):
     if cfg.get("json"):
         sio.write_json(cfg["json"], command, header, columns, rows)
     if not cfg.get("output") and not cfg.get("json"):
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(sio._format_value(row.get(col)) for col in columns))
+        print("\n".join(sio.csv_lines(columns, rows)))
 
 
 _COMMON_MC = [
@@ -228,7 +278,7 @@ HOMODYNE_OPTIONS = _COMMON_MC + _STATE + [
 
 
 def _collect(cfg, s_values, probe_mode=0, incident_mode=0):
-    sign = _medium_sign(cfg)
+    sign = _MEDIUM_SIGNS[cfg["medium"]]
     occupation = _default_occupation(cfg)
     mean_free_path = _mean_free_path(cfg)
     if sign < 0 and any(s >= math.pi for s in s_values):
@@ -257,7 +307,7 @@ def _direct_rows(cfg):
         if positive else ([], _default_occupation(cfg), None)
     )
     stats_of = dict(zip(positive, stats_per_length))
-    amplifying = _medium_sign(cfg) < 0
+    amplifying = cfg["medium"] == "amplifying"
 
     rows = []
     for fano_in in fano_ins:
@@ -297,7 +347,7 @@ def _homodyne_rows(cfg):
         raise ConfigError(f"phase_policy must be min, fixed or scan, got {policy!r}")
     stats_per_length, occupation, _ = _collect(
         cfg, s_values, probe_mode=cfg["probe_mode"], incident_mode=cfg["incident_mode"])
-    amplifying = _medium_sign(cfg) < 0
+    amplifying = cfg["medium"] == "amplifying"
     offsets = ([2 * math.pi * k / cfg["n_phases"] for k in range(cfg["n_phases"])]
                if policy == "scan" else [])
 
@@ -514,9 +564,6 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", ValidityWarning)
             return args.handler(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ThresholdReached, AllSamplesAboveThreshold, FitFailed) as exc:

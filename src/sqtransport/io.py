@@ -28,14 +28,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def csv_lines(columns, rows) -> list[str]:
+    """The column-name line and one line per row (dicts keyed by column name)."""
+    return [",".join(columns)] + [",".join(_format_value(row.get(col)) for col in columns)
+                                  for row in rows]
+
+
 def write_csv(path, columns, rows, config: dict | None = None) -> None:
-    """Write rows (dicts keyed by column name) with a config comment header."""
-    lines = []
-    for key in sorted(config or {}):
-        lines.append(f"# {key} = {_format_value((config or {})[key])}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(row.get(col)) for col in columns))
+    """Write ``csv_lines`` below a header of '#'-prefixed config comments."""
+    config = config or {}
+    lines = [f"# {key} = {_format_value(config[key])}" for key in sorted(config)]
+    lines += csv_lines(columns, rows)
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -311,30 +311,6 @@ def sample_slice(n_modes: int, scatter_strength: float,
     return ScatteringMatrix(r_prime=r_prime, t_prime=t_prime, t=t, r=r, medium_kind=PASSIVE)
 
 
-def propagation_unit(n_modes: int, loss_gain_sign: int, decay_length: float | None,
-                     rng: np.random.Generator) -> ScatteringMatrix:
-    """One slice of free propagation with uniform loss or gain.
-
-    Pure transmission: r = r' = 0 and t = t' = diag(exp(i theta_n) * a) with
-    independent uniform phases and amplitude a = exp(-sign / (2 * decay_length)).
-    """
-    if loss_gain_sign not in (-1, 0, 1):
-        raise ValueError("loss_gain_sign must be -1, 0 or +1")
-    if loss_gain_sign != 0 and (decay_length is None or decay_length <= 0):
-        raise ValueError("decay_length must be positive for lossy/gainy propagation")
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_modes)
-    amplitude = 1.0 if loss_gain_sign == 0 else math.exp(-loss_gain_sign / (2.0 * decay_length))
-    diag = amplitude * np.exp(1j * theta)
-    zero = np.zeros((n_modes, n_modes), dtype=complex)
-    return ScatteringMatrix(
-        r_prime=zero,
-        t_prime=np.diag(diag),
-        t=np.diag(diag),
-        r=zero,
-        medium_kind=_KIND_FROM_SIGN[loss_gain_sign],
-    )
-
-
 def _combined_kind(kind_a: str, kind_b: str) -> str:
     if kind_a == kind_b:
         return kind_a
@@ -468,6 +444,9 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     n_periods = period_targets[-1] if period_targets else 0
     streams = [[np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(2)]
                for seed in seeds]
+    # a propagation unit is one slice of free propagation with uniform loss or
+    # gain: r = r' = 0 and t = t' = diag(a exp(i theta_n)), independent uniform
+    # phases and the amplitude a of the medium kind
     amplitude = (
         1.0
         if spec.loss_gain_sign == 0

@@ -389,9 +389,14 @@ def sample_statistics(s: ScatteringMatrix, incident_mode: int, probe_mode: int,
                       mode_average: bool = False) -> SampleStatistics:
     """The scalars of one realization that the direct and homodyne Fano factors use.
 
-    The only place that forms the noise matrix 1 - r r+ - t t+.  With
-    ``mode_average`` the transmittance and beating weights are averaged over
-    the incident mode, and the probe transmittance over both mode indices.
+    Forms the N x N noise matrix 1 - r r+ - t t+ of the transmitted modes, the
+    only block these Fano factors need.  The cumulant and generating-function
+    path (``thermal_cumulant_densities``, ``direct_cumulants_squeezed``,
+    ``log_generating_density_direct``) takes any detection mode set instead,
+    so ``_detected_deviation_block`` cuts the detected block out of the full
+    2N x 2N matrix 1 - S S+; for the transmitted modes that block is this one.
+    With ``mode_average`` the transmittance and beating weights are averaged
+    over the incident mode, and the probe transmittance over both mode indices.
     """
     t = s.t
     n = s.n_modes

@@ -6,6 +6,10 @@ returns silently on success and raises AssertionError (or any exception) on
 failure; the runner turns that into a per-check report and a process exit
 code.  Checks test through ``_expect``, never ``assert``, which ``python -O``
 would strip.
+
+The fast checks are the only copy of their properties: the test suite runs
+each of them as a test of its own instead of asserting the same property
+again.
 """
 
 from __future__ import annotations
@@ -61,58 +65,80 @@ def random_contraction(rng, n_modes: int, smin=0.2, smax=0.95,
     return md.ScatteringMatrix.from_full(u @ np.diag(sigma) @ v, kind)
 
 
-def _absorbing_spec(n_modes, length, seed, decay=400.0, occupation=1e-3):
-    return md.MediumSpec(n_modes, length, 0.32, 1, decay, occupation, seed)
+def absorbing_spec(n_modes, length, seed, decay=400.0, occupation=1e-3,
+                   scatter_strength=0.32) -> md.MediumSpec:
+    return md.MediumSpec(n_modes, length, scatter_strength, 1, decay, occupation, seed)
+
+
+def random_homodyne_case(rng, n=3):
+    """Random contraction, squeezed state, homodyne detection and occupation."""
+    s = random_contraction(rng, n)
+    state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
+                             float(rng.uniform(0.05, 1.2)),
+                             float(rng.uniform(0, 2 * math.pi)),
+                             int(rng.integers(0, n)))
+    hom = ps.HomodyneConfig(float(rng.uniform(0.1, 0.9)), int(rng.integers(0, n)),
+                            float(rng.uniform(0, 2 * math.pi)))
+    config = ps.DetectionConfig(float(rng.uniform(0.3, 1.0)), ps.TRANSMISSION, hom)
+    f = float(rng.uniform(0, 0.3))
+    return s, state, config, f
 
 
 def check_slice_unitarity():
     rng = np.random.default_rng(10)
+    eye = np.eye(16)
     for _ in range(5):
         s = md.sample_slice(8, 0.1, rng).full
-        _expect(np.max(np.abs(s @ s.conj().T - np.eye(16))) < 1e-12)
+        _expect(np.max(np.abs(s @ s.conj().T - eye)) < 1e-12)
+        _expect(np.max(np.abs(s.conj().T @ s - eye)) < 1e-12)
 
 
 def check_star_identity_element():
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(4)
     ident = md.ScatteringMatrix.identity_transmission(6)
-    b = md.sample_slice(6, 0.3, rng)
+    b = md.sample_slice(6, 0.4, rng)
     for pair in ((ident, b), (b, ident)):
         c = md.star_compose(*pair)
         _expect(np.max(np.abs(c.full - b.full)) < 1e-14)
 
 
 def check_scalar_fabry_perot():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
+    rng = np.random.default_rng(6)
+    for _ in range(30):
         a = random_contraction(rng, 1)
         b = random_contraction(rng, 1)
         c = md.star_compose(a, b)
         expected = b.t[0, 0] * a.t[0, 0] / (1 - a.r[0, 0] * b.r_prime[0, 0])
         _expect(abs(c.t[0, 0] - expected) < 1e-12)
+        _expect(abs(abs(c.t[0, 0]) ** 2 - abs(expected) ** 2) < 1e-12)  # the flux
 
 
 def check_passive_composition_unitary():
-    spec = md.MediumSpec(6, 120, 0.32, 0, None, 0.0, 1234)
+    # 500 periods = 10^3 star products
+    spec = md.MediumSpec(6, 500, 0.32, 0, None, 0.0, 7)
     matrix = md.build_medium(spec)
     _expect(np.max(np.abs(matrix.singular_values() - 1)) < 1e-9)
 
 
 def check_absorbing_contraction():
-    for seed in range(40):
-        matrix = md.build_medium(_absorbing_spec(5, 30, seed))
-        _expect(np.max(matrix.singular_values()) <= 1 + 1e-10)
+    for decay, n_seeds in ((400.0, 40), (50.0, 30)):
+        for seed in range(n_seeds):
+            matrix = md.build_medium(absorbing_spec(5, 30, seed, decay))
+            _expect(matrix.medium_kind == md.ABSORBING)
+            _expect(np.max(matrix.singular_values()) <= 1 + 1e-10)
 
 
 def check_amplifying_positivity():
-    for seed in range(25):
-        spec = md.MediumSpec(5, 25, 0.32, -1, 500.0, -1.0, seed)
-        matrix = md.build_medium(spec)
-        deviation = md.deviation_from_unitarity(matrix)
-        _expect(np.linalg.eigvalsh(deviation)[-1] <= 1e-10)  # 1 - SS+ <= 0
+    for n_modes, length, decay, n_seeds in ((5, 25, 500.0, 25), (4, 12, 200.0, 100)):
+        for seed in range(n_seeds):
+            spec = md.MediumSpec(n_modes, length, 0.32, -1, decay, -1.0, seed)
+            matrix = md.build_medium(spec)
+            deviation = md.deviation_from_unitarity(matrix)
+            _expect(np.linalg.eigvalsh(deviation)[-1] <= 1e-10)  # 1 - SS+ <= 0
 
 
 def check_determinism():
-    spec = _absorbing_spec(4, 17, 99)
+    spec = absorbing_spec(6, 23, 99)
     a, b = md.build_medium(spec), md.build_medium(spec)
     _expect(a.full.tobytes() == b.full.tobytes())
 
@@ -125,18 +151,25 @@ def check_thermal_cumulants_scalar():
 
 def check_m_element_scalar():
     s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
-    m = ps.m_element(s, 0, ps.DetectionConfig(1.0), 0.1, 0.3)
+    config = ps.DetectionConfig(1.0)
+    _expect(ps.m_element(s, 0, config, 0.1, 0.0) == 0.0)
+    m = ps.m_element(s, 0, config, 0.1, 0.3)
     _expect(abs(m - (-0.3 * 0.6 / (1 - 0.3 * 0.4 * 0.1))) < 1e-14)
+    # a lossless medium detected in all modes: m = -z
+    unitary = md.sample_slice(3, 0.4, np.random.default_rng(26))
+    for z in (0.05, -0.4, 0.7):
+        m = ps.m_element(unitary, 1, ps.DetectionConfig(1.0, ps.ALL_MODES), 0.3, z)
+        _expect(abs(m + z) <= 1e-12)
 
 
 def check_generating_function_consistency():
-    rng = np.random.default_rng(13)
-    for trial in range(10):
+    rng = np.random.default_rng(30)
+    for trial in range(25):
         n = int(rng.integers(1, 4))
         s = random_contraction(rng, n)
         state = ps.SqueezedInput(
             alpha=complex(rng.normal(), rng.normal()),
-            rho=float(rng.uniform(0, 0.8)),
+            rho=float(rng.uniform(0, 0.9)),
             phi=float(rng.uniform(0, 2 * math.pi)),
             incident_mode=int(rng.integers(0, n)),
         )
@@ -149,8 +182,9 @@ def check_generating_function_consistency():
 
 
 def check_fano_in_limits():
-    _expect(ps.fano_in_squeezed(ps.SqueezedInput(alpha=1.7)) == 1.0)
-    for rho in (0.2, 0.8, 1.5):
+    for alpha in (1.7, 0.3 - 1.2j):
+        _expect(ps.fano_in_squeezed(ps.SqueezedInput(alpha=alpha)) == 1.0)
+    for rho in (0.1, 0.2, 0.5, 0.8, 1.3, 1.5):
         got = ps.fano_in_squeezed(ps.SqueezedInput(alpha=0, rho=rho))
         _expect(abs(got - (1 + math.cosh(2 * rho))) < 1e-12)
     large = ps.fano_in_squeezed(ps.SqueezedInput(alpha=10.0, rho=0.5))
@@ -158,32 +192,36 @@ def check_fano_in_limits():
 
 
 def check_homodyne_scan_minimum():
-    rng = np.random.default_rng(14)
+    rng = np.random.default_rng(36)
     for trial in range(10):
-        s = random_contraction(rng, 3)
-        state = ps.SqueezedInput(alpha=1.0, rho=float(rng.uniform(0.1, 1.0)),
-                                 phi=float(rng.uniform(0, 2 * math.pi)))
-        hom = ps.HomodyneConfig(coupling=0.5, probe_mode=int(rng.integers(0, 3)))
-        config = ps.DetectionConfig(0.9, ps.TRANSMISSION, hom)
-        f = float(rng.uniform(0, 0.2))
+        s, state, config, f = random_homodyne_case(rng)
+        hom = config.homodyne
         best = ps.fano_homodyne_min(s, state, config, f)
         for k in range(64):
             phase = best.optimal_probe_phase + 2 * math.pi * k / 64
             probe = dataclasses.replace(config, homodyne=dataclasses.replace(hom, probe_phase=phase))
             value = ps.fano_homodyne(s, state, probe, f).value
             _expect(value >= best.value - 1e-10)
+            if k == 0:  # at the reported optimal phase
+                _expect(abs(value - best.value) <= 1e-12)
+        # closed form of the minimum, with the noise element read off 1 - S S+
+        dk = config.efficiency * hom.coupling
+        t_nm = s.t[hom.probe_mode, state.incident_mode]
+        noise = md.deviation_from_unitarity(s)[s.n_modes + hom.probe_mode,
+                                               s.n_modes + hom.probe_mode].real
+        expected = (1 - 2 * dk * abs(t_nm) ** 2 * math.exp(-state.rho) * math.sinh(state.rho)
+                    + 2 * dk * f * noise)
+        _expect(abs(best.value - expected) <= 1e-12 * max(1.0, abs(expected)))
 
 
 def check_breakdown_identity():
-    rng = np.random.default_rng(15)
-    for trial in range(10):
-        s = random_contraction(rng, 2)
-        state = ps.SqueezedInput(alpha=0.5 + 0.3j, rho=0.4, phi=1.0)
-        config = ps.DetectionConfig(0.8, ps.TRANSMISSION, ps.HomodyneConfig(0.4, 1, 0.7))
+    rng = np.random.default_rng(37)
+    for trial in range(20):
+        s, state, config, f = random_homodyne_case(rng)
         for breakdown in (
-            ps.fano_direct(s, state, config, 0.1),
-            ps.fano_homodyne(s, state, config, 0.1),
-            ps.fano_homodyne_min(s, state, config, 0.1),
+            ps.fano_direct(s, state, config, f),
+            ps.fano_homodyne(s, state, config, f),
+            ps.fano_homodyne_min(s, state, config, f),
         ):
             total = 1 + breakdown.incident_term + breakdown.beating_term + breakdown.probe_term
             _expect(abs(breakdown.value - total) < 1e-12)
@@ -197,32 +235,40 @@ def check_analytic_brackets_pinned():
 
 
 def check_universal_absorbing_limit():
-    for fano_in in (0.0, 1.5, 3.0):
-        w = an.WaveguideRatios(s=12.0, l_over_xi=0.01, efficiency=1.0,
-                               occupation=1e-3, fano_in=fano_in)
-        _expect(abs(an.fano_direct_absorbing_avg(w) - 1.0015) < 1e-6)
+    for s in (12.0, 14.0, 20.0):
+        for fano_in in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            w = an.WaveguideRatios(s=s, l_over_xi=0.01, efficiency=1.0,
+                                   occupation=1e-3, fano_in=fano_in)
+            _expect(abs(an.fano_direct_absorbing_avg(w) - 1.0015) < 1e-6)
 
 
 def check_threshold_divergence():
     w = an.WaveguideRatios(s=math.pi - 1e-3, l_over_xi=0.1, efficiency=1.0,
                            occupation=-1.0, fano_in=1.0)
     _expect(an.fano_direct_amplifying_avg(w) > 1e3)
-    try:
-        an.fano_direct_amplifying_avg(dataclasses.replace(w, s=math.pi))
-    except ThresholdReached:
-        return
-    raise AssertionError("no ThresholdReached at s = pi")
+    homodyne = dataclasses.replace(w, fano_in=None, rho=0.5, coupling=0.5, n_modes=10)
+    for s in (math.pi, 3.5):
+        for average, ratios in ((an.fano_direct_amplifying_avg, w),
+                                (an.fano_homo_min_amplifying_avg, homodyne)):
+            try:
+                average(dataclasses.replace(ratios, s=s))
+            except ThresholdReached:
+                continue
+            raise AssertionError(f"no ThresholdReached from {average.__name__} at s = {s}")
 
 
 def check_analytic_continuation():
     import cmath
 
-    rng = np.random.default_rng(16)
+    rng = np.random.default_rng(50)
     for s in rng.uniform(0.2, 3.0, 20):
         sh = cmath.sinh(1j * s)
         coth = cmath.cosh(1j * s) / sh
         rotated = 3 - (2 * 1j * s + coth) / sh - (1j * s * coth - 1) / sh**2 + 1j * s / sh**3
-        _expect(abs(rotated - an.direct_bracket_amplifying(s)) < 1e-11)
+        value = an.direct_bracket_amplifying(s)
+        _expect(abs(rotated - value) < 1e-11)
+        _expect(abs(rotated.imag) < 1e-12)
+        _expect(abs(rotated.real - value) <= max(1e-10 * abs(value), 1e-12))
 
 
 def check_fock_oracle_lossy():
@@ -250,10 +296,15 @@ def check_zero_length_ensemble():
     config = ps.DetectionConfig(0.8, ps.TRANSMISSION, ps.HomodyneConfig(0.5, 1))
     spec = md.MediumSpec(4, 0.0, 0.32, 1, 400.0, 1e-3, 0)
     direct0, homodyne0 = an.zero_length_limits(state, config)
-    res = en.run_ensemble(spec, state, ps.DetectionConfig(0.8), 4, 5, mode_average=False)
+    res = en.run_ensemble(spec, state, ps.DetectionConfig(0.8), 5, 7, mode_average=False)
     _expect(res.mean_fano == direct0 and res.stderr == 0.0)
-    res_h = en.run_ensemble(spec, state, config, 4, 5, mode_average=False)
-    _expect(abs(res_h.mean_fano - homodyne0) < 1e-12 and res_h.stderr < 1e-15)
+    _expect(res.n_samples == 5 and res.n_skipped_above_threshold == 0)
+    res_h = en.run_ensemble(spec, state, config, 4, 7, mode_average=False)
+    _expect(abs(res_h.mean_fano - homodyne0) <= 1e-14 and res_h.stderr < 1e-15)
+    # a probe in another mode than the incident one sees no signal
+    other = ps.DetectionConfig(0.8, ps.TRANSMISSION, ps.HomodyneConfig(0.5, 3))
+    res_o = en.run_ensemble(spec, state, other, 4, 7, mode_average=False)
+    _expect(abs(res_o.mean_fano - 1.0) <= 1e-14)
 
 
 FAST_CHECKS = [

@@ -1,9 +1,16 @@
-import pytest
+import os
 
-from sqtransport import medium as md
-from sqtransport.validation import (  # noqa: F401
-    haar_unitary,
+# outputs are bitwise reproducible only at a fixed BLAS thread count; pin it
+# before numpy is first imported, unless the caller chose a setting
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from sqtransport import medium as md  # noqa: E402
+from sqtransport.validation import (  # noqa: E402, F401
+    absorbing_spec,
     random_contraction,
+    random_homodyne_case,
     scalar_channel,
 )
 
@@ -13,8 +20,3 @@ def calibrated_n50():
     """Mean free path of the eps = 0.45 slice model, shared by the MC tests."""
     result = md.calibrate_mean_free_path(50, 0.45, [5, 10, 20, 40], 120, seed=101)
     return result
-
-
-def absorbing_spec(n_modes, length, seed, decay=400.0, occupation=1e-3,
-                   scatter_strength=0.32):
-    return md.MediumSpec(n_modes, length, scatter_strength, 1, decay, occupation, seed)

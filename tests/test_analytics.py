@@ -1,4 +1,3 @@
-import cmath
 import dataclasses
 import math
 import warnings
@@ -9,9 +8,16 @@ import pytest
 
 from sqtransport import analytics as an
 from sqtransport import photostatistics as ps
-from sqtransport.errors import ThresholdReached, ValidityWarning
+from sqtransport import validation
+from sqtransport.errors import ValidityWarning
 
 mp.mp.dps = 40
+
+# each property's one copy is a fast check of ``validation``; test_cli's
+# test_fast_check runs every check, and these names keep this module's test ids
+test_universal_absorbing_limit = validation.check_universal_absorbing_limit
+test_threshold_divergence_and_error = validation.check_threshold_divergence
+test_analytic_continuation_absorbing_to_amplifying = validation.check_analytic_continuation
 
 
 def _mp_bracket_absorbing(s):
@@ -64,32 +70,10 @@ def test_direct_trivial_when_coherent_and_cold():
     assert got == 1.0
 
 
-def test_universal_absorbing_limit():
-    for s in (12.0, 14.0, 20.0):
-        for fano_in in np.linspace(0.0, 3.0, 7):
-            w = _ratios(s=s, l_over_xi=0.01, fano_in=float(fano_in))
-            assert abs(an.fano_direct_absorbing_avg(w) - 1.0015) < 1e-6
-
-
 def test_strong_absorption_forgets_input_state():
     low = an.fano_direct_absorbing_avg(_ratios(s=12.0, fano_in=0.0))
     high = an.fano_direct_absorbing_avg(_ratios(s=12.0, fano_in=3.0))
     assert abs(high - low) < 1e-5
-
-
-def test_threshold_divergence_and_error():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        near = an.fano_direct_amplifying_avg(
-            _ratios(s=math.pi - 1e-3, occupation=-1.0, fano_in=1.0))
-    assert near > 1e3
-    for s in (math.pi, 3.5):
-        with pytest.raises(ThresholdReached):
-            an.fano_direct_amplifying_avg(_ratios(s=s, occupation=-1.0, fano_in=1.0))
-        with pytest.raises(ThresholdReached):
-            an.fano_homo_min_amplifying_avg(
-                _ratios(s=s, occupation=-1.0, fano_in=None, rho=0.5,
-                        coupling=0.5, n_modes=10))
 
 
 def test_monotone_divergence_beyond_turning_point():
@@ -104,18 +88,6 @@ def test_monotone_divergence_beyond_turning_point():
         turning = int(np.argmin(values))
         tail = values[turning:]
         assert all(b > a for a, b in zip(tail, tail[1:]))
-
-
-def test_analytic_continuation_absorbing_to_amplifying():
-    rng = np.random.default_rng(50)
-    for s in rng.uniform(0.2, 3.0, 20):
-        sh = cmath.sinh(1j * s)
-        coth = cmath.cosh(1j * s) / sh
-        rotated = (3 - (2j * s + coth) / sh - (1j * s * coth - 1) / sh**2
-                   + 1j * s / sh**3)
-        assert abs(rotated.imag) < 1e-12
-        assert rotated.real == pytest.approx(an.direct_bracket_amplifying(float(s)),
-                                             rel=1e-10)
 
 
 def test_homodyne_min_fixtures():

@@ -228,8 +228,32 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["validate", "--level", "full", "--mc-samples", 1], "--mc-samples"),
     (["fano-direct", "--n-modes", 10, "--s", "0.5,1", "--samples", 20,
       "--averaging", "bogus"], "--averaging"),
+    (["fano-direct", "--l-over-xi", 0], "--l-over-xi"),
+    (["fano-direct", "--mean-free-path", 0], "--mean-free-path"),
+    (["fano-direct", "--mean-free-path", -5], "--mean-free-path"),
+    (["fano-direct", "--scatter-strength", 0], "--scatter-strength"),
+    (["fano-direct", "--scatter-strength", 2], "--scatter-strength"),
+    (["fano-direct", "--s", -1], "--s"),
+    (["fano-direct", "--s", "0.5,nan"], "--s"),
+    (["fano-direct", "--alpha", 0, "--rho", 0], "--fano-in"),
+    (["fano-homodyne", "--coupling", 1.5, "--mean-free-path", 20], "--coupling"),
+    (["sweep", "--quantity", "homodyne-min", "--coupling", 0], "--coupling"),
+    (["fano-homodyne", "--phase-policy", "scan", "--n-phases", 0], "--n-phases"),
+    (["fano-direct", "--n-modes", 0], "option --n-modes"),
+    (["fano-direct", "--efficiency", 1.5], "--efficiency"),
+    (["fano-homodyne", "--rho", -0.1, "--mean-free-path", 20], "--rho"),
+    (["fano-direct", "--occupation", -0.1], "--occupation"),
+    (["fano-direct", "--medium", "amplifying", "--occupation", 0.5], "--occupation"),
+    (["fano-direct", "--seed", -1], "--seed"),
+    (["calibrate", "--lengths", "10,20"], "--lengths"),
+    (["figure3", "--points", -1], "--points"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "sweep-calibration-one",
-        "direct-calibration-one", "validate-mc-one", "unknown-averaging"])
+        "direct-calibration-one", "validate-mc-one", "unknown-averaging",
+        "l-over-xi-zero", "mean-free-path-zero", "mean-free-path-negative",
+        "scatter-strength-zero", "scatter-strength-too-large-to-calibrate", "s-negative",
+        "s-nan", "vacuum-input", "coupling-above-one", "coupling-zero", "no-phases",
+        "no-modes", "efficiency-above-one", "rho-negative", "absorbing-occupation",
+        "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
                                                              capsys):
     def no_calibration(*args, **kwargs):
@@ -280,6 +304,26 @@ def test_sqt_seed_env_override(tmp_path, monkeypatch):
                 "--output", out]) == 0
     header, _, _ = sio.read_csv(out)
     assert header["seed"] == "4242"
+
+
+def test_stdout_equals_the_output_file_without_its_header(tmp_path, capsys):
+    args = ["fano-homodyne", "--n-modes", 4, "--s", "0.5,1", "--samples", 4,
+            "--mean-free-path", 9.9, "--scatter-strength", 0.45, "--phase-policy", "scan",
+            "--n-phases", 3]
+    out = tmp_path / "h.csv"
+    assert run([*args, "--output", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(args) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert capsys.readouterr().out == "".join(line for line in lines if not line.startswith("#"))
+
+
+@pytest.mark.parametrize("check", [check for _, check in validation.FAST_CHECKS],
+                         ids=[name for name, _ in validation.FAST_CHECKS])
+def test_fast_check(check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        check()
 
 
 def test_validate_fast_passes(capsys):

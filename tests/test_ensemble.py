@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from sqtransport import analytics as an
 from sqtransport import ensemble as en
 from sqtransport import medium as md
 from sqtransport import photostatistics as ps
+from sqtransport import validation
 from sqtransport.errors import AllSamplesAboveThreshold, NearSingularCavity
 
 from conftest import absorbing_spec, random_contraction
+
+# each property's one copy is a fast check of ``validation``; test_cli's
+# test_fast_check runs every check, and these names keep this module's test ids
+test_zero_length_matches_limits_exactly = validation.check_zero_length_ensemble
 
 
 STATE = ps.SqueezedInput(alpha=1.2, rho=0.4, phi=0.3, incident_mode=1)
@@ -34,26 +38,6 @@ def _sweep(base, s_values, mean_free_path, l_over_xi, n_samples, master_seed, **
     return [en.result_from_statistics(stats, STATE, ps.DetectionConfig(1.0), base.occupation,
                                       **kwargs)
             for stats in per_length]
-
-
-def test_zero_length_matches_limits_exactly():
-    config = ps.DetectionConfig(0.8)
-    result = en.run_ensemble(_zero_length_spec(), STATE, config, 5, 7, mode_average=False)
-    direct0, _ = an.zero_length_limits(STATE, config)
-    assert result.mean_fano == direct0
-    assert result.stderr == 0.0
-    assert result.n_samples == 5 and result.n_skipped_above_threshold == 0
-
-
-def test_zero_length_homodyne_limits():
-    same = ps.DetectionConfig(0.8, ps.TRANSMISSION, ps.HomodyneConfig(0.5, 1))
-    other = ps.DetectionConfig(0.8, ps.TRANSMISSION, ps.HomodyneConfig(0.5, 3))
-    _, homodyne_same = an.zero_length_limits(STATE, same)
-    result = en.run_ensemble(_zero_length_spec(), STATE, same, 4, 7, mode_average=False)
-    assert result.mean_fano == pytest.approx(homodyne_same, abs=1e-14)
-    result_other = en.run_ensemble(_zero_length_spec(), STATE, other, 4, 7,
-                                   mode_average=False)
-    assert result_other.mean_fano == pytest.approx(1.0, abs=1e-14)
 
 
 def test_passive_coherent_is_poisson():

@@ -6,9 +6,15 @@ import pytest
 from sqtransport import fock
 from sqtransport import medium as md
 from sqtransport import photostatistics as ps
+from sqtransport import validation
 from sqtransport.errors import TruncationLeak
 
 from conftest import scalar_channel
+
+# each property's one copy is a fast check of ``validation``; test_cli's
+# test_fast_check runs every check, and these names keep this module's test ids
+test_lossy_channel_matches_scalar_closed_form = validation.check_fock_oracle_lossy
+test_amplifier_matches_scalar_closed_form = validation.check_fock_oracle_amplifying
 
 
 def test_coherent_amplitudes_are_poisson():
@@ -85,16 +91,6 @@ def test_lossy_channel_distribution_physical():
     assert 1 - 1e-8 <= out.distribution.sum() <= 1 + 1e-12
 
 
-def test_lossy_channel_matches_scalar_closed_form():
-    state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
-    out = fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.1)
-    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
-    closed = ps.direct_cumulants_squeezed(
-        s, ps.SqueezedInput(1.3, 0.5, 0.7), ps.DetectionConfig(1.0), 0.1)
-    assert out.kappa1 == pytest.approx(closed.kappa1, rel=1e-8)
-    assert out.kappa2 == pytest.approx(closed.kappa2, rel=1e-8)
-
-
 def test_amplifier_identity():
     state = fock.squeezed_coherent_fock(1.0, 0.4, 0.0, 100)
     out = fock.amplifying_channel_photostats(state, 1.0)
@@ -110,16 +106,6 @@ def test_amplifier_on_vacuum_is_thermal():
     assert out.kappa2 == pytest.approx(out.kappa1**2, rel=1e-10)
     n = np.arange(out.distribution.size)
     assert np.allclose(out.distribution, 0.5**(n + 1), atol=1e-12)
-
-
-def test_amplifier_matches_scalar_closed_form():
-    state = fock.squeezed_coherent_fock(1.0, 0.4, 0.0, 120)
-    out = fock.amplifying_channel_photostats(state, math.sqrt(1.5))
-    s = scalar_channel(math.sqrt(1.5), md.AMPLIFYING)
-    closed = ps.direct_cumulants_squeezed(
-        s, ps.SqueezedInput(1.0, 0.4, 0.0), ps.DetectionConfig(1.0), -1.0)
-    assert out.kappa1 == pytest.approx(closed.kappa1, rel=1e-7)
-    assert out.kappa2 == pytest.approx(closed.kappa2, rel=1e-7)
 
 
 def test_amplifier_partial_inversion_emulation():

@@ -7,9 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqtransport import medium as md
+from sqtransport import validation
 from sqtransport.errors import FitFailed, NearSingularCavity, PhysicalityError
 
 from conftest import absorbing_spec, random_contraction, scalar_channel
+
+# each property's one copy is a fast check of ``validation``; test_cli's
+# test_fast_check runs every check, and these names keep this module's test ids
+test_slice_unitarity = validation.check_slice_unitarity
+test_star_identity_element = validation.check_star_identity_element
+test_star_scalar_fabry_perot = validation.check_scalar_fabry_perot
+test_build_passive_long_chain_unitary = validation.check_passive_composition_unitary
+test_build_absorbing_contraction = validation.check_absorbing_contraction
+test_build_amplifying_gain_positive = validation.check_amplifying_positivity
+test_build_deterministic_bitwise = validation.check_determinism
 
 
 def test_slice_zero_strength_is_transparent():
@@ -24,13 +35,6 @@ def test_slice_first_order_in_strength():
     s = md.sample_slice(4, eps, np.random.default_rng(1))
     assert np.max(np.abs(s.t - np.eye(4))) < 10 * eps
     assert np.max(np.abs(s.r_prime)) < 10 * eps
-
-
-def test_slice_unitarity():
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        full = md.sample_slice(8, 0.1, rng).full
-        assert np.max(np.abs(full.conj().T @ full - np.eye(16))) < 1e-12
 
 
 def test_slice_mean_reflectance_fixture():
@@ -51,24 +55,29 @@ def test_slice_rejects_bad_arguments():
         md.sample_slice(4, -0.3, rng)
 
 
+def propagation_unit(n_modes, loss_gain_sign, decay_length, rng):
+    """Reference for the loop's diagonal step: one slice of free propagation.
+
+    Pure transmission: r = r' = 0 and t = t' = diag(exp(i theta_n) * a) with
+    independent uniform phases and amplitude a = exp(-sign / (2 * decay_length)).
+    """
+    theta = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    amplitude = 1.0 if loss_gain_sign == 0 else math.exp(-loss_gain_sign / (2.0 * decay_length))
+    diag = np.diag(amplitude * np.exp(1j * theta))
+    zero = np.zeros((n_modes, n_modes), dtype=complex)
+    return md.ScatteringMatrix(zero, diag, diag, zero, md._KIND_FROM_SIGN[loss_gain_sign])
+
+
 @pytest.mark.parametrize("sign,decay,magnitude", [
     (0, None, 1.0),
     (1, 10.0, math.exp(-0.05)),
     (-1, 10.0, math.exp(0.05)),
 ])
 def test_propagation_unit_amplitudes(sign, decay, magnitude):
-    unit = md.propagation_unit(5, sign, decay, np.random.default_rng(3))
+    unit = propagation_unit(5, sign, decay, np.random.default_rng(3))
     assert np.allclose(np.abs(np.diagonal(unit.t)), magnitude, atol=1e-14)
     assert not unit.r.any() and not unit.r_prime.any()
     assert np.array_equal(unit.t, unit.t_prime)
-
-
-def test_star_identity_element():
-    rng = np.random.default_rng(4)
-    ident = md.ScatteringMatrix.identity_transmission(6)
-    b = md.sample_slice(6, 0.4, rng)
-    assert np.max(np.abs(md.star_compose(ident, b).full - b.full)) < 1e-14
-    assert np.max(np.abs(md.star_compose(b, ident).full - b.full)) < 1e-14
 
 
 def test_star_two_passive_slices_unitary():
@@ -82,16 +91,6 @@ def test_star_scalar_slabs():
     a = scalar_channel(math.sqrt(0.5), md.ABSORBING)
     c = md.star_compose(a, a)
     assert abs(abs(c.t[0, 0]) ** 2 - 0.25) < 1e-14
-
-
-def test_star_scalar_fabry_perot():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        a = random_contraction(rng, 1)
-        b = random_contraction(rng, 1)
-        c = md.star_compose(a, b)
-        expected = b.t[0, 0] * a.t[0, 0] / (1.0 - a.r[0, 0] * b.r_prime[0, 0])
-        assert abs(abs(c.t[0, 0]) ** 2 - abs(expected) ** 2) < 1e-12
 
 
 def test_star_near_singular_cavity():
@@ -113,33 +112,6 @@ def test_build_zero_length_is_identity_transmission():
     spec = md.MediumSpec(4, 0.0, 0.3, 0, None, 0.0, 1)
     built = md.build_medium(spec)
     assert np.array_equal(built.full, md.ScatteringMatrix.identity_transmission(4).full)
-
-
-def test_build_deterministic_bitwise():
-    spec = absorbing_spec(6, 23, seed=99)
-    assert md.build_medium(spec).full.tobytes() == md.build_medium(spec).full.tobytes()
-
-
-def test_build_absorbing_contraction():
-    for seed in range(30):
-        built = md.build_medium(absorbing_spec(5, 30, seed, decay=50.0))
-        assert np.max(built.singular_values()) <= 1 + 1e-10
-        assert built.medium_kind == md.ABSORBING
-
-
-def test_build_amplifying_gain_positive():
-    for seed in range(100):
-        spec = md.MediumSpec(4, 12, 0.32, -1, 200.0, -1.0, seed)
-        built = md.build_medium(spec)
-        deviation = md.deviation_from_unitarity(built)
-        assert np.linalg.eigvalsh(deviation)[-1] <= 1e-10
-
-
-def test_build_passive_long_chain_unitary():
-    # 500 periods = 10^3 star products
-    spec = md.MediumSpec(6, 500, 0.32, 0, None, 0.0, 7)
-    built = md.build_medium(spec)
-    assert np.max(np.abs(built.singular_values() - 1)) < 1e-9
 
 
 def test_checkpoints_match_independent_builds():
@@ -174,8 +146,8 @@ def _star_fold(spec, n_periods):
         composite = md.star_compose(
             composite, md.sample_slice(spec.n_modes, spec.scatter_strength, rng_slices))
         composite = md.star_compose(
-            composite, md.propagation_unit(spec.n_modes, spec.loss_gain_sign,
-                                           spec.ballistic_decay_length, rng_phases))
+            composite, propagation_unit(spec.n_modes, spec.loss_gain_sign,
+                                        spec.ballistic_decay_length, rng_phases))
         out.append(composite)
     return out
 

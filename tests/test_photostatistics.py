@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sqtransport import ensemble as en
 from sqtransport import medium as md
 from sqtransport import photostatistics as ps
+from sqtransport import validation
 from sqtransport.errors import (
     GeneratingFunctionDomainError,
     ImaginaryResidue,
@@ -17,7 +18,18 @@ from sqtransport.errors import (
     ZeroTransmission,
 )
 
-from conftest import random_contraction, scalar_channel
+from conftest import random_contraction, random_homodyne_case, scalar_channel
+
+# each property's one copy is a fast check of ``validation``; test_cli's
+# test_fast_check runs every check, and these names keep this module's test ids
+test_fano_in_coherent_is_poisson = validation.check_fano_in_limits
+test_fano_in_squeezed_vacuum = validation.check_fano_in_limits
+test_fano_in_large_amplitude_squeezed = validation.check_fano_in_limits
+test_thermal_cumulants_scalar_channel = validation.check_thermal_cumulants_scalar
+test_m_element_limits = validation.check_m_element_scalar
+test_numeric_cumulants_match_closed_forms = validation.check_generating_function_consistency
+test_fano_homodyne_min_at_optimal_phase = validation.check_homodyne_scan_minimum
+test_fano_breakdown_decomposition_identity = validation.check_breakdown_identity
 
 
 def test_bose_einstein():
@@ -30,21 +42,6 @@ def test_bose_einstein():
     assert ps.bose_einstein(-0.5) < -1
     with pytest.raises(ValueError):
         ps.bose_einstein(0.0)
-
-
-def test_fano_in_coherent_is_poisson():
-    assert ps.fano_in_squeezed(ps.SqueezedInput(alpha=0.3 - 1.2j)) == 1.0
-
-
-def test_fano_in_squeezed_vacuum():
-    for rho in (0.1, 0.5, 1.3):
-        got = ps.fano_in_squeezed(ps.SqueezedInput(alpha=0.0, rho=rho))
-        assert got == pytest.approx(1 + math.cosh(2 * rho), abs=1e-12)
-
-
-def test_fano_in_large_amplitude_squeezed():
-    got = ps.fano_in_squeezed(ps.SqueezedInput(alpha=10.0, rho=0.5, phi=0.0))
-    assert abs(got - math.exp(-1.0)) < 0.02
 
 
 def test_fano_in_zero_mean_count():
@@ -87,13 +84,6 @@ def test_thermal_cumulants_unitary_vanish():
     s = md.sample_slice(4, 0.3, np.random.default_rng(22))
     k1, k2 = ps.thermal_cumulant_densities(s, ps.DetectionConfig(1.0), 0.3)
     assert abs(k1) < 1e-12 and abs(k2) < 1e-12
-
-
-def test_thermal_cumulants_scalar_channel():
-    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
-    k1, k2 = ps.thermal_cumulant_densities(s, ps.DetectionConfig(1.0), 0.1)
-    assert k1 == pytest.approx(0.04, abs=1e-15)
-    assert k2 == pytest.approx(0.0016, abs=1e-15)
 
 
 @pytest.mark.parametrize("mode_set", [ps.TRANSMISSION, ps.REFLECTION, ps.ALL_MODES])
@@ -150,19 +140,6 @@ def test_direct_cumulants_unitary_full_detection_preserves_statistics():
     assert got.kappa1 - got.thermal_kappa1 == pytest.approx(state.mean_photon_number, rel=1e-12)
 
 
-def test_m_element_limits():
-    s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
-    config = ps.DetectionConfig(1.0)
-    assert ps.m_element(s, 0, config, 0.1, 0.0) == 0.0
-    expected = -0.3 * 0.6 / (1 - 0.3 * 0.4 * 0.1)
-    assert ps.m_element(s, 0, config, 0.1, 0.3) == pytest.approx(expected, rel=1e-14)
-
-    unitary = md.sample_slice(3, 0.4, np.random.default_rng(26))
-    for z in (0.05, -0.4, 0.7):
-        m = ps.m_element(unitary, 1, ps.DetectionConfig(1.0, ps.ALL_MODES), 0.3, z)
-        assert m == pytest.approx(-z, rel=1e-12)
-
-
 def test_m_element_real_across_random_suite():
     rng = np.random.default_rng(27)
     for _ in range(100):
@@ -216,23 +193,6 @@ def test_generating_function_domain_error():
     state = ps.SqueezedInput(0.0, 2.5, 0.0)
     with pytest.raises(GeneratingFunctionDomainError):
         ps.log_generating_density_direct(0.9, s, state, ps.DetectionConfig(1.0), 0.0)
-
-
-def test_numeric_cumulants_match_closed_forms():
-    rng = np.random.default_rng(30)
-    for _ in range(25):
-        n = int(rng.integers(1, 4))
-        s = random_contraction(rng, n)
-        state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
-                                 float(rng.uniform(0, 0.9)),
-                                 float(rng.uniform(0, 2 * math.pi)),
-                                 int(rng.integers(0, n)))
-        config = ps.DetectionConfig(float(rng.uniform(0.3, 1.0)))
-        f = float(rng.uniform(0, 0.3))
-        closed = ps.direct_cumulants_squeezed(s, state, config, f)
-        numeric = ps.numeric_factorial_cumulants(s, state, config, f, order=2)
-        assert numeric[0] == pytest.approx(closed.kappa1, rel=1e-6)
-        assert numeric[1] == pytest.approx(closed.kappa2, rel=1e-6, abs=1e-10)
 
 
 def test_numeric_cumulants_poisson_higher_orders_vanish():
@@ -302,22 +262,9 @@ def test_fano_direct_zero_transmission():
         ps.fano_direct(r_only, ps.SqueezedInput(1.0), ps.DetectionConfig(1.0), 0.1)
 
 
-def _random_homodyne_case(rng, n=3):
-    s = random_contraction(rng, n)
-    state = ps.SqueezedInput(complex(rng.normal(), rng.normal()),
-                             float(rng.uniform(0.05, 1.2)),
-                             float(rng.uniform(0, 2 * math.pi)),
-                             int(rng.integers(0, n)))
-    hom = ps.HomodyneConfig(float(rng.uniform(0.1, 0.9)), int(rng.integers(0, n)),
-                            float(rng.uniform(0, 2 * math.pi)))
-    config = ps.DetectionConfig(float(rng.uniform(0.3, 1.0)), ps.TRANSMISSION, hom)
-    f = float(rng.uniform(0, 0.3))
-    return s, state, config, f
-
-
 def test_fano_homodyne_coherent_input():
     rng = np.random.default_rng(35)
-    s, state, config, f = _random_homodyne_case(rng)
+    s, state, config, f = random_homodyne_case(rng)
     state = dataclasses.replace(state, rho=0.0)
     breakdown = ps.fano_homodyne(s, state, config, f)
     hom = config.homodyne
@@ -325,26 +272,6 @@ def test_fano_homodyne_coherent_input():
     expected = 1 + 2 * config.efficiency * hom.coupling * f * x_bb[hom.probe_mode, hom.probe_mode].real
     assert breakdown.value == pytest.approx(expected, rel=1e-12)
     assert breakdown.incident_term == 0.0 and breakdown.probe_term == 0.0
-
-
-def test_fano_homodyne_min_at_optimal_phase():
-    rng = np.random.default_rng(36)
-    for _ in range(10):
-        s, state, config, f = _random_homodyne_case(rng)
-        best = ps.fano_homodyne_min(s, state, config, f)
-        at_best = dataclasses.replace(
-            config, homodyne=dataclasses.replace(config.homodyne,
-                                                 probe_phase=best.optimal_probe_phase))
-        assert ps.fano_homodyne(s, state, at_best, f).value == pytest.approx(
-            best.value, abs=1e-12)
-        # closed form of the minimum
-        t_nm = s.t[config.homodyne.probe_mode, state.incident_mode]
-        dk = config.efficiency * config.homodyne.coupling
-        x_bb = np.eye(3) - s.r @ s.r.conj().T - s.t @ s.t.conj().T
-        expected = (1 - 2 * dk * abs(t_nm) ** 2 * math.exp(-state.rho) * math.sinh(state.rho)
-                    + 2 * dk * f * x_bb[config.homodyne.probe_mode,
-                                        config.homodyne.probe_mode].real)
-        assert best.value == pytest.approx(expected, rel=1e-12)
 
 
 def test_fano_homodyne_min_zero_length_limits():
@@ -356,17 +283,6 @@ def test_fano_homodyne_min_zero_length_limits():
     got_other = ps.fano_homodyne_min(ident, state, other, 0.0).value
     assert got_same == pytest.approx(1 - 2 * 0.5 * math.exp(-0.8) * math.sinh(0.8), rel=1e-12)
     assert got_other == pytest.approx(1.0, abs=1e-15)
-
-
-def test_fano_breakdown_decomposition_identity():
-    rng = np.random.default_rng(37)
-    for _ in range(20):
-        s, state, config, f = _random_homodyne_case(rng)
-        for breakdown in (ps.fano_direct(s, state, config, f),
-                          ps.fano_homodyne(s, state, config, f),
-                          ps.fano_homodyne_min(s, state, config, f)):
-            total = 1 + breakdown.incident_term + breakdown.beating_term + breakdown.probe_term
-            assert breakdown.value == pytest.approx(total, abs=1e-12)
 
 
 def test_detection_config_validation():
