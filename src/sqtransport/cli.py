@@ -64,8 +64,15 @@ def _parse_float_list(text):
     return [_parse_float(part) for part in parts]
 
 
+def _parse_int(value):
+    # a JSON number arrives as int or float, and bool is a subclass of int
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _PARSERS = {
-    "int": int,
+    "int": _parse_int,
     "float": _parse_float,
     "str": str,
     "bool": _parse_bool,

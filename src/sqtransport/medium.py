@@ -36,13 +36,16 @@ it in the first period and, with probability one, in no other.
 
 Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
 normal draws of a block continue the generator's stream exactly where the
-previous block stopped, and the batched ``eigh`` and matrix products act
-matrix by matrix, so a medium is bitwise the same whatever the block size.
-Only the unitarity spot-check of the sampler looks at its own block.
+previous block stopped, and the batched ``qr``, ``eigvalsh`` and matrix
+products act matrix by matrix, so a medium is bitwise the same whatever the
+block size.  Only the unitarity spot-check of the sampler looks at its own
+block.
 
-Cavity bound.  Appending a slice U = exp(i eps K) = V exp(i eps w) V+ to a
-composite A needs the cavity factor 1 - r_A r'_B.  Since r'_B is an
-off-diagonal block of U, it is also an off-diagonal block of U - 1, so
+Cavity bound.  A slice U = exp(i eps K) = V exp(i eps w) V+ is sampled as a
+Haar V and eigenvalues w drawn directly from their law, not as the ``eigh``
+of a drawn K (``_slice_unitaries``).  Appending it to a composite A needs the
+cavity factor 1 - r_A r'_B.  Since r'_B is an off-diagonal block of U, it is
+also an off-diagonal block of U - 1, so
 
     ||r'_B||_2 <= ||U - 1||_2 = max_j |exp(i eps w_j) - 1| = q,
 
@@ -50,8 +53,8 @@ the last step because U - 1 is normal with eigenvalues exp(i eps w_j) - 1.
 A passive or absorbing composite is a contraction, so ||r_A||_2 <= 1 and
 ||r_A r'_B||_2 <= q.  For q < 1 every singular value of the cavity factor
 lies in [1 - q, 1 + q], so cond(1 - r_A r'_B) <= (1 + q) / (1 - q).  The
-eigenvalues w come from ``eigh`` anyway; where this bound stays below
-``CONDITION_LIMIT`` the SVD condition check is skipped.  An amplifying
+sampler draws w anyway, so q is exact and costs nothing; where this bound
+stays below ``CONDITION_LIMIT`` the SVD condition check is skipped.  An amplifying
 composite can have ||r_A||_2 > 1, and a slice replaced by the polar fallback
 no longer has this q, so both keep the SVD guard that ``star_compose``
 always runs.
@@ -238,8 +241,29 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
 
     K is Hermitian 2N x 2N with independent complex Gaussian off-diagonal
     entries of variance 1/(2N) and real Gaussian diagonal entries of the same
-    variance.  The exponential is taken through the eigendecomposition, so the
-    result is unitary to round-off.
+    variance, i.e. K = H / sqrt(2N) with H from the GUE of density
+    exp(-tr H^2 / 2).  K is never formed: it is unitarily invariant, so
+    K = V diag(w) V+ in law with V Haar and independent of the eigenvalues w,
+    and both factors are drawn from one complex Ginibre matrix G = X + iY,
+    the same (count, 2, 2N, 2N) normal draw per block as a direct K would take.
+
+    - V.  Let G = QR, and Lambda = diag(r_ii / |r_ii|).  Then Q Lambda is
+      Haar and independent of the triangular factor Lambda+ R, whose diagonal
+      is |r_ii| (chi with 2(2N - i) degrees of freedom, i = 0, 1, ...) and
+      whose strict upper entries are independent complex normals (Mezzadri,
+      Notices AMS 54, 592 (2007)).
+    - w.  The beta = 2 Hermite tridiagonal with the 2N standard normals of
+      the first row of Lambda+ R (real, then imaginary parts) on its
+      diagonal and |r_ii| / sqrt(2), i = 1 .. 2N - 1 (chi_{2(2N-1)}, ...,
+      chi_2 over sqrt 2) below it has exactly the GUE eigenvalue law
+      (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)); one real
+      ``eigvalsh`` gives w, divided by sqrt(2N) for K.
+    - U = Q Lambda exp(i eps w) Lambda+ Q+ = Q exp(i eps w) Q+, since the
+      diagonal Lambda commutes with exp(i eps w): no phase fix of Q is needed.
+
+    So U has the law of a slice exponentiated through ``eigh`` of a directly
+    drawn K, at the cost of one complex QR and one real eigenvalue solve, and
+    it is unitary to round-off.
 
     Returns the stacked unitaries and, per slice, q = ||U - 1||_2 =
     max_j |exp(i eps w_j) - 1| over the eigenvalues w of K; q is None when the
@@ -250,20 +274,26 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
         return np.empty((0, m, m), dtype=complex), np.empty(0)
     # one contiguous draw per slice, so shorter media are stream prefixes
     draws = rng.standard_normal((count, 2, m, m))
-    x, y = draws[:, 0], draws[:, 1]
-    scale = 0.5 / math.sqrt(2 * n_modes)
-    k = np.empty((count, m, m), dtype=complex)
-    # (G + G+)/2 has off-diagonal variance 1 and diagonal variance 1 before scaling
-    k.real = x + x.transpose(0, 2, 1)
-    k.imag = y - y.transpose(0, 2, 1)
-    k *= scale
-    w, v = np.linalg.eigh(k)
-    phases = np.exp(1j * scatter_strength * w)
+    g = draws[:, 0] + 1j * draws[:, 1]
+    del draws
+    q, r = np.linalg.qr(g)
+    del g
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    magnitude = np.abs(diagonal)
+    row = r[:, 0, 1:] * (magnitude[:, :1] / diagonal[:, :1])  # first row of Lambda+ R
+    normals = np.concatenate((row.real, row.imag), axis=1)[:, :m]
+    del r, diagonal, row
+    # only the lower triangle is read by eigvalsh
+    tridiagonal = np.zeros((count, m * m))
+    tridiagonal[:, :: m + 1] = normals
+    tridiagonal[:, m :: m + 1] = magnitude[:, 1:] / math.sqrt(2.0)
+    w = np.linalg.eigvalsh(tridiagonal.reshape(count, m, m))
+    del tridiagonal
+    phases = np.exp(1j * (scatter_strength / math.sqrt(m)) * w)
     distance = np.max(np.abs(phases - 1.0), axis=1)
-    np.multiply(v, phases[:, None, :], out=k)
-    s = k @ np.conj(v).transpose(0, 2, 1)
-    # eigh keeps the batch unitary to round-off; spot-check a few slices and
-    # fall back to a full polar cleanup if any drifted
+    s = (q * phases[:, None, :]) @ np.conj(q).transpose(0, 2, 1)
+    # Householder QR keeps the batch unitary to round-off; spot-check a few
+    # slices and fall back to a full polar cleanup if any drifted
     probes = sorted({0, count // 2, count - 1})
     drift = max(
         np.max(np.abs(s[i] @ s[i].conj().T - np.eye(m))) for i in probes

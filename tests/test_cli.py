@@ -247,22 +247,39 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-direct", "--seed", -1], "--seed"),
     (["calibrate", "--lengths", "10,20"], "--lengths"),
     (["figure3", "--points", -1], "--points"),
+    (["fano-direct", "--config", {"n_modes": 2.5, "s": [0], "samples": 3}], "'n_modes'"),
+    (["fano-direct", "--config", {"samples": True}], "'samples'"),
+    (["fano-direct", "--n-modes", 2.5], "--n-modes"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "sweep-calibration-one",
         "direct-calibration-one", "validate-mc-one", "unknown-averaging",
         "l-over-xi-zero", "mean-free-path-zero", "mean-free-path-negative",
         "scatter-strength-zero", "scatter-strength-too-large-to-calibrate", "s-negative",
         "s-nan", "vacuum-input", "coupling-above-one", "coupling-zero", "no-phases",
         "no-modes", "efficiency-above-one", "rho-negative", "absorbing-occupation",
-        "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points"])
+        "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points",
+        "config-modes-fractional", "config-samples-bool", "modes-fractional"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
-                                                             capsys):
+                                                             capsys, tmp_path):
     def no_calibration(*args, **kwargs):
         raise AssertionError("calibration started")
 
     monkeypatch.setattr(cli.md, "calibrate_mean_free_path", no_calibration)
     monkeypatch.setattr(cli.en, "collect_statistics", no_calibration)
-    assert run(args) == 2
+    # a dict stands for a JSON config file holding it
+    config = tmp_path / "run.json"
+    for arg in args:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    assert run([config if isinstance(arg, dict) else arg for arg in args]) == 2
     assert option in capsys.readouterr().err
+
+
+def test_int_options_take_integral_numbers_only():
+    parse = cli._PARSERS["int"]
+    assert [parse(value) for value in (3, 3.0, "3", -4.0)] == [3, 3, 3, -4]
+    for value in (2.5, True, False, "2.5", float("nan"), float("inf"), [3]):
+        with pytest.raises((ValueError, TypeError)):
+            parse(value)
 
 
 def test_calibration_needs_two_samples_per_length():

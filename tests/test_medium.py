@@ -45,6 +45,51 @@ def test_slice_mean_reflectance_fixture():
     assert abs(reflectance - 0.0049652) < 3e-4
 
 
+def eigh_slice_unitaries(n_modes, eps, rng, count):
+    """Reference for the sampler's law: exp(i eps K) through ``eigh`` of a drawn K.
+
+    K is Hermitian 2N x 2N, (G + G+) / 2 of a complex Ginibre G scaled so
+    that E|K_ij|^2 = 1/(2N).  Returns the unitaries and q = ||U - 1||_2.
+    """
+    m = 2 * n_modes
+    draws = rng.standard_normal((count, 2, m, m))
+    x, y = draws[:, 0], draws[:, 1]
+    k = np.empty((count, m, m), dtype=complex)
+    k.real = x + x.transpose(0, 2, 1)
+    k.imag = y - y.transpose(0, 2, 1)
+    k *= 0.5 / math.sqrt(m)
+    w, v = np.linalg.eigh(k)
+    phases = np.exp(1j * eps * w)
+    return (v * phases[:, None, :]) @ np.conj(v).transpose(0, 2, 1), np.max(
+        np.abs(phases - 1.0), axis=1)
+
+
+def _slice_statistics(sampler, n_modes, eps, seed, count):
+    """Per-slice reflectance, Re tr U / 2N, sum |t|^4 / N and q, in 16-slice blocks."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count // 16):
+        unitaries, q = sampler(n_modes, eps, rng, 16)
+        r_prime, _, t, _ = md._transparent_order(unitaries)
+        rows.append(np.column_stack([
+            np.sum(np.abs(r_prime) ** 2, axis=(1, 2)) / n_modes,
+            np.trace(unitaries, axis1=1, axis2=2).real / (2 * n_modes),
+            np.sum(np.abs(t) ** 4, axis=(1, 2)) / n_modes,
+            q,
+        ]))
+    values = np.concatenate(rows)
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values))
+
+
+@pytest.mark.parametrize("n_modes,eps,count", [(4, 0.45, 6400), (25, 0.45, 960), (8, 0.1, 6400)])
+def test_slice_law_matches_eigh_reference(n_modes, eps, count):
+    # the sampler draws U from a QR and a tridiagonal eigenvalue solve; its
+    # law must be that of exp(i eps K) with K drawn and diagonalised directly
+    mean, stderr = _slice_statistics(md._slice_unitaries, n_modes, eps, 71, count)
+    ref_mean, ref_stderr = _slice_statistics(eigh_slice_unitaries, n_modes, eps, 72, count)
+    assert np.all(np.abs(mean - ref_mean) < 4 * np.hypot(stderr, ref_stderr))
+
+
 def test_slice_rejects_bad_arguments():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -152,11 +197,15 @@ def _star_fold(spec, n_periods):
     return out
 
 
-@pytest.mark.parametrize("spec", [
+_SPECS = [
     absorbing_spec(5, 33, seed=12, decay=40.0, scatter_strength=0.45),
     md.MediumSpec(5, 33, 0.32, 0, None, 0.0, 13),
     md.MediumSpec(4, 33, 0.32, -1, 30.0, -1.0, 14),
-], ids=["absorbing", "passive", "amplifying"])
+]
+_SPEC_IDS = ["absorbing", "passive", "amplifying"]
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
 def test_checkpoints_across_sampling_blocks(spec):
     lengths = sorted([15, md.SAMPLING_BLOCK, 17, 2 * md.SAMPLING_BLOCK + 0.5, 33])
     checkpoints = md.build_medium_checkpoints(spec, lengths)
@@ -166,6 +215,19 @@ def test_checkpoints_across_sampling_blocks(spec):
         assert np.array_equal(captured.full, alone.full)
         assert np.array_equal(captured.full, folded[math.ceil(length)].full)
         assert captured.medium_kind == spec.medium_kind
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
+def test_checkpoints_independent_of_sampling_block(monkeypatch, spec, block):
+    # per-slice draws continue one stream, and the stacked qr and eigvalsh act
+    # matrix by matrix, so the block size leaves every medium bitwise unchanged
+    seeds = [md.derive_sample_seed(spec.seed, k) for k in range(3)]
+    lengths = [7, md.SAMPLING_BLOCK + 0.5, 33]
+    default = list(md.build_batch_checkpoints(spec, seeds, lengths))
+    monkeypatch.setattr(md, "SAMPLING_BLOCK", block)
+    for got, want in zip(md.build_batch_checkpoints(spec, seeds, lengths), default):
+        assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
 
 
 def test_calibrate_equals_per_length_builds():
