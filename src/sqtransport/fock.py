@@ -6,14 +6,25 @@ squeezer gain channel (inverted-population environment), and the exact output
 photon-number distribution is computed by applying the two-mode unitaries
 through their Fock-basis matrix elements.  Thermal environments are handled
 as mixtures over environment occupation numbers, so every branch stays a pure
-state.  This module is deliberately independent of the scattering-matrix
-machinery: it shares no code with it beyond elementary arithmetic.
+state.
+
+The beam splitter conserves the total photon number N, so its matrix is one
+block per N.  The loss channel raises these blocks one N at a time, each as
+array operations over all its entries, holds only the previous block, and
+keeps just the |.|^2 columns that the thermal mixture reads: memory
+O(k_max n_total n_max), with k_max the last environment occupation kept and
+n_total = n_max + k_max.  The squeezer's layers likewise advance one idler
+occupation at a time over all signal occupations at once.
+
+This module is deliberately independent of the scattering-matrix machinery:
+it shares no code with it beyond elementary arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,36 +133,55 @@ def _thermal_weights(occupation: float) -> np.ndarray:
     return ratio**k / (1.0 + occupation)
 
 
-def _beamsplitter_blocks(t_amp: complex, n_total: int) -> list[np.ndarray]:
-    """Matrix elements <m1, N-m1| U |n1, N-n1> of the two-mode mixer.
+def _beamsplitter_blocks(t_amp: complex, n_total: int) -> Iterator[np.ndarray]:
+    """Yield the matrix elements <m1, N-m1| U |n1, N-n1> of the two-mode mixer.
 
-    U satisfies U+ a U = t a + r b with r = sqrt(1 - |t|^2).  One unitary
-    block per conserved total photon number N, built by the stable raising
-    recursion from the vacuum block.
+    U satisfies U+ a U = t a + r b and U+ b U = -r a + t* b, with
+    r = sqrt(1 - |t|^2).  One unitary block per conserved total photon number
+    N = 0..n_total, raised from the vacuum block; only the previous block is
+    held, so memory is O(n_total^2).  Each block is a few array operations
+    over all entries at once.  Every entry obeys two exact relations on the
+    previous block, from a and from b on the output side:
+
+        sqrt(m1) B[m1, n1] = t sqrt(n1) B'[m1-1, n1-1] + r sqrt(n2) B'[m1-1, n1]
+        sqrt(m2) B[m1, n1] = t* sqrt(n2) B'[m1, n1] - r sqrt(n1) B'[m1, n1-1]
+
+    The first has coefficient norm sqrt(<m1>/m1), the second
+    sqrt((N - <m1>)/m2), with <m1> = |t|^2 n1 + r^2 n2 the mean output in
+    mode a.  Each entry takes the one not above 1 (the first where
+    m1 >= <m1>), so rounding errors grow far more slowly from block to block
+    than with the first relation alone, which loses unitarity exponentially
+    in N; the blocks stay unitary to 4e-11 or better up to N = 139.  The
+    blocks are real when t is.
     """
     r_amp = math.sqrt(max(0.0, 1.0 - abs(t_amp) ** 2))
-    blocks = [np.ones((1, 1), dtype=complex)]
+    dtype = np.result_type(t_amp, 1.0)
+    block = np.ones((1, 1), dtype=dtype)
+    yield block
     for total in range(1, n_total + 1):
-        prev = blocks[total - 1]
-        block = np.zeros((total + 1, total + 1), dtype=complex)
-        m_root = np.sqrt(np.arange(1, total + 1))
-        for n1 in range(total + 1):
-            n2 = total - n1
-            column = np.zeros(total, dtype=complex)
-            if n1 >= 1:
-                column += t_amp * math.sqrt(n1) * prev[:, n1 - 1]
-            if n2 >= 1:
-                column += r_amp * math.sqrt(n2) * prev[:, n1]
-            block[1:, n1] = column / m_root
-            # the m1 = 0 row follows from the conjugate relation for mode b
-            low = 0.0
-            if n1 >= 1:
-                low += -np.conj(r_amp) * math.sqrt(n1) * prev[0, n1 - 1]
-            if n2 >= 1:
-                low += np.conj(t_amp) * math.sqrt(n2) * prev[0, n1]
-            block[0, n1] = low / math.sqrt(total)
-        blocks.append(block)
-    return blocks
+        index = np.arange(total + 1)  # m1 down the rows, n1 across the columns
+        root_n1 = np.sqrt(index)
+        root_n2 = root_n1[::-1]
+        # padded[i, j] = B'[i - 1, j - 1], zero outside B'
+        padded = np.zeros((total + 2, total + 2), dtype=dtype)
+        padded[1:-1, 1:-1] = block
+        # rows divide by sqrt(m1) and sqrt(m2); the row each relation cannot
+        # reach (m1 = 0 for a, m2 = 0 for b) divides by 1 and is never chosen
+        via_a = (t_amp * root_n1 * padded[:-1, :-1] + r_amp * root_n2 * padded[:-1, 1:]) / (
+            np.maximum(root_n1, 1.0)[:, None])
+        via_b = (np.conj(t_amp) * root_n2 * padded[1:, 1:] - r_amp * root_n1 * padded[1:, :-1]) / (
+            np.maximum(root_n2, 1.0)[:, None])
+        mean_m1 = abs(t_amp) ** 2 * index + r_amp**2 * (total - index)
+        block = np.where(index[:, None] >= np.clip(mean_m1, 1, total), via_a, via_b)
+        yield block
+
+
+def _input_distribution(state: FockState, n_max: int) -> np.ndarray:
+    """|c_n|^2 for n = 0..n_max; amplitudes above ``state.n_max`` are zero."""
+    p_in = np.zeros(n_max + 1)
+    top = min(n_max, state.n_max) + 1
+    p_in[:top] = state.photon_distribution()[:top]
+    return p_in
 
 
 def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
@@ -159,9 +189,13 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     """Send the state through a beam splitter coupled to a thermal environment.
 
     The environment mode (occupation ``env_occupation``) is mixed over its
-    occupation numbers up to the ``ENV_WEIGHT_CUTOFF`` weight; within each
-    branch the two-mode joint output amplitudes are formed explicitly and the
-    environment is traced out.
+    occupation numbers k up to the ``ENV_WEIGHT_CUTOFF`` weight.  In branch
+    |psi> x |k> each output cell (m1, m2) receives exactly one input amplitude,
+    the one with n1 = m1 + m2 - k, so tracing out the environment needs only
+    the columns |<m1, N-m1| U |n1, N-n1>|^2 with N = n1 + k.  These are kept,
+    as a (k_max+1, n_total+1, n_max+1) array over (k, m1, n1), while the
+    blocks are built, so memory is O(k_max n_total n_max) with
+    n_total = n_max + k_max.
 
     Returns the exact output distribution, its factorial cumulants and Fano
     factor.
@@ -173,52 +207,38 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     weights = _thermal_weights(env_occupation)
     k_max = weights.size - 1
     n_total = n_max + k_max
-    blocks = _beamsplitter_blocks(transmission_amplitude, n_total)
 
-    c = state.amplitudes[: n_max + 1]
-    p_out = np.zeros(n_total + 1)
-    for k, weight in enumerate(weights):
-        # joint output of branch |psi> x |k>; each output cell (m1, m2)
-        # receives exactly one input amplitude, the one with n1 = m1 + m2 - k
-        joint = np.zeros((n_total + 1, n_total + 1))
-        for n1 in range(n_max + 1):
-            if c[n1] == 0:
-                continue
-            total = n1 + k
-            column = blocks[total][:, n1]
-            amp_sq = abs(c[n1]) ** 2 * np.abs(column) ** 2
-            joint[: total + 1, total] = amp_sq  # (m1, m2 = total - m1) flattened on m1
-        p_out += weight * joint.sum(axis=1)
+    # |B|^2 does not depend on the phase of t, which phase shifters on the
+    # modes absorb, so the blocks are built real from |t|
+    columns = np.zeros((k_max + 1, n_total + 1, n_max + 1))
+    for total, block in enumerate(_beamsplitter_blocks(abs(transmission_amplitude), n_total)):
+        k = np.arange(max(0, total - n_max), min(k_max, total) + 1)
+        columns[k, : total + 1, total - k] = block[:, total - k].T ** 2
+    p_out = weights @ (columns @ _input_distribution(state, n_max))
     return _statistics_from_distribution(p_out)
 
 
 def _amplifier_kernel(gain: float, n_sig: int, idler_in: int, m2_max: int,
                       previous: np.ndarray | None) -> np.ndarray:
-    """Amplitudes B[n + m2 - j, m2; n, j] of the two-mode squeezer, vectorized in m2.
+    """Amplitudes B[n + m2 - j, m2; n, j] of the two-mode squeezer at one idler j.
 
     ``previous`` is the (n_sig+1, m2_max+1) layer at idler occupation j-1;
     pass None for j = 0 (built directly from the squeezed-vacuum column).
     """
     h = math.sqrt(gain**2 - 1.0)
     m2 = np.arange(m2_max + 1)
-    layer = np.zeros((n_sig + 1, m2_max + 1))
     if previous is None:
+        layer = np.zeros((n_sig + 1, m2_max + 1))
         layer[0] = (h / gain) ** m2 / gain
         for n in range(1, n_sig + 1):
             layer[n] = layer[n - 1] * np.sqrt(m2 + n) / (gain * math.sqrt(n))
         return layer
-    j = idler_in
-    root_m2 = np.sqrt(m2)
-    shifted = np.zeros(m2_max + 1)
-    shifted[1:] = previous[0, :-1]
-    layer[0] = root_m2 * shifted / (gain * math.sqrt(j))
-    for n in range(1, n_sig + 1):
-        shifted[1:] = previous[n, :-1]
-        shifted[0] = 0.0
-        layer[n] = (root_m2 * shifted - h * math.sqrt(n) * previous[n - 1]) / (
-            gain * math.sqrt(j)
-        )
-    return layer
+    # the whole layer at once, in the loop's order of multiply, subtract, divide
+    shifted = np.zeros_like(previous)  # column m2 holds previous[:, m2 - 1]
+    shifted[:, 1:] = previous[:, :-1]
+    lowered = np.zeros_like(previous)  # row n holds h sqrt(n) previous[n - 1]
+    lowered[1:] = (h * np.sqrt(np.arange(1, n_sig + 1)))[:, None] * previous[:-1]
+    return (np.sqrt(m2) * shifted - lowered) / (gain * math.sqrt(idler_in))
 
 
 def amplifying_channel_photostats(state: FockState, gain_amplitude: complex,
@@ -243,8 +263,8 @@ def amplifying_channel_photostats(state: FockState, gain_amplitude: complex,
     weights = _thermal_weights(idler_occupation)
     j_max = weights.size - 1
 
-    c = state.amplitudes[: n_max + 1]
-    occupied = np.nonzero(np.abs(c) ** 2 > 1e-30)[0]
+    p_in = _input_distribution(state, n_max)
+    occupied = np.nonzero(p_in > 1e-30)[0]
     n_sig = int(occupied[-1]) if occupied.size else 0
     m2_max = int(math.ceil((gain**2 - 1.0) * (n_sig + j_max + 1) * 3)) + 60
     m_out_max = n_sig + m2_max
@@ -253,12 +273,10 @@ def amplifying_channel_photostats(state: FockState, gain_amplitude: complex,
     layer = None
     for j, weight in enumerate(weights):
         layer = _amplifier_kernel(gain, n_sig, j, m2_max, layer if j else None)
-        for n in occupied:
-            if n > n_sig:
-                continue
-            # output cells (m1 = n + m2 - j, m2); drop the few with m1 < 0
-            prob = abs(c[n]) ** 2 * layer[n] ** 2
-            start = max(0, j - n)
-            m1 = n + np.arange(start, m2_max + 1) - j
-            p_out[m1] += weight * prob[start:]
+        # output cells (m1 = n + m2 - j, m2); drop the few with m1 < 0.  add.at
+        # sums each cell over n in increasing order, as a loop over n would
+        prob = p_in[occupied, None] * layer[occupied] ** 2
+        m1 = occupied[:, None] + np.arange(m2_max + 1) - j
+        inside = m1 >= 0
+        np.add.at(p_out, m1[inside], weight * prob[inside])
     return _statistics_from_distribution(p_out)

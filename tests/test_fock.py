@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sqtransport import fock
 from sqtransport import medium as md
@@ -15,6 +18,136 @@ from conftest import scalar_channel
 # test_fast_check runs every check, and these names keep this module's test ids
 test_lossy_channel_matches_scalar_closed_form = validation.check_fock_oracle_lossy
 test_amplifier_matches_scalar_closed_form = validation.check_fock_oracle_amplifying
+
+
+def beamsplitter_blocks_reference(t_amp, n_total):
+    """Reference for the block recursion: the column-by-column loop, every block kept.
+
+    Block N holds <m1, N-m1| U |n1, N-n1> for U+ a U = t a + r b with
+    r = sqrt(1 - |t|^2), raised from the vacuum block one column n1 at a time.
+    """
+    r_amp = math.sqrt(max(0.0, 1.0 - abs(t_amp) ** 2))
+    blocks = [np.ones((1, 1), dtype=complex)]
+    for total in range(1, n_total + 1):
+        prev = blocks[total - 1]
+        block = np.zeros((total + 1, total + 1), dtype=complex)
+        m_root = np.sqrt(np.arange(1, total + 1))
+        for n1 in range(total + 1):
+            n2 = total - n1
+            column = np.zeros(total, dtype=complex)
+            if n1 >= 1:
+                column += t_amp * math.sqrt(n1) * prev[:, n1 - 1]
+            if n2 >= 1:
+                column += r_amp * math.sqrt(n2) * prev[:, n1]
+            block[1:, n1] = column / m_root
+            # the m1 = 0 row follows from the conjugate relation for mode b
+            low = 0.0
+            if n1 >= 1:
+                low += -np.conj(r_amp) * math.sqrt(n1) * prev[0, n1 - 1]
+            if n2 >= 1:
+                low += np.conj(t_amp) * math.sqrt(n2) * prev[0, n1]
+            block[0, n1] = low / math.sqrt(total)
+        blocks.append(block)
+    return blocks
+
+
+def amplifier_layer_reference(gain, idler_in, previous):
+    """Reference for the squeezer's j > 0 layer: the loop over signal occupations n."""
+    h = math.sqrt(gain**2 - 1.0)
+    n_sig, m2_max = previous.shape[0] - 1, previous.shape[1] - 1
+    root_m2 = np.sqrt(np.arange(m2_max + 1))
+    layer = np.zeros_like(previous)
+    shifted = np.zeros(m2_max + 1)
+    shifted[1:] = previous[0, :-1]
+    layer[0] = root_m2 * shifted / (gain * math.sqrt(idler_in))
+    for n in range(1, n_sig + 1):
+        shifted[1:] = previous[n, :-1]
+        shifted[0] = 0.0
+        layer[n] = (root_m2 * shifted - h * math.sqrt(n) * previous[n - 1]) / (
+            gain * math.sqrt(idler_in)
+        )
+    return layer
+
+
+@pytest.mark.parametrize("t_amp", [0.0, 1.0, 0.37, 0.6 + 0.3j])
+def test_beamsplitter_blocks_match_column_loop(t_amp):
+    # the loop's own blocks drift from unitarity exponentially in N (5e-11 at
+    # N = 60 for t = 0.37), so it is a reference only up to N = 25, where it
+    # is unitary to 1e-13; the new blocks must stay unitary to N = 60
+    reference = beamsplitter_blocks_reference(t_amp, 25)
+    blocks = list(fock._beamsplitter_blocks(t_amp, 60))
+    assert len(blocks) == 61
+    for total, block in enumerate(blocks):
+        assert block.shape == (total + 1, total + 1)
+        assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) <= 1e-12
+        if total < len(reference):
+            assert np.max(np.abs(np.abs(block) ** 2 - np.abs(reference[total]) ** 2)) <= 1e-13
+
+
+def test_lossy_channel_in_hot_environment():
+    # a hot environment reads the middle columns of blocks up to N = 272,
+    # where the raising relation alone gives kappa1 4 % off
+    state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
+    out = fock.lossy_channel_photostats(state, math.sqrt(0.5), 5.0)
+    closed = ps.direct_cumulants_squeezed(
+        scalar_channel(math.sqrt(0.5), md.ABSORBING), ps.SqueezedInput(1.3, 0.5, 0.7),
+        ps.DetectionConfig(1.0), 5.0)
+    assert out.kappa1 == pytest.approx(closed.kappa1, rel=1e-8)
+    assert out.kappa2 == pytest.approx(closed.kappa2, rel=1e-8)
+
+
+def test_amplifier_layers_bitwise_equal_to_loop():
+    for gain in (math.sqrt(1.5), math.sqrt(3.0)):
+        layer = fock._amplifier_kernel(gain, 70, 0, 150, None)
+        for j in range(1, 12):
+            expected = amplifier_layer_reference(gain, j, layer)
+            layer = fock._amplifier_kernel(gain, 70, j, 150, layer)
+            assert np.array_equal(layer, expected)
+
+
+def test_channels_read_amplitudes_above_state_truncation_as_zero():
+    state = fock.squeezed_coherent_fock(0.8, 0.3, 0.5, 60)
+    for channel, args in ((fock.lossy_channel_photostats, (math.sqrt(0.7), 0.2)),
+                          (fock.amplifying_channel_photostats, (math.sqrt(1.5),))):
+        default = channel(state, *args)
+        wider = channel(state, *args, n_max=80)
+        assert wider.kappa1 == pytest.approx(default.kappa1, rel=1e-12)
+        assert wider.kappa2 == pytest.approx(default.kappa2, rel=1e-12)
+
+
+@given(transmittance=st.floats(0.0, 1.0), phase=st.floats(0.0, 2 * math.pi),
+       amplitude=st.floats(0.0, 2.0), alpha_phase=st.floats(0.0, 2 * math.pi),
+       rho=st.floats(0.0, 0.8), phi=st.floats(0.0, 2 * math.pi))
+@settings(max_examples=60, deadline=None)
+def test_lossy_channel_at_zero_temperature_is_binomial_thinning(
+        transmittance, phase, amplitude, alpha_phase, rho, phi):
+    # f = 0: P(m) = sum_n p_n C(n, m) T^m (1 - T)^(n - m), with no recursion
+    alpha = amplitude * complex(math.cos(alpha_phase), math.sin(alpha_phase))
+    n_max = math.ceil(4 * (amplitude**2 + math.sinh(rho) ** 2) + 40)
+    try:
+        state = fock.squeezed_coherent_fock(alpha, rho, phi, n_max)
+    except TruncationLeak:
+        assume(False)  # the rule holds but the squeezed tail still leaks
+    t_amp = math.sqrt(transmittance) * complex(math.cos(phase), math.sin(phase))
+    out = fock.lossy_channel_photostats(state, t_amp, 0.0)
+    thinning = np.array([[math.comb(n, m) * transmittance**m * (1 - transmittance) ** (n - m)
+                          if m <= n else 0.0
+                          for n in range(n_max + 1)] for m in range(n_max + 1)])
+    expected = thinning @ state.photon_distribution()
+    assert out.distribution.shape == expected.shape
+    assert np.max(np.abs(out.distribution - expected)) <= 1e-12
+
+
+def test_lossy_channel_memory_bounded():
+    # the channel keeps only the columns the thermal mixture reads, not every block
+    state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
+    tracemalloc.start()
+    try:
+        fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_coherent_amplitudes_are_poisson():
