@@ -52,7 +52,7 @@ class ThresholdReached(Exception):
 
 
 class TruncationLeak(Exception):
-    """A truncated Fock-space computation lost more norm than allowed."""
+    """A truncated Fock-space computation lost or gained more norm than allowed."""
 
 
 class AllSamplesAboveThreshold(Exception):

@@ -9,12 +9,13 @@ as mixtures over environment occupation numbers, so every branch stays a pure
 state.
 
 The beam splitter conserves the total photon number N, so its matrix is one
-block per N.  The loss channel raises these blocks one N at a time, each as
-array operations over all its entries, holds only the previous block, and
-keeps just the |.|^2 columns that the thermal mixture reads: memory
-O(k_max n_total n_max), with k_max the last environment occupation kept and
-n_total = n_max + k_max.  The squeezer's layers likewise advance one idler
-occupation at a time over all signal occupations at once.
+block per N.  The thermal mixture reads only the columns with
+n2 = N - n1 <= k_max, k_max the last environment occupation kept, and the
+raising recursion closes on those columns.  The loss channel raises just
+them, one N at a time up to n_total = n_max + k_max, as array operations over
+all their entries, and keeps their |.|^2: work O(n_total^2 k_max) rather than
+O(n_total^3), memory O(k_max n_total n_max).  The squeezer's layers likewise
+advance one idler occupation at a time over all signal occupations at once.
 
 This module is deliberately independent of the scattering-matrix machinery:
 it shares no code with it beyond elementary arithmetic.
@@ -33,7 +34,7 @@ from .errors import TruncationLeak
 
 #: environment occupation branches are included up to this probability weight
 ENV_WEIGHT_CUTOFF = 1e-12
-#: maximum tolerated probability lost to truncation
+#: maximum tolerated probability lost to truncation, or gained by rounding
 LEAK_TOL = 1e-8
 
 
@@ -71,8 +72,10 @@ class ChannelStatistics:
 
 def _statistics_from_distribution(p: np.ndarray) -> ChannelStatistics:
     total = float(p.sum())
-    if 1.0 - total > LEAK_TOL:
-        raise TruncationLeak(f"output distribution lost {1.0 - total:.3e} probability")
+    # truncation only loses probability, and no distribution sums above 1
+    if abs(1.0 - total) > LEAK_TOL:
+        change = "lost" if total < 1.0 else "gained"
+        raise TruncationLeak(f"output distribution {change} {abs(1.0 - total):.3e} probability")
     n = np.arange(p.size)
     kappa1 = float(n @ p)
     kappa2 = float((n * (n - 1)) @ p) - kappa1**2
@@ -133,20 +136,27 @@ def _thermal_weights(occupation: float) -> np.ndarray:
     return ratio**k / (1.0 + occupation)
 
 
-def _beamsplitter_blocks(t_amp: complex, n_total: int) -> Iterator[np.ndarray]:
+def _beamsplitter_blocks(t_amp: complex, n_total: int, n2_max: int) -> Iterator[np.ndarray]:
     """Yield the matrix elements <m1, N-m1| U |n1, N-n1> of the two-mode mixer.
 
     U satisfies U+ a U = t a + r b and U+ b U = -r a + t* b, with
     r = sqrt(1 - |t|^2).  One unitary block per conserved total photon number
-    N = 0..n_total, raised from the vacuum block; only the previous block is
-    held, so memory is O(n_total^2).  Each block is a few array operations
-    over all entries at once.  Every entry obeys two exact relations on the
-    previous block, from a and from b on the output side:
+    N = 0..n_total, raised from the vacuum block; only the previous slab
+    (below) is held.  Each slab is a few array operations over all its
+    entries at once.
+    Every entry obeys two exact relations on the previous block, from a and
+    from b on the output side:
 
         sqrt(m1) B[m1, n1] = t sqrt(n1) B'[m1-1, n1-1] + r sqrt(n2) B'[m1-1, n1]
         sqrt(m2) B[m1, n1] = t* sqrt(n2) B'[m1, n1] - r sqrt(n1) B'[m1, n1-1]
 
-    The first has coefficient norm sqrt(<m1>/m1), the second
+    Column n2 = N - n1 thus reads only columns n2 and n2 - 1 of the previous
+    block, so the recursion closes on the columns n2 <= ``n2_max``: each yield
+    is the (N+1) x (min(n2_max, N)+1) slab of block N holding the columns
+    n1 = N - min(n2_max, N) .. N, in that order, and the work is
+    O(n_total^2 n2_max).  ``n2_max >= n_total`` yields the full blocks.
+
+    The first relation has coefficient norm sqrt(<m1>/m1), the second
     sqrt((N - <m1>)/m2), with <m1> = |t|^2 n1 + r^2 n2 the mean output in
     mode a.  Each entry takes the one not above 1 (the first where
     m1 >= <m1>), so rounding errors grow far more slowly from block to block
@@ -156,23 +166,31 @@ def _beamsplitter_blocks(t_amp: complex, n_total: int) -> Iterator[np.ndarray]:
     """
     r_amp = math.sqrt(max(0.0, 1.0 - abs(t_amp) ** 2))
     dtype = np.result_type(t_amp, 1.0)
+    widest = min(n2_max, n_total) + 1
+    index = np.arange(n_total + 1)
+    root = np.sqrt(index)
+    # the coefficients and <m1> terms per occupation n, built once per call
+    t_root, r_root, t_conj_root = t_amp * root, r_amp * root, np.conj(t_amp) * root
+    t_mean, r_mean = abs(t_amp) ** 2 * index, r_amp**2 * index
+    # rows divide by sqrt(m1) and sqrt(m2); the row each relation cannot
+    # reach (m1 = 0 for a, m2 = 0 for b) divides by 1 and is never chosen
+    root_floor = np.maximum(root, 1.0)
+    # right-aligned: padded[i, widest - j] = B'[i - 1, N - j], zero outside B'
+    padded = np.zeros((n_total + 2, widest + 1), dtype=dtype)
     block = np.ones((1, 1), dtype=dtype)
     yield block
     for total in range(1, n_total + 1):
-        index = np.arange(total + 1)  # m1 down the rows, n1 across the columns
-        root_n1 = np.sqrt(index)
-        root_n2 = root_n1[::-1]
-        # padded[i, j] = B'[i - 1, j - 1], zero outside B'
-        padded = np.zeros((total + 2, total + 2), dtype=dtype)
-        padded[1:-1, 1:-1] = block
-        # rows divide by sqrt(m1) and sqrt(m2); the row each relation cannot
-        # reach (m1 = 0 for a, m2 = 0 for b) divides by 1 and is never chosen
-        via_a = (t_amp * root_n1 * padded[:-1, :-1] + r_amp * root_n2 * padded[:-1, 1:]) / (
-            np.maximum(root_n1, 1.0)[:, None])
-        via_b = (np.conj(t_amp) * root_n2 * padded[1:, 1:] - r_amp * root_n1 * padded[1:, :-1]) / (
-            np.maximum(root_n2, 1.0)[:, None])
-        mean_m1 = abs(t_amp) ** 2 * index + r_amp**2 * (total - index)
-        block = np.where(index[:, None] >= np.clip(mean_m1, 1, total), via_a, via_b)
+        padded[1 : total + 1, widest - block.shape[1] : widest] = block
+        width = min(widest, total + 1)
+        n1 = slice(total + 1 - width, total + 1)  # the slab's columns
+        n2 = slice(width - 1, None, -1)  # N - n1 over the same columns
+        window = padded[: total + 2, widest - width :]  # window[i, j] = B'[i - 1, n1[j] - 1]
+        via_a = (t_root[n1] * window[:-1, :-1] + r_root[n2] * window[:-1, 1:]) / (
+            root_floor[: total + 1, None])
+        via_b = (t_conj_root[n2] * window[1:, 1:] - r_root[n1] * window[1:, :-1]) / (
+            root_floor[total::-1, None])
+        mean_m1 = np.minimum(np.maximum(t_mean[n1] + r_mean[n2], 1), total)
+        block = np.where(index[: total + 1, None] >= mean_m1, via_a, via_b)
         yield block
 
 
@@ -192,9 +210,10 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     occupation numbers k up to the ``ENV_WEIGHT_CUTOFF`` weight.  In branch
     |psi> x |k> each output cell (m1, m2) receives exactly one input amplitude,
     the one with n1 = m1 + m2 - k, so tracing out the environment needs only
-    the columns |<m1, N-m1| U |n1, N-n1>|^2 with N = n1 + k.  These are kept,
-    as a (k_max+1, n_total+1, n_max+1) array over (k, m1, n1), while the
-    blocks are built, so memory is O(k_max n_total n_max) with
+    the columns |<m1, N-m1| U |n1, N-n1>|^2 with N = n1 + k.  Only these
+    columns n2 = k <= k_max of each block are raised, and their |.|^2 kept as
+    a (k_max+1, n_total+1, n_max+1) array over (k, m1, n1), so work is
+    O(n_total^2 k_max) and memory O(k_max n_total n_max) with
     n_total = n_max + k_max.
 
     Returns the exact output distribution, its factorial cumulants and Fano
@@ -209,11 +228,13 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     n_total = n_max + k_max
 
     # |B|^2 does not depend on the phase of t, which phase shifters on the
-    # modes absorb, so the blocks are built real from |t|
+    # modes absorb, so the blocks are built real from |t|; column
+    # min(k_max, N) - k of the slab of block N holds n2 = k
     columns = np.zeros((k_max + 1, n_total + 1, n_max + 1))
-    for total, block in enumerate(_beamsplitter_blocks(abs(transmission_amplitude), n_total)):
+    slabs = _beamsplitter_blocks(abs(transmission_amplitude), n_total, k_max)
+    for total, slab in enumerate(slabs):
         k = np.arange(max(0, total - n_max), min(k_max, total) + 1)
-        columns[k, : total + 1, total - k] = block[:, total - k].T ** 2
+        columns[k, : total + 1, total - k] = slab[:, min(k_max, total) - k].T ** 2
     p_out = weights @ (columns @ _input_distribution(state, n_max))
     return _statistics_from_distribution(p_out)
 

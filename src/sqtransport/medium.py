@@ -133,7 +133,11 @@ class ScatteringMatrix:
     @property
     def full(self) -> np.ndarray:
         """The assembled 2N x 2N matrix [[r', t'], [t, r]]."""
-        return np.block([[self.r_prime, self.t_prime], [self.t, self.r]])
+        n = self.n_modes
+        full = np.empty((2 * n, 2 * n), dtype=complex)
+        full[:n, :n], full[:n, n:] = self.r_prime, self.t_prime
+        full[n:, :n], full[n:, n:] = self.t, self.r
+        return full
 
     @classmethod
     def from_full(cls, matrix: np.ndarray, medium_kind: str = PASSIVE) -> "ScatteringMatrix":

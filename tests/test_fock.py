@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -51,6 +52,45 @@ def beamsplitter_blocks_reference(t_amp, n_total):
     return blocks
 
 
+def full_blocks_reference(t_amp, n_total):
+    """Reference for the slabs: every full block, each raised array-at-once.
+
+    Block N holds <m1, N-m1| U |n1, N-n1>; each entry takes the output-side
+    relation (a or b) whose coefficient vector has norm at most 1, as
+    ``fock._beamsplitter_blocks`` does, but over all columns n1 = 0..N.
+    """
+    r_amp = math.sqrt(max(0.0, 1.0 - abs(t_amp) ** 2))
+    dtype = np.result_type(t_amp, 1.0)
+    blocks = [np.ones((1, 1), dtype=dtype)]
+    for total in range(1, n_total + 1):
+        index = np.arange(total + 1)  # m1 down the rows, n1 across the columns
+        root_n1 = np.sqrt(index)
+        root_n2 = root_n1[::-1]
+        # padded[i, j] = B'[i - 1, j - 1], zero outside B'
+        padded = np.zeros((total + 2, total + 2), dtype=dtype)
+        padded[1:-1, 1:-1] = blocks[-1]
+        via_a = (t_amp * root_n1 * padded[:-1, :-1] + r_amp * root_n2 * padded[:-1, 1:]) / (
+            np.maximum(root_n1, 1.0)[:, None])
+        via_b = (np.conj(t_amp) * root_n2 * padded[1:, 1:] - r_amp * root_n1 * padded[1:, :-1]) / (
+            np.maximum(root_n2, 1.0)[:, None])
+        mean_m1 = abs(t_amp) ** 2 * index + r_amp**2 * (total - index)
+        blocks.append(np.where(index[:, None] >= np.clip(mean_m1, 1, total), via_a, via_b))
+    return blocks
+
+
+def lossy_channel_reference(state, transmission_amplitude, env_occupation):
+    """Reference for the loss channel's output distribution, read off the full blocks."""
+    n_max = state.n_max
+    weights = fock._thermal_weights(env_occupation)
+    k_max = weights.size - 1
+    n_total = n_max + k_max
+    columns = np.zeros((k_max + 1, n_total + 1, n_max + 1))
+    for total, block in enumerate(full_blocks_reference(abs(transmission_amplitude), n_total)):
+        k = np.arange(max(0, total - n_max), min(k_max, total) + 1)
+        columns[k, : total + 1, total - k] = block[:, total - k].T ** 2
+    return weights @ (columns @ state.photon_distribution())
+
+
 def amplifier_layer_reference(gain, idler_in, previous):
     """Reference for the squeezer's j > 0 layer: the loop over signal occupations n."""
     h = math.sqrt(gain**2 - 1.0)
@@ -75,13 +115,46 @@ def test_beamsplitter_blocks_match_column_loop(t_amp):
     # N = 60 for t = 0.37), so it is a reference only up to N = 25, where it
     # is unitary to 1e-13; the new blocks must stay unitary to N = 60
     reference = beamsplitter_blocks_reference(t_amp, 25)
-    blocks = list(fock._beamsplitter_blocks(t_amp, 60))
+    blocks = list(fock._beamsplitter_blocks(t_amp, 60, 60))
     assert len(blocks) == 61
     for total, block in enumerate(blocks):
         assert block.shape == (total + 1, total + 1)
         assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) <= 1e-12
         if total < len(reference):
             assert np.max(np.abs(np.abs(block) ** 2 - np.abs(reference[total]) ** 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("t_amp", [0.0, 1.0, 0.37, 0.6 + 0.3j])
+def test_beamsplitter_slabs_are_columns_of_full_blocks(t_amp):
+    # the slab of block N holds its columns n2 = N - n1 <= n2_max, bit for bit
+    reference = full_blocks_reference(t_amp, 60)
+    for n2_max in (0, 1, 7, 60):
+        slabs = list(fock._beamsplitter_blocks(t_amp, 60, n2_max))
+        assert len(slabs) == 61
+        for total, slab in enumerate(slabs):
+            width = min(n2_max, total) + 1
+            assert slab.shape == (total + 1, width)
+            assert np.array_equal(slab, reference[total][:, total + 1 - width :])
+
+
+# the oracle workload's grid, and one hot environment
+@pytest.mark.parametrize("rho, env_occupation", [
+    *((rho, f) for rho in (0.0, 0.4, 0.8) for f in (0.0, 0.1, 0.3)), (0.4, 5.0)])
+def test_lossy_channel_bitwise_equal_to_full_blocks(rho, env_occupation):
+    state = fock.squeezed_coherent_fock(cmath.exp(0.3j), rho, 0.7, 120)
+    out = fock.lossy_channel_photostats(state, math.sqrt(0.6), env_occupation)
+    assert np.array_equal(out.distribution, lossy_channel_reference(state, math.sqrt(0.6),
+                                                                    env_occupation))
+
+
+def test_lossy_channel_rejects_probability_gained(monkeypatch):
+    # blocks scaled by 1 + 1e-6 are no longer unitary: the output sums to 1 + 2e-6
+    blocks = fock._beamsplitter_blocks
+    monkeypatch.setattr(fock, "_beamsplitter_blocks",
+                        lambda *args: (block * (1 + 1e-6) for block in blocks(*args)))
+    state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
+    with pytest.raises(TruncationLeak, match="gained"):
+        fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.1)
 
 
 def test_lossy_channel_in_hot_environment():
