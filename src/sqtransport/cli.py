@@ -228,7 +228,7 @@ def _mean_free_path(cfg) -> float:
         return cfg["mean_free_path"]
     result = md.calibrate_mean_free_path(
         cfg["n_modes"], cfg["scatter_strength"], _calibration_lengths(cfg["scatter_strength"]),
-        cfg["calibration_samples"], cfg["seed"],
+        cfg["calibration_samples"], cfg["seed"], workers=cfg["threads"],
     )
     return result.mean_free_path
 
@@ -257,7 +257,7 @@ _COMMON_MC = [
     ("calibration_samples", "int", 100, "samples per length for auto-calibration"),
     ("mode_average", "bool", True, "average over mode indices"),
     ("averaging", "str", en.RATIO_OF_MEANS, "ratio_of_means or mean_of_ratios"),
-    ("threads", "int", 1, "parallel worker processes"),
+    ("threads", "int", 1, "worker processes, the calling one included"),
     ("output", "str", None, "CSV output path"),
     ("json", "str", None, "JSON output path"),
 ]

@@ -10,13 +10,15 @@ numerator and denominator of each Fano-factor term are taken individually
 before forming the ratio ("ratio of means"); the plain sample mean of the
 per-realization Fano factors ("mean of ratios") is always reported alongside
 as a diagnostic.  Standard errors come from leave-one-out jackknife, which
-adds no random-number stream of its own.
+adds no random-number stream of its own.  The samples run on the sample
+driver ``medium.map_seed_chunks``, shared with the Ohm's-law calibration:
+with W workers the calling process builds the first of W contiguous chunks
+and W - 1 pool processes build the others.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .medium import (
     # perfbench/tracing.py wraps ensemble.build_medium_checkpoints
     build_medium_checkpoints,  # noqa: F401
     derive_sample_seed,
+    map_seed_chunks,
 )
 from .photostatistics import (
     DetectionConfig,
@@ -84,9 +87,8 @@ def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: fl
     )
 
 
-def _collect_chunk(args):
-    """Statistics of one chunk of samples; module-level for multiprocessing."""
-    base_spec, lengths, seeds, incident_mode, probe_mode, mode_average = args
+def _collect_chunk(seeds, base_spec, lengths, incident_mode, probe_mode, mode_average):
+    """Statistics of one chunk of samples, one row per seed; module-level for the pool."""
     return [
         [None if isinstance(matrix, (NearSingularCavity, GainPositivityViolation))
          else sample_statistics(matrix, incident_mode, probe_mode, mode_average)
@@ -101,23 +103,15 @@ def collect_statistics(base_spec: MediumSpec, lengths, n_samples: int, master_se
                        workers: int = 1) -> list[list[SampleStatistics | None]]:
     """Per-sample statistics at each length; entry None marks a skipped realization.
 
-    The sample range is split into ``workers`` contiguous chunks, one pool
-    task each (in this process when ``workers`` is 1).  Results are ordered
-    [length][sample] and independent of the worker count.
+    The samples run on ``medium.map_seed_chunks``: ``workers`` contiguous
+    chunks, the first in this process and each other one in a pool process.
+    Results are ordered [length][sample] and bitwise independent of the
+    worker count.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     lengths = list(lengths)
     seeds = [derive_sample_seed(master_seed, k) for k in range(n_samples)]
-    edges = [n_samples * i // workers for i in range(workers + 1)]
-    tasks = [(base_spec, lengths, seeds[start:stop], incident_mode, probe_mode, mode_average)
-             for start, stop in zip(edges, edges[1:]) if stop > start]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            chunks = list(pool.map(_collect_chunk, tasks))
-    else:
-        chunks = [_collect_chunk(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = map_seed_chunks(_collect_chunk, seeds, workers, base_spec, lengths,
+                           incident_mode, probe_mode, mode_average)
     return [[row[j] for row in rows] for j in range(len(lengths))]
 
 

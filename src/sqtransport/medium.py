@@ -34,6 +34,15 @@ it in the first period and, with probability one, in no other.
 ``build_batch_checkpoints`` splits any number of seeds into such batches;
 ``build_medium_checkpoints`` is the batch of one.
 
+Sample driver.  ``map_seed_chunks`` is the one loop over per-sample seeds
+behind both the Ohm's-law calibration and the Monte Carlo of ``ensemble``.
+It splits the seeds into ``workers`` contiguous chunks.  The pool's
+``workers - 1`` chunks are submitted first, so the processes fork before the
+caller allocates anything; the calling process then computes the first chunk
+itself, and the chunks are joined in seed order.  A chunk is computed by the
+same code wherever it runs, so every result is bitwise independent of the
+worker count, and one worker opens no pool.
+
 Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
 normal draws of a block continue the generator's stream exactly where the
 previous block stopped, and the batched ``qr``, ``eigvalsh`` and matrix
@@ -64,6 +73,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -604,6 +614,29 @@ def derive_sample_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def map_seed_chunks(function, seeds, workers: int, *args) -> list:
+    """Rows of ``function(chunk, *args)`` over contiguous chunks of ``seeds``, joined in order.
+
+    ``function`` is module-level (a pool pickles it) and returns a list with
+    one row per seed of its chunk.  The seeds are split into ``workers``
+    chunks, of which the nonempty ones run: the first in this process, the
+    others in a pool of one process each, none when one chunk is left.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    edges = [len(seeds) * i // workers for i in range(workers + 1)]
+    chunks = [seeds[start:stop] for start, stop in zip(edges, edges[1:]) if stop > start]
+    if len(chunks) < 2:
+        return function(seeds, *args)
+    with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
+        # submitted first: the pool forks before this process computes its chunk
+        futures = [pool.submit(function, chunk, *args) for chunk in chunks[1:]]
+        rows = function(chunks[0], *args)
+        for future in futures:
+            rows.extend(future.result())
+    return rows
+
+
 def deviation_from_unitarity(s: ScatteringMatrix) -> np.ndarray:
     """Return the Hermitian matrix 1 - S S+ (2N x 2N).
 
@@ -626,20 +659,34 @@ class CalibrationResult:
     inverse_transmittance: tuple
 
 
+def _transmittances(seeds, spec: MediumSpec, lengths) -> list[list]:
+    """tr(t+ t) of each seed's medium at every length, one row per seed."""
+    rows = []
+    for matrices in build_batch_checkpoints(spec, seeds, lengths):
+        for matrix in matrices:
+            if isinstance(matrix, Exception):
+                raise matrix
+        rows.append([np.sum(np.abs(matrix.t) ** 2) for matrix in matrices])
+    return rows
+
+
 def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
-                             samples_per_length: int, seed: int) -> CalibrationResult:
+                             samples_per_length: int, seed: int,
+                             workers: int = 1) -> CalibrationResult:
     """Estimate the mean free path of the passive slice model.
 
     Builds passive media at each requested length, averages tr(t+ t) over
     disorder, and fits N / <tr t+ t> = 1 + L / l by (weighted) least squares.
     Media at different lengths share per-sample seeds, so the fitted curve is
     smooth in L, and each sample is built once up to the longest length and
-    captured at the shorter ones.
+    captured at the shorter ones.  The samples run on ``map_seed_chunks``, so
+    the result is bitwise independent of ``workers``.
 
     Args:
         lengths: at least three lengths spanning a factor of four or more.
         samples_per_length: disorder realizations per length, at least two.
         seed: master seed for the disorder ensemble.
+        workers: processes that build the samples, this one included.
 
     Raises:
         FitFailed: rms relative residual of the affine fit above 10%
@@ -660,12 +707,7 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
                       scatter_strength=scatter_strength, loss_gain_sign=0,
                       ballistic_decay_length=None, occupation=0.0, seed=seed)
     seeds = [derive_sample_seed(seed, k) for k in range(samples_per_length)]
-    g = np.empty((len(lengths), samples_per_length))
-    for k, matrices in enumerate(build_batch_checkpoints(spec, seeds, lengths)):
-        for j, matrix in enumerate(matrices):
-            if isinstance(matrix, Exception):
-                raise matrix
-            g[j, k] = np.sum(np.abs(matrix.t) ** 2)
+    g = np.array(map_seed_chunks(_transmittances, seeds, workers, spec, lengths)).T
     y = np.empty(len(lengths))
     y_var = np.empty(len(lengths))
     for j, g_row in enumerate(g):

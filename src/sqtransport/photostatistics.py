@@ -153,17 +153,6 @@ class FanoBreakdown:
         )
 
 
-def bose_einstein(hbar_omega_over_kt: float) -> float:
-    """Bose-Einstein occupation 1 / (exp(x) - 1).
-
-    A negative argument encodes a negative temperature (amplifying medium) and
-    yields values <= -1, approaching -1 for complete population inversion.
-    """
-    if hbar_omega_over_kt == 0:
-        raise ValueError("Bose-Einstein occupation diverges at zero argument")
-    return 1.0 / math.expm1(hbar_omega_over_kt)
-
-
 def squeezed_number_bracket(state: SqueezedInput) -> float:
     """|alpha cosh(rho) - alpha* e^{i phi} sinh(rho)|^2 - |alpha|^2 + sinh^2(rho) cosh(2 rho).
 

@@ -16,7 +16,13 @@ from sqtransport.validation import (  # noqa: E402, F401
 
 
 @pytest.fixture(scope="session")
-def calibrated_n50():
+def workers():
+    """Processes for the heavy Monte Carlo tests: the cores this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.fixture(scope="session")
+def calibrated_n50(workers):
     """Mean free path of the eps = 0.45 slice model, shared by the MC tests."""
-    result = md.calibrate_mean_free_path(50, 0.45, [5, 10, 20, 40], 120, seed=101)
-    return result
+    return md.calibrate_mean_free_path(50, 0.45, [5, 10, 20, 40], 120, seed=101,
+                                       workers=workers)

@@ -187,7 +187,7 @@ def test_criterion_06_generating_function_consistency():
 
 
 @pytest.mark.slow
-def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50):
+def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50, workers):
     start = time.time()
     l_over_xi = 0.1
     mean_free_path = calibrated_n50.mean_free_path
@@ -198,7 +198,8 @@ def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50):
 
     base50 = en.spec_for_ratios(50, max(s_values), l_over_xi, mean_free_path,
                                 1, 1e-3, 0.45, 0)
-    per_length = en.collect_statistics(base50, [s * xi for s in s_values], 500, 313)
+    per_length = en.collect_statistics(base50, [s * xi for s in s_values], 500, 313,
+                                       workers=workers)
 
     failures = []
     discrepancy50_s1 = None
@@ -226,7 +227,7 @@ def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50):
 
         base25 = en.spec_for_ratios(25, 1.0, l_over_xi, mean_free_path, 1, 1e-3,
                                     0.45, 0)
-        stats25 = en.collect_statistics(base25, [xi], 500, 313)[0]
+        stats25 = en.collect_statistics(base25, [xi], 500, 313, workers=workers)[0]
         result25 = en.result_from_statistics(stats25, state, config, 1e-3,
                                              incident_fano=0.0)
         target_s1 = an.fano_direct_absorbing_avg(

@@ -289,6 +289,28 @@ def test_calibration_needs_two_samples_per_length():
             md.calibrate_mean_free_path(4, 0.32, [8, 16, 32], samples, seed=1)
 
 
+def test_auto_calibration_runs_on_the_threads(tmp_path, monkeypatch):
+    workers = []
+    calibrate = md.calibrate_mean_free_path
+
+    def recording(*args, **kwargs):
+        workers.append(kwargs.get("workers"))
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", recording)
+    out = tmp_path / "d.csv"
+    texts = []
+    for threads in (1, 2):
+        assert run(["fano-direct", "--n-modes", 4, "--s", "0.5,1", "--fano-in", "0,1",
+                    "--samples", 5, "--calibration-samples", 5, "--scatter-strength", 0.45,
+                    "--threads", threads, "--seed", 3, "--output", out]) == 0
+        lines = out.read_text().splitlines(True)
+        assert f"# threads = {threads}\n" in lines
+        texts.append([line for line in lines if not line.startswith("# threads = ")])
+    assert workers == [1, 2]
+    assert texts[0] == texts[1]
+
+
 def test_fano_direct_rows_equal_run_ensemble(tmp_path):
     # the CLI sweeps all s in one collection; each row must equal the
     # library's single-length ensemble at the same seed and sample count

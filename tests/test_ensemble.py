@@ -97,11 +97,12 @@ def test_mean_of_ratios_jackknife_matches_standard_error():
 
 
 @pytest.mark.slow
-def test_averaging_modes_agree_for_many_modes(calibrated_n50):
+def test_averaging_modes_agree_for_many_modes(calibrated_n50, workers):
     # sample-to-sample fluctuations shrink with N, so the two conventions meet
     l = calibrated_n50.mean_free_path
     spec = en.spec_for_ratios(50, 0.5, 0.1, l, 1, 1e-3, 0.45, 0)
-    rom = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 40, 17, incident_fano=0.0)
+    rom = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 40, 17, incident_fano=0.0,
+                          workers=workers)
     assert abs(rom.mean_fano - rom.mean_of_ratios) < 3 * (
         rom.stderr + rom.mean_of_ratios_stderr)
 

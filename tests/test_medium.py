@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -256,6 +257,40 @@ def test_calibrate_equals_per_length_builds():
     assert cal.stderr == float(math.sqrt(np.linalg.inv(normal)[1, 1]) / slope**2)
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_calibrate_independent_of_workers(workers):
+    # 7 samples: neither 2 nor 3 chunks split them evenly
+    args = (6, 0.4, [4.5, 9, 18, 36], 7, 21)
+    assert md.calibrate_mean_free_path(*args, workers=workers) == \
+        md.calibrate_mean_free_path(*args, workers=1)
+
+
+@pytest.mark.parametrize("workers, samples, processes", [
+    (1, 7, None), (2, 7, 1), (3, 7, 2), (4, 3, 2), (5, 1, None),
+])
+def test_sample_driver_runs_one_chunk_in_the_caller(monkeypatch, workers, samples, processes):
+    opened = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(md, "ProcessPoolExecutor", RecordingPool)
+    spec = md.MediumSpec(3, 8, 0.4, 0, None, 0.0, 0)
+    seeds = [md.derive_sample_seed(5, k) for k in range(samples)]
+    rows = md.map_seed_chunks(md._transmittances, seeds, workers, spec, [2, 8])
+    # min(workers, chunks) - 1 pool processes; the calling process is the last worker
+    assert opened == ([] if processes is None else [processes])
+    assert rows == md._transmittances(seeds, spec, [2, 8])
+
+
+def test_sample_driver_needs_a_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            md.calibrate_mean_free_path(4, 0.3, [4, 8, 16], 2, 1, workers=workers)
+
+
 def _count_cavity_svds(monkeypatch, n_modes):
     calls = []
     svd = np.linalg.svd
@@ -362,9 +397,9 @@ def test_calibrate_monotone_in_strength():
 
 
 @pytest.mark.slow
-def test_calibrate_fixture_n25():
+def test_calibrate_fixture_n25(workers):
     # regression fixture from the first 500-sample run: l = 200.12 +- 0.29
-    cal = md.calibrate_mean_free_path(25, 0.1, [8, 16, 32, 64], 500, seed=42)
+    cal = md.calibrate_mean_free_path(25, 0.1, [8, 16, 32, 64], 500, seed=42, workers=workers)
     assert 195 < cal.mean_free_path < 205
     assert cal.stderr / cal.mean_free_path < 0.05
     assert cal.residual_rel < 0.10
@@ -372,8 +407,8 @@ def test_calibrate_fixture_n25():
 
 
 @pytest.mark.slow
-def test_ohms_law_at_ten_mean_free_paths():
-    cal = md.calibrate_mean_free_path(25, 0.32, [10, 20, 40, 80], 150, seed=7)
+def test_ohms_law_at_ten_mean_free_paths(workers):
+    cal = md.calibrate_mean_free_path(25, 0.32, [10, 20, 40, 80], 150, seed=7, workers=workers)
     length = 10 * cal.mean_free_path
     g = np.empty(150)
     for k in range(150):

@@ -32,18 +32,6 @@ test_fano_homodyne_min_at_optimal_phase = validation.check_homodyne_scan_minimum
 test_fano_breakdown_decomposition_identity = validation.check_breakdown_identity
 
 
-def test_bose_einstein():
-    assert ps.bose_einstein(50.0) < 1e-21
-    assert ps.bose_einstein(math.log(2.0)) == pytest.approx(1.0, abs=1e-15)
-    # the absorbing panels use f = 1e-3, i.e. hw/kT = ln(1001)
-    assert ps.bose_einstein(math.log(1001.0)) == pytest.approx(1e-3, rel=1e-12)
-    # negative temperature: f <= -1, approaching -1 (complete inversion)
-    assert ps.bose_einstein(-8.0) == pytest.approx(-1.000335, rel=1e-6)
-    assert ps.bose_einstein(-0.5) < -1
-    with pytest.raises(ValueError):
-        ps.bose_einstein(0.0)
-
-
 def test_fano_in_zero_mean_count():
     with pytest.raises(ZeroMeanCount):
         ps.fano_in_squeezed(ps.SqueezedInput(alpha=0.0, rho=0.0))
