@@ -10,10 +10,8 @@ numerator and denominator of each Fano-factor term are taken individually
 before forming the ratio ("ratio of means"); the plain sample mean of the
 per-realization Fano factors ("mean of ratios") is always reported alongside
 as a diagnostic.  Standard errors come from leave-one-out jackknife, which
-adds no random-number stream of its own.  The samples run on the sample
-driver ``medium.map_seed_chunks``, shared with the Ohm's-law calibration:
-with W workers the calling process builds the first of W contiguous chunks
-and W - 1 pool processes build the others.
+adds no random-number stream of its own.  The samples run on the calibration's
+sample driver, ``medium.map_seed_chunks``: the caller is one of the W workers.
 """
 
 from __future__ import annotations
@@ -103,10 +101,9 @@ def collect_statistics(base_spec: MediumSpec, lengths, n_samples: int, master_se
                        workers: int = 1) -> list[list[SampleStatistics | None]]:
     """Per-sample statistics at each length; entry None marks a skipped realization.
 
-    The samples run on ``medium.map_seed_chunks``: ``workers`` contiguous
-    chunks, the first in this process and each other one in a pool process.
-    Results are ordered [length][sample] and bitwise independent of the
-    worker count.
+    The samples run in ``workers`` contiguous chunks on ``medium.map_seed_chunks``,
+    the first in this process.  Results are ordered [length][sample] and
+    bitwise independent of the worker count.
     """
     lengths = list(lengths)
     seeds = [derive_sample_seed(master_seed, k) for k in range(n_samples)]

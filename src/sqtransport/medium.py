@@ -34,14 +34,11 @@ it in the first period and, with probability one, in no other.
 ``build_batch_checkpoints`` splits any number of seeds into such batches;
 ``build_medium_checkpoints`` is the batch of one.
 
-Sample driver.  ``map_seed_chunks`` is the one loop over per-sample seeds
-behind both the Ohm's-law calibration and the Monte Carlo of ``ensemble``.
-It splits the seeds into ``workers`` contiguous chunks.  The pool's
-``workers - 1`` chunks are submitted first, so the processes fork before the
-caller allocates anything; the calling process then computes the first chunk
-itself, and the chunks are joined in seed order.  A chunk is computed by the
-same code wherever it runs, so every result is bitwise independent of the
-worker count, and one worker opens no pool.
+Sample driver.  ``map_seed_chunks`` runs the Ohm's-law calibration and the
+Monte Carlo of ``ensemble`` on W contiguous chunks of the sample seeds.  The
+pool's W - 1 chunks are submitted first, so it forks before the caller
+allocates anything; the caller computes the first chunk itself, and the
+chunks are joined in seed order.  Every result is bitwise independent of W.
 
 Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
 normal draws of a block continue the generator's stream exactly where the
@@ -73,7 +70,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,13 +152,7 @@ class ScatteringMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("expected a square matrix of even dimension")
         n = matrix.shape[0] // 2
-        return cls(
-            r_prime=matrix[:n, :n],
-            t_prime=matrix[:n, n:],
-            t=matrix[n:, :n],
-            r=matrix[n:, n:],
-            medium_kind=medium_kind,
-        )
+        return cls(matrix[:n, :n], matrix[:n, n:], matrix[n:, :n], matrix[n:, n:], medium_kind)
 
     @classmethod
     def identity_transmission(cls, n_modes: int, medium_kind: str = PASSIVE) -> "ScatteringMatrix":
@@ -572,17 +563,10 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
 def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     """Composites of one disorder realization at several lengths, one pass.
 
-    Because the slice and phase streams are deterministic functions of the
-    seed, the medium of length L is a prefix of the medium of any longer
-    length built from the same spec.  This grows the composite once up to
-    max(lengths) and captures (and validates) it at every requested length,
-    bit-identical to building each length separately: the batch of one of
-    ``build_batch_checkpoints``.
-
-    Returns one entry per requested length, in the given order: the validated
-    ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
-    instance if that length is unreachable (every longer length then carries
-    the same failure).
+    The batch of one of ``build_batch_checkpoints``, with the same entries.
+    The medium of length L is a prefix of the medium of any longer length
+    built from the same spec, so this is bit-identical to building each
+    length separately.
     """
     return next(build_batch_checkpoints(spec, [spec.seed], lengths))
 
@@ -615,12 +599,10 @@ def derive_sample_seed(master_seed: int, index: int) -> int:
 
 
 def map_seed_chunks(function, seeds, workers: int, *args) -> list:
-    """Rows of ``function(chunk, *args)`` over contiguous chunks of ``seeds``, joined in order.
+    """Rows of ``function(chunk, *args)`` over ``workers`` contiguous chunks of ``seeds``.
 
-    ``function`` is module-level (a pool pickles it) and returns a list with
-    one row per seed of its chunk.  The seeds are split into ``workers``
-    chunks, of which the nonempty ones run: the first in this process, the
-    others in a pool of one process each, none when one chunk is left.
+    ``function`` is module-level and returns one row per seed of its chunk.
+    The first nonempty chunk runs here, each other one in a pool process.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -628,11 +610,11 @@ def map_seed_chunks(function, seeds, workers: int, *args) -> list:
     chunks = [seeds[start:stop] for start, stop in zip(edges, edges[1:]) if stop > start]
     if len(chunks) < 2:
         return function(seeds, *args)
-    with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
-        # submitted first: the pool forks before this process computes its chunk
-        futures = [pool.submit(function, chunk, *args) for chunk in chunks[1:]]
+    # futures.ProcessPoolExecutor loads multiprocessing only when a pool opens
+    with futures.ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
+        pending = [pool.submit(function, chunk, *args) for chunk in chunks[1:]]
         rows = function(chunks[0], *args)
-        for future in futures:
+        for future in pending:
             rows.extend(future.result())
     return rows
 
@@ -732,11 +714,5 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
         raise FitFailed("non-positive Ohm's-law slope")
     mean_free_path = 1.0 / slope
     stderr = math.sqrt(covariance[1, 1]) / slope**2
-    return CalibrationResult(
-        mean_free_path=float(mean_free_path),
-        stderr=float(stderr),
-        intercept=float(intercept),
-        residual_rel=residual_rel,
-        lengths=tuple(lengths),
-        inverse_transmittance=tuple(float(v) for v in y),
-    )
+    return CalibrationResult(float(mean_free_path), float(stderr), float(intercept),
+                             residual_rel, tuple(lengths), tuple(float(v) for v in y))

@@ -276,7 +276,7 @@ def test_sample_driver_runs_one_chunk_in_the_caller(monkeypatch, workers, sample
             opened.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(md, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(md.futures, "ProcessPoolExecutor", RecordingPool)
     spec = md.MediumSpec(3, 8, 0.4, 0, None, 0.0, 0)
     seeds = [md.derive_sample_seed(5, k) for k in range(samples)]
     rows = md.map_seed_chunks(md._transmittances, seeds, workers, spec, [2, 8])
