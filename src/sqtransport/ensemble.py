@@ -10,8 +10,9 @@ numerator and denominator of each Fano-factor term are taken individually
 before forming the ratio ("ratio of means"); the plain sample mean of the
 per-realization Fano factors ("mean of ratios") is always reported alongside
 as a diagnostic.  Standard errors come from leave-one-out jackknife, which
-adds no random-number stream of its own.  The samples run on the calibration's
-sample driver, ``medium.map_seed_chunks``: the caller is one of the W workers.
+adds no random-number stream of its own.  The samples run on the sample
+driver that the calibration shares, ``medium.map_seed_chunks``, in which the
+calling process is one of the workers.
 """
 
 from __future__ import annotations

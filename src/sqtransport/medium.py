@@ -152,7 +152,13 @@ class ScatteringMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
             raise ValueError("expected a square matrix of even dimension")
         n = matrix.shape[0] // 2
-        return cls(matrix[:n, :n], matrix[:n, n:], matrix[n:, :n], matrix[n:, n:], medium_kind)
+        return cls(
+            r_prime=matrix[:n, :n],
+            t_prime=matrix[:n, n:],
+            t=matrix[n:, :n],
+            r=matrix[n:, n:],
+            medium_kind=medium_kind,
+        )
 
     @classmethod
     def identity_transmission(cls, n_modes: int, medium_kind: str = PASSIVE) -> "ScatteringMatrix":
@@ -563,10 +569,17 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
 def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     """Composites of one disorder realization at several lengths, one pass.
 
-    The batch of one of ``build_batch_checkpoints``, with the same entries.
-    The medium of length L is a prefix of the medium of any longer length
-    built from the same spec, so this is bit-identical to building each
-    length separately.
+    Because the slice and phase streams are deterministic functions of the
+    seed, the medium of length L is a prefix of the medium of any longer
+    length built from the same spec.  This grows the composite once up to
+    max(lengths) and captures (and validates) it at every requested length,
+    bit-identical to building each length separately: the batch of one of
+    ``build_batch_checkpoints``.
+
+    Returns one entry per requested length, in the given order: the validated
+    ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
+    instance if that length is unreachable (every longer length then carries
+    the same failure).
     """
     return next(build_batch_checkpoints(spec, [spec.seed], lengths))
 
@@ -714,5 +727,11 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
         raise FitFailed("non-positive Ohm's-law slope")
     mean_free_path = 1.0 / slope
     stderr = math.sqrt(covariance[1, 1]) / slope**2
-    return CalibrationResult(float(mean_free_path), float(stderr), float(intercept),
-                             residual_rel, tuple(lengths), tuple(float(v) for v in y))
+    return CalibrationResult(
+        mean_free_path=float(mean_free_path),
+        stderr=float(stderr),
+        intercept=float(intercept),
+        residual_rel=residual_rel,
+        lengths=tuple(lengths),
+        inverse_transmittance=tuple(float(v) for v in y),
+    )

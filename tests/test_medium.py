@@ -280,7 +280,7 @@ def test_sample_driver_runs_one_chunk_in_the_caller(monkeypatch, workers, sample
     spec = md.MediumSpec(3, 8, 0.4, 0, None, 0.0, 0)
     seeds = [md.derive_sample_seed(5, k) for k in range(samples)]
     rows = md.map_seed_chunks(md._transmittances, seeds, workers, spec, [2, 8])
-    # min(workers, chunks) - 1 pool processes; the calling process is the last worker
+    # min(workers, samples) - 1 pool processes: the calling process is a worker too
     assert opened == ([] if processes is None else [processes])
     assert rows == md._transmittances(seeds, spec, [2, 8])
 
