@@ -269,12 +269,16 @@ def test_calibrate_independent_of_workers(workers):
     (1, 7, None), (2, 7, 1), (3, 7, 2), (4, 3, 2), (5, 1, None),
 ])
 def test_sample_driver_runs_one_chunk_in_the_caller(monkeypatch, workers, samples, processes):
-    opened = []
+    opened, submitted = [], []
 
     class RecordingPool(ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             opened.append(max_workers)
             super().__init__(max_workers, **kwargs)
+
+        def submit(self, function, chunk, *args):
+            submitted.append(chunk)
+            return super().submit(function, chunk, *args)
 
     monkeypatch.setattr(md.futures, "ProcessPoolExecutor", RecordingPool)
     spec = md.MediumSpec(3, 8, 0.4, 0, None, 0.0, 0)
@@ -282,6 +286,7 @@ def test_sample_driver_runs_one_chunk_in_the_caller(monkeypatch, workers, sample
     rows = md.map_seed_chunks(md._transmittances, seeds, workers, spec, [2, 8])
     # min(workers, samples) - 1 pool processes: the calling process is a worker too
     assert opened == ([] if processes is None else [processes])
+    assert len(submitted) == (processes or 0)
     assert rows == md._transmittances(seeds, spec, [2, 8])
 
 
