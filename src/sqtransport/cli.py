@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: fano-direct, fano-homodyne, sweep, figure3, figure4, calibrate,
+Subcommands: fano-direct, fano-homodyne, figure3, figure4, calibrate,
 validate.  Every physical option can come from a configuration file
 (``--config``, flat ``key = value`` lines or JSON) with command-line flags
 taking precedence.  The environment variable SQT_SEED overrides the master
@@ -194,8 +194,8 @@ def _check_domains(cfg) -> None:
             _reject("occupation", f"{f}, an absorbing medium needs >= 0")
         if cfg["medium"] == "amplifying" and not -1 <= f < 0:
             _reject("occupation", f"{f}, an amplifying medium needs [-1, 0)")
-    if ("fano_in" in cfg and "alpha" in cfg and cfg.get("quantity", "direct") == "direct"
-            and cfg["fano_in"] is None and cfg["alpha"] == 0 and cfg["rho"] == 0):
+    if ("fano_in" in cfg and "alpha" in cfg and cfg["fano_in"] is None
+            and cfg["alpha"] == 0 and cfg["rho"] == 0):
         _reject("fano_in", "the vacuum input (--alpha 0 --rho 0) has no Fano factor; "
                            "give --fano-in")
 
@@ -287,9 +287,9 @@ HOMODYNE_OPTIONS = _COMMON_MC + _STATE + [
 def _collect(cfg, s_values, probe_mode=0, incident_mode=0):
     sign = _MEDIUM_SIGNS[cfg["medium"]]
     occupation = _default_occupation(cfg)
-    mean_free_path = _mean_free_path(cfg)
     if sign < 0 and any(s >= math.pi for s in s_values):
         raise ThresholdReached("requested s at or beyond the laser threshold")
+    mean_free_path = _mean_free_path(cfg)
     base = en.spec_for_ratios(cfg["n_modes"], max(s_values), cfg["l_over_xi"],
                               mean_free_path, sign, occupation,
                               cfg["scatter_strength"], 0)
@@ -403,26 +403,6 @@ def cmd_fano_homodyne(args) -> int:
     cfg = _resolve(HOMODYNE_OPTIONS, args)
     columns, rows = _homodyne_rows(cfg)
     _emit(cfg, "fano-homodyne", columns, rows)
-    return 0
-
-
-SWEEP_OPTIONS = HOMODYNE_OPTIONS + [
-    ("quantity", "str", "direct", "direct, homodyne-min or homodyne-fixed"),
-    ("fano_in", "floats", None, "incident Fano factors (direct only)"),
-]
-
-
-def cmd_sweep(args) -> int:
-    cfg = _resolve(SWEEP_OPTIONS, args)
-    quantity = cfg["quantity"]
-    if quantity == "direct":
-        columns, rows = _direct_rows(cfg)
-    elif quantity in ("homodyne-min", "homodyne-fixed"):
-        cfg["phase_policy"] = "min" if quantity == "homodyne-min" else "fixed"
-        columns, rows = _homodyne_rows(cfg)
-    else:
-        raise ConfigError(f"unknown quantity {quantity!r}")
-    _emit(cfg, "sweep", columns, rows)
     return 0
 
 
@@ -551,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, options, handler in (
         ("fano-direct", DIRECT_OPTIONS, cmd_fano_direct),
         ("fano-homodyne", HOMODYNE_OPTIONS, cmd_fano_homodyne),
-        ("sweep", SWEEP_OPTIONS, cmd_sweep),
         ("figure3", FIGURE3_OPTIONS, cmd_figure),
         ("figure4", FIGURE4_OPTIONS, cmd_figure),
         ("calibrate", CALIBRATE_OPTIONS, cmd_calibrate),

@@ -194,16 +194,8 @@ def _beamsplitter_blocks(t_amp: complex, n_total: int, n2_max: int) -> Iterator[
         yield block
 
 
-def _input_distribution(state: FockState, n_max: int) -> np.ndarray:
-    """|c_n|^2 for n = 0..n_max; amplitudes above ``state.n_max`` are zero."""
-    p_in = np.zeros(n_max + 1)
-    top = min(n_max, state.n_max) + 1
-    p_in[:top] = state.photon_distribution()[:top]
-    return p_in
-
-
 def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
-                             env_occupation: float, n_max: int | None = None) -> ChannelStatistics:
+                             env_occupation: float) -> ChannelStatistics:
     """Send the state through a beam splitter coupled to a thermal environment.
 
     The environment mode (occupation ``env_occupation``) is mixed over its
@@ -221,8 +213,7 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     """
     if abs(transmission_amplitude) > 1 + 1e-12:
         raise ValueError("loss channel needs |t| <= 1")
-    if n_max is None:
-        n_max = state.n_max
+    n_max = state.n_max
     weights = _thermal_weights(env_occupation)
     k_max = weights.size - 1
     n_total = n_max + k_max
@@ -235,7 +226,7 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     for total, slab in enumerate(slabs):
         k = np.arange(max(0, total - n_max), min(k_max, total) + 1)
         columns[k, : total + 1, total - k] = slab[:, min(k_max, total) - k].T ** 2
-    p_out = weights @ (columns @ _input_distribution(state, n_max))
+    p_out = weights @ (columns @ state.photon_distribution())
     return _statistics_from_distribution(p_out)
 
 
@@ -263,7 +254,6 @@ def _amplifier_kernel(gain: float, n_sig: int, idler_in: int, m2_max: int,
 
 
 def amplifying_channel_photostats(state: FockState, gain_amplitude: complex,
-                                  n_max: int | None = None,
                                   idler_occupation: float = 0.0) -> ChannelStatistics:
     """Send the state through a phase-insensitive amplifier.
 
@@ -279,12 +269,10 @@ def amplifying_channel_photostats(state: FockState, gain_amplitude: complex,
     gain = abs(gain_amplitude)
     if gain < 1:
         raise ValueError("amplifying channel needs |g| >= 1")
-    if n_max is None:
-        n_max = state.n_max
     weights = _thermal_weights(idler_occupation)
     j_max = weights.size - 1
 
-    p_in = _input_distribution(state, n_max)
+    p_in = state.photon_distribution()
     occupied = np.nonzero(p_in > 1e-30)[0]
     n_sig = int(occupied[-1]) if occupied.size else 0
     m2_max = int(math.ceil((gain**2 - 1.0) * (n_sig + j_max + 1) * 3)) + 60

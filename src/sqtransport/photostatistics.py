@@ -25,11 +25,7 @@ from .errors import (
     ZeroMeanCount,
     ZeroTransmission,
 )
-from .medium import ScatteringMatrix, deviation_from_unitarity
-
-TRANSMISSION = "transmission"
-REFLECTION = "reflection"
-ALL_MODES = "all"
+from .medium import ScatteringMatrix
 
 
 @dataclass(frozen=True)
@@ -84,34 +80,20 @@ class HomodyneConfig:
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Which output modes are detected, and how efficiently.
+    """Detection of the transmitted (right-side) modes, and how efficiently.
 
     Attributes:
-        efficiency: detector efficiency d in [0, 1], equal for all detected
-            modes.
-        mode_set: "transmission" (right-side modes), "reflection" (left-side
-            modes) or "all".
+        efficiency: detector efficiency d in [0, 1], equal for all
+            transmitted modes.
         homodyne: optional strong-probe configuration.
     """
 
     efficiency: float = 1.0
-    mode_set: str = TRANSMISSION
     homodyne: HomodyneConfig | None = None
 
     def __post_init__(self):
         if not 0 <= self.efficiency <= 1:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.mode_set not in (TRANSMISSION, REFLECTION, ALL_MODES):
-            raise ValueError(f"unknown mode_set {self.mode_set!r}")
-
-    def mode_mask(self, n_modes: int) -> np.ndarray:
-        """Boolean mask of the detected entries of a 2N output vector."""
-        mask = np.zeros(2 * n_modes, dtype=bool)
-        if self.mode_set in (REFLECTION, ALL_MODES):
-            mask[:n_modes] = True
-        if self.mode_set in (TRANSMISSION, ALL_MODES):
-            mask[n_modes:] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -177,45 +159,29 @@ def fano_in_squeezed(state: SqueezedInput) -> float:
     return 1.0 + squeezed_number_bracket(state) / mean
 
 
-def _detected_deviation_block(s: ScatteringMatrix, config: DetectionConfig) -> np.ndarray:
-    mask = config.mode_mask(s.n_modes)
-    x = deviation_from_unitarity(s)
-    return x[np.ix_(mask, mask)]
+def _noise_matrix(s: ScatteringMatrix) -> np.ndarray:
+    """1 - r r+ - t t+, the transmitted-mode block of 1 - S S+."""
+    t = s.t
+    return np.eye(s.n_modes) - s.r @ s.r.conj().T - t @ t.conj().T
 
 
 def thermal_cumulant_densities(s: ScatteringMatrix, config: DetectionConfig,
                                occupation: float) -> tuple[float, float]:
-    """Thermal factorial cumulant densities of the detected output modes.
+    """Thermal factorial cumulant densities of the transmitted modes.
 
-    kappa1 = d f tr[P (1 - S S+) P] and kappa2 = d^2 f^2 tr[(P (1 - S S+) P)^2]
-    with P projecting onto the detected mode set.  Both vanish for a lossless
-    medium.
+    kappa1 = d f tr X and kappa2 = d^2 f^2 tr X^2, with X = 1 - r r+ - t t+.
+    Both vanish for a lossless medium.
     """
-    block = _detected_deviation_block(s, config)
+    block = _noise_matrix(s)
     d = config.efficiency
     trace = float(np.trace(block).real)
     trace_sq = float(np.sum(np.abs(block) ** 2))  # tr(A^2) = |A|_F^2 for Hermitian A
     return d * occupation * trace, (d * occupation) ** 2 * trace_sq
 
 
-def _transmission_weights(s: ScatteringMatrix, state: SqueezedInput,
-                          config: DetectionConfig) -> tuple[float, float]:
-    """Detected weight [S+ D S]_mm and beating weight [S+ D (1-SS+) D S]_mm."""
-    mask = config.mode_mask(s.n_modes)
-    column = s.full[:, state.incident_mode]
-    detected = column[mask]
-    d = config.efficiency
-    weight = d * float(np.sum(np.abs(detected) ** 2))
-    block = _detected_deviation_block(s, config)
-    beating = d * d * float((detected.conj() @ block @ detected).real)
-    return weight, beating
-
-
 def direct_cumulants_squeezed(s: ScatteringMatrix, state: SqueezedInput,
                               config: DetectionConfig, occupation: float) -> CumulantDensities:
-    """First two factorial cumulant densities for direct detection.
-
-    For detection in transmission these reduce to::
+    """First two factorial cumulant densities for direct detection::
 
         kappa1 = kappa1_th + d (|alpha|^2 + sinh^2 rho) [t+ t]_{m0 m0}
         kappa2 = kappa2_th
@@ -225,7 +191,9 @@ def direct_cumulants_squeezed(s: ScatteringMatrix, state: SqueezedInput,
     where the last bracket is evaluated through ``squeezed_number_bracket``.
     """
     k1_th, k2_th = thermal_cumulant_densities(s, config, occupation)
-    weight, beating = _transmission_weights(s, state, config)
+    stats = sample_statistics(s, state.incident_mode, state.incident_mode)
+    d = config.efficiency
+    weight, beating = d * stats.transmittance, d * d * stats.beating
     mean = state.mean_photon_number
     kappa1 = k1_th + mean * weight
     kappa2 = k2_th + 2.0 * occupation * mean * beating + weight**2 * squeezed_number_bracket(state)
@@ -237,6 +205,9 @@ def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
               occupation: float, z: float) -> float:
     """Diagonal element -z [S+ (1 - z D (1 - S S+) f)^-1 D S]_{m0 m0}.
 
+    D is d on the transmitted modes and 0 on the reflected ones, so the
+    resolvent is block triangular and the N x N solve of
+    -z d [t+ (1 - z d f X)^-1 t]_{m0 m0}, X = 1 - r r+ - t t+, is exact.
     Real (it is the diagonal element of a Hermitian matrix).
 
     Raises:
@@ -245,13 +216,11 @@ def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
     """
     if z == 0:
         return 0.0
-    full = s.full
-    d_diag = config.efficiency * config.mode_mask(s.n_modes).astype(float)
-    x = deviation_from_unitarity(s)
-    resolvent = np.eye(2 * s.n_modes) - z * occupation * (d_diag[:, None] * x)
-    column = full[:, incident_mode]
+    d = config.efficiency
+    resolvent = np.eye(s.n_modes) - z * occupation * (d * _noise_matrix(s))
+    column = s.t[:, incident_mode]
     try:
-        solved = np.linalg.solve(resolvent, d_diag * column)
+        solved = np.linalg.solve(resolvent, d * column)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
     m = -z * complex(column.conj() @ solved)
@@ -264,8 +233,8 @@ def log_generating_density_direct(z: float, s: ScatteringMatrix, state: Squeezed
                                   config: DetectionConfig, occupation: float) -> float:
     """Spectral density of the log generating function of the photocount.
 
-    Thermal part -ln det[1 - z D (1 - S S+) f] plus the single-incident-mode
-    squeezed-state part::
+    Thermal part -ln det[1 - z d f X], with X = 1 - r r+ - t t+, plus the
+    single-incident-mode squeezed-state part::
 
         -1/2 ln(1 + 2 m sinh^2 rho - m^2 sinh^2 rho)
         - m |alpha|^2 (1 + m sinh rho [sinh rho + cosh rho cos(2 arg alpha - phi)])
@@ -276,7 +245,7 @@ def log_generating_density_direct(z: float, s: ScatteringMatrix, state: Squeezed
     Raises:
         GeneratingFunctionDomainError: a logarithm argument is not positive.
     """
-    block = config.efficiency * _detected_deviation_block(s, config)
+    block = config.efficiency * _noise_matrix(s)
     eigenvalues = np.linalg.eigvalsh(block)
     factors = 1.0 - z * occupation * eigenvalues
     if np.any(factors <= 0):
@@ -305,15 +274,17 @@ _STENCILS = {
     3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
     4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
+#: the first differentiation step of ``numeric_factorial_cumulants``
+_STEP = 1e-3
 
 
 def numeric_factorial_cumulants(s: ScatteringMatrix, state: SqueezedInput,
                                 config: DetectionConfig, occupation: float,
-                                order: int = 2, step: float = 1e-3) -> list[float]:
+                                order: int = 2) -> list[float]:
     """Factorial cumulant densities by numerical differentiation at z = 0.
 
     Central stencils with two Richardson extrapolation steps, starting from
-    ``step``.  Orders one and two must agree with the closed forms; higher
+    ``_STEP``.  Orders one and two must agree with the closed forms; higher
     orders probe the full generating function.
 
     Warns:
@@ -336,7 +307,7 @@ def numeric_factorial_cumulants(s: ScatteringMatrix, state: SqueezedInput,
             return sum(w * generating(k * h) for k, w in stencil) / h**j
 
         candidates = []
-        for h0 in (step, 8.0 * step):  # the larger step escapes the round-off floor
+        for h0 in (_STEP, 8.0 * _STEP):  # the larger step escapes the round-off floor
             d0, d1, d2 = estimate(h0), estimate(h0 / 2), estimate(h0 / 4)
             first = (4.0 * d1 - d0) / 3.0
             second = (4.0 * d2 - d1) / 3.0
@@ -378,18 +349,14 @@ def sample_statistics(s: ScatteringMatrix, incident_mode: int, probe_mode: int,
                       mode_average: bool = False) -> SampleStatistics:
     """The scalars of one realization that the direct and homodyne Fano factors use.
 
-    Forms the N x N noise matrix 1 - r r+ - t t+ of the transmitted modes, the
-    only block these Fano factors need.  The cumulant and generating-function
-    path (``thermal_cumulant_densities``, ``direct_cumulants_squeezed``,
-    ``log_generating_density_direct``) takes any detection mode set instead,
-    so ``_detected_deviation_block`` cuts the detected block out of the full
-    2N x 2N matrix 1 - S S+; for the transmitted modes that block is this one.
-    With ``mode_average`` the transmittance and beating weights are averaged
-    over the incident mode, and the probe transmittance over both mode indices.
+    Reads the noise matrix 1 - r r+ - t t+ of ``_noise_matrix``, as the
+    cumulants and the generating function do.  With ``mode_average`` the
+    transmittance and beating weights are averaged over the incident mode,
+    and the probe transmittance over both mode indices.
     """
     t = s.t
     n = s.n_modes
-    noise = np.eye(n) - s.r @ s.r.conj().T - t @ t.conj().T
+    noise = _noise_matrix(s)
     if mode_average:
         transmittance = float(np.sum(np.abs(t) ** 2)) / n
         beating = float(np.trace(t.conj().T @ noise @ t).real) / n

@@ -127,7 +127,7 @@ def test_criterion_03_figure_regeneration(tmp_path):
 def test_criterion_04_fock_oracle_absorbing():
     start = time.time()
     state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
-    oracle = fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.1, 120)
+    oracle = fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.1)
     closed = ps.direct_cumulants_squeezed(
         scalar_channel(math.sqrt(0.6), md.ABSORBING),
         ps.SqueezedInput(1.3, 0.5, 0.7), ps.DetectionConfig(1.0), 0.1)
@@ -143,7 +143,7 @@ def test_criterion_04_fock_oracle_absorbing():
 def test_criterion_05_fock_oracle_amplifying():
     start = time.time()
     state = fock.squeezed_coherent_fock(1.0, 0.4, 0.0, 120)
-    oracle = fock.amplifying_channel_photostats(state, math.sqrt(1.5), 120)
+    oracle = fock.amplifying_channel_photostats(state, math.sqrt(1.5))
     closed = ps.direct_cumulants_squeezed(
         scalar_channel(math.sqrt(1.5), md.AMPLIFYING),
         ps.SqueezedInput(1.0, 0.4, 0.0), ps.DetectionConfig(1.0), -1.0)
@@ -270,7 +270,7 @@ def test_criterion_08_homodyne_minimum_property():
                                  float(rng.uniform(0, 2 * math.pi)),
                                  int(rng.integers(0, 4)))
         hom = ps.HomodyneConfig(float(rng.uniform(0.1, 0.9)), int(rng.integers(0, 4)))
-        config = ps.DetectionConfig(float(rng.uniform(0.3, 1.0)), ps.TRANSMISSION, hom)
+        config = ps.DetectionConfig(float(rng.uniform(0.3, 1.0)), homodyne=hom)
         f = float(rng.uniform(0, 0.3))
         best = ps.fano_homodyne_min(s, state, config, f)
 

@@ -190,8 +190,8 @@ def test_fixed_phase_never_below_minimum():
 
 def test_zero_length_limits():
     state = ps.SqueezedInput(0.8, 1.0, 0.4, incident_mode=2)
-    same = ps.DetectionConfig(1.0, ps.TRANSMISSION, ps.HomodyneConfig(0.5, 2))
-    other = ps.DetectionConfig(1.0, ps.TRANSMISSION, ps.HomodyneConfig(0.5, 0))
+    same = ps.DetectionConfig(1.0, homodyne=ps.HomodyneConfig(0.5, 2))
+    other = ps.DetectionConfig(1.0, homodyne=ps.HomodyneConfig(0.5, 0))
     direct, homodyne = an.zero_length_limits(state, same)
     fano_in = ps.fano_in_squeezed(state)
     assert direct == pytest.approx(1 + (fano_in - 1), rel=1e-14)

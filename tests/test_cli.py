@@ -115,17 +115,6 @@ def test_fano_homodyne_rho_zero_scan_is_flat(tmp_path):
     assert len(values) == 1  # beating term only
 
 
-def test_sweep_direct_matches_fano_direct(tmp_path):
-    common = ["--n-modes", 5, "--s", "0.5,1", "--fano-in", "0", "--samples", 6,
-              "--mean-free-path", 9.9, "--scatter-strength", 0.45, "--seed", 2]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(["sweep", "--quantity", "direct", *common, "--output", a]) == 0
-    assert run(["fano-direct", *common, "--output", b]) == 0
-    rows_a = sio.read_csv(a)[2]
-    rows_b = sio.read_csv(b)[2]
-    assert [r["fano_mc"] for r in rows_a] == [r["fano_mc"] for r in rows_b]
-
-
 def test_figure3_families_and_shape(tmp_path):
     out = tmp_path / "f3.csv"
     assert run(["figure3", "--output", out, "--points", 60]) == 0
@@ -201,8 +190,7 @@ def test_mode_index_out_of_range_exits_2_before_calibration(args, monkeypatch, c
 @pytest.mark.parametrize("args", [
     ["fano-direct", "--threads", 0],
     ["fano-homodyne", "--threads", -2, "--mean-free-path", 20],
-    ["sweep", "--threads", 0],
-], ids=["direct-zero", "homodyne-negative", "sweep-zero"])
+], ids=["direct-zero", "homodyne-negative"])
 def test_threads_below_one_exits_2_before_calibration(args, monkeypatch, capsys):
     def no_calibration(*args, **kwargs):
         raise AssertionError("calibration started")
@@ -224,7 +212,6 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["calibrate", "--n-modes", 4, "--samples", 1], "--samples"),
     (["fano-direct", "--samples", 0], "--samples"),
     (["fano-homodyne", "--samples", 1, "--mean-free-path", 20], "--samples"),
-    (["sweep", "--calibration-samples", 1], "--calibration-samples"),
     (["fano-direct", "--calibration-samples", 1, "--samples", 4], "--calibration-samples"),
     (["validate", "--level", "full", "--mc-samples", 1], "--mc-samples"),
     (["fano-direct", "--n-modes", 10, "--s", "0.5,1", "--samples", 20,
@@ -238,7 +225,7 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-direct", "--s", "0.5,nan"], "--s"),
     (["fano-direct", "--alpha", 0, "--rho", 0], "--fano-in"),
     (["fano-homodyne", "--coupling", 1.5, "--mean-free-path", 20], "--coupling"),
-    (["sweep", "--quantity", "homodyne-min", "--coupling", 0], "--coupling"),
+    (["fano-homodyne", "--coupling", 0], "--coupling"),
     (["fano-homodyne", "--phase-policy", "scan", "--n-phases", 0], "--n-phases"),
     (["fano-direct", "--n-modes", 0], "option --n-modes"),
     (["fano-direct", "--efficiency", 1.5], "--efficiency"),
@@ -251,12 +238,12 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-direct", "--config", {"n_modes": 2.5, "s": [0], "samples": 3}], "'n_modes'"),
     (["fano-direct", "--config", {"samples": True}], "'samples'"),
     (["fano-direct", "--n-modes", 2.5], "--n-modes"),
-], ids=["calibrate-one", "direct-zero", "homodyne-one", "sweep-calibration-one",
-        "direct-calibration-one", "validate-mc-one", "unknown-averaging",
-        "l-over-xi-zero", "mean-free-path-zero", "mean-free-path-negative",
-        "scatter-strength-zero", "scatter-strength-too-large-to-calibrate", "s-negative",
-        "s-nan", "vacuum-input", "coupling-above-one", "coupling-zero", "no-phases",
-        "no-modes", "efficiency-above-one", "rho-negative", "absorbing-occupation",
+], ids=["calibrate-one", "direct-zero", "homodyne-one", "direct-calibration-one",
+        "validate-mc-one", "unknown-averaging", "l-over-xi-zero", "mean-free-path-zero",
+        "mean-free-path-negative", "scatter-strength-zero",
+        "scatter-strength-too-large-to-calibrate", "s-negative", "s-nan",
+        "vacuum-input", "coupling-above-one", "coupling-zero", "no-phases", "no-modes",
+        "efficiency-above-one", "rho-negative", "absorbing-occupation",
         "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points",
         "config-modes-fractional", "config-samples-bool", "modes-fractional"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
@@ -331,6 +318,16 @@ def test_fano_direct_rows_equal_run_ensemble(tmp_path):
 def test_threshold_exits_3():
     assert run(["fano-direct", "--medium", "amplifying", "--s", "3.2",
                 "--n-modes", 4, "--samples", 4, "--mean-free-path", 9.9]) == 3
+
+
+def test_threshold_exits_3_before_calibration(monkeypatch, capsys):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", no_calibration)
+    for command in ("fano-direct", "fano-homodyne"):
+        assert run([command, "--medium", "amplifying", "--s", "3.2", "--samples", 4]) == 3
+        assert "laser threshold" in capsys.readouterr().err
 
 
 def test_figure3_beyond_threshold_exits_2():
@@ -416,8 +413,7 @@ def test_validate_full_reports_the_known_mc_mismatch(capsys):
     assert len(fails) == 1
 
 
-_SUBCOMMANDS = ("calibrate", "fano-direct", "fano-homodyne", "sweep", "figure3", "figure4",
-                "validate")
+_SUBCOMMANDS = ("calibrate", "fano-direct", "fano-homodyne", "figure3", "figure4", "validate")
 
 # what pip's generated console script does for `name = "module:attr"`
 _CONSOLE_SCRIPT = """

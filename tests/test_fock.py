@@ -178,16 +178,6 @@ def test_amplifier_layers_bitwise_equal_to_loop():
             assert np.array_equal(layer, expected)
 
 
-def test_channels_read_amplitudes_above_state_truncation_as_zero():
-    state = fock.squeezed_coherent_fock(0.8, 0.3, 0.5, 60)
-    for channel, args in ((fock.lossy_channel_photostats, (math.sqrt(0.7), 0.2)),
-                          (fock.amplifying_channel_photostats, (math.sqrt(1.5),))):
-        default = channel(state, *args)
-        wider = channel(state, *args, n_max=80)
-        assert wider.kappa1 == pytest.approx(default.kappa1, rel=1e-12)
-        assert wider.kappa2 == pytest.approx(default.kappa2, rel=1e-12)
-
-
 @given(transmittance=st.floats(0.0, 1.0), phase=st.floats(0.0, 2 * math.pi),
        amplitude=st.floats(0.0, 2.0), alpha_phase=st.floats(0.0, 2 * math.pi),
        rho=st.floats(0.0, 0.8), phi=st.floats(0.0, 2 * math.pi))
