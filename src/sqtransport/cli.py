@@ -121,19 +121,18 @@ def _resolve(options, args) -> dict:
             resolved[key] = parser_of[key](raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
-    for name in resolved:
-        value = getattr(args, name, None)
-        if value is not None:
-            try:
-                resolved[name] = parser_of[name](value)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"option --{name.replace('_', '-')}: {exc}") from None
+    given = [name for name in resolved if getattr(args, name, None) is not None]
+    for name in given:
+        try:
+            resolved[name] = parser_of[name](getattr(args, name))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"option --{name.replace('_', '-')}: {exc}") from None
     if "seed" in resolved and os.environ.get("SQT_SEED"):
         try:
             resolved["seed"] = int(os.environ["SQT_SEED"])
         except ValueError:
             raise ConfigError("SQT_SEED must be an integer") from None
-    _check_domains(resolved)
+    _check_domains(resolved, given)
     return resolved
 
 
@@ -148,8 +147,11 @@ def _check_lengths(name: str, lengths, hint: str = "") -> None:
                       f"lengths spanning a factor of four{hint}")
 
 
-def _check_domains(cfg) -> None:
-    """Reject every option value outside its domain, before any work starts."""
+def _check_domains(cfg, given) -> None:
+    """Reject every option value outside its domain, before any work starts.
+
+    ``given`` names the options set on the command line.
+    """
     if cfg.get("n_modes", 1) < 1:
         _reject("n_modes", f"{cfg['n_modes']} modes, need >= 1")
     for name in ("incident_mode", "probe_mode"):
@@ -173,6 +175,16 @@ def _check_domains(cfg) -> None:
     for name in ("n_phases", "points"):
         if cfg.get(name, 1) < 1:
             _reject(name, f"{cfg[name]}, need >= 1")
+    policy = cfg.get("phase_policy")
+    if policy not in (None, "min", "fixed", "scan"):
+        _reject("phase_policy", f"must be min, fixed or scan, got {policy!r}")
+    # a config file may hold the keys of every policy, a flag only its policy's
+    for name, owner in (("probe_phase", "fixed"), ("n_phases", "scan")):
+        if name in given and policy != owner:
+            _reject(name, f"only the {owner} phase policy reads it, not {policy}")
+    for name in ("output", "json"):
+        if cfg.get(name) and not os.path.isdir(os.path.dirname(cfg[name]) or "."):
+            _reject(name, f"the directory of {cfg[name]!r} does not exist")
     if not 0 <= cfg.get("efficiency", 0) <= 1:
         _reject("efficiency", f"{cfg['efficiency']} outside [0, 1]")
     if not 0 < cfg.get("coupling", 0.5) < 1:
@@ -270,12 +282,12 @@ _STATE = [
 ]
 
 DIRECT_OPTIONS = _COMMON_MC + _STATE + [
-    ("s", "floats", [1.0], "lengths s = L/xi_a, ascending"),
+    ("s", "floats", [1.0], "lengths s = L/xi_a, sorted before the run"),
     ("fano_in", "floats", None, "incident Fano factors (overrides the state)"),
 ]
 
 HOMODYNE_OPTIONS = _COMMON_MC + _STATE + [
-    ("s", "floats", [1.0], "lengths s = L/xi_a, ascending"),
+    ("s", "floats", [1.0], "lengths s = L/xi_a, sorted before the run"),
     ("coupling", "float", 0.5, "homodyne beam-splitter coupling kappa"),
     ("probe_mode", "int", 0, "0-based probe (transmitted) mode index"),
     ("phase_policy", "str", "min", "min, fixed, or scan"),
@@ -307,13 +319,12 @@ def _direct_rows(cfg):
     s_values = sorted(cfg["s"])
     state = ps.SqueezedInput(cfg["alpha"], cfg["rho"], cfg["phi"], cfg["incident_mode"])
     fano_ins = cfg["fano_in"] if cfg["fano_in"] is not None else [ps.fano_in_squeezed(state)]
-    config = ps.DetectionConfig(cfg["efficiency"])
     positive = [s for s in s_values if s > 0]
     stats_per_length, occupation, _ = (
         _collect(cfg, positive, incident_mode=cfg["incident_mode"])
         if positive else ([], _default_occupation(cfg), None)
     )
-    stats_of = dict(zip(positive, stats_per_length))
+    kept_of = {s: en.drop_skipped(stats) for s, stats in zip(positive, stats_per_length)}
     amplifying = cfg["medium"] == "amplifying"
 
     rows = []
@@ -327,19 +338,18 @@ def _direct_rows(cfg):
                              "fano_mc": value, "stderr": 0.0, "fano_analytic": value,
                              "n_samples": cfg["samples"], "n_skipped": 0})
                 continue
-            result = en.result_from_statistics(
-                stats_of[s], state, config, occupation,
-                incident_fano=fano_in, averaging_mode=cfg["averaging"],
-            )
+            stats, n_skipped = kept_of[s]
+            value, stderr = en.assemble_direct_fano(stats, fano_in, cfg["efficiency"],
+                                                    occupation, cfg["averaging"])
             ratios = an.WaveguideRatios(s=s, l_over_xi=cfg["l_over_xi"],
                                         efficiency=cfg["efficiency"],
                                         occupation=occupation, fano_in=fano_in)
             analytic = (an.fano_direct_amplifying_avg(ratios) if amplifying
                         else an.fano_direct_absorbing_avg(ratios))
             rows.append({"s": s, "n_modes": cfg["n_modes"], "f_in": fano_in,
-                         "fano_mc": result.mean_fano, "stderr": result.stderr,
-                         "fano_analytic": analytic, "n_samples": result.n_samples,
-                         "n_skipped": result.n_skipped_above_threshold})
+                         "fano_mc": value, "stderr": stderr,
+                         "fano_analytic": analytic, "n_samples": len(stats),
+                         "n_skipped": n_skipped})
     columns = ["s", "n_modes", "f_in", "fano_mc", "stderr", "fano_analytic",
                "n_samples", "n_skipped"]
     return columns, rows
@@ -350,8 +360,6 @@ def _homodyne_rows(cfg):
     if any(s <= 0 for s in s_values):
         raise ConfigError("homodyne sweeps need s > 0")
     policy = cfg["phase_policy"]
-    if policy not in ("min", "fixed", "scan"):
-        raise ConfigError(f"phase_policy must be min, fixed or scan, got {policy!r}")
     stats_per_length, occupation, _ = _collect(
         cfg, s_values, probe_mode=cfg["probe_mode"], incident_mode=cfg["incident_mode"])
     amplifying = cfg["medium"] == "amplifying"
@@ -376,17 +384,15 @@ def _homodyne_rows(cfg):
             minimum = (an.fano_homo_min_amplifying_avg(ratios) if amplifying
                        else an.fano_homo_min_absorbing_avg(ratios))
             cases.append(("min", float("nan"), None, 0.0, minimum))
-        clean = [x for x in stats if x is not None]
-        if not clean:
-            raise AllSamplesAboveThreshold("every realization was above threshold")
+        kept, n_skipped = en.drop_skipped(stats)
         for label, shown_phase, probe_phase, offset, analytic in cases:
             value, stderr = en.assemble_homodyne_fano(
-                clean, cfg["rho"], cfg["phi"], cfg["efficiency"], cfg["coupling"],
+                kept, cfg["rho"], cfg["phi"], cfg["efficiency"], cfg["coupling"],
                 occupation, probe_phase, cfg["averaging"], relative_offset=offset)
             rows.append({"s": s, "n_modes": cfg["n_modes"], "rho": cfg["rho"],
                          "policy": label, "probe_phase": shown_phase,
                          "fano_mc": value, "stderr": stderr, "fano_analytic": analytic,
-                         "n_samples": len(clean), "n_skipped": len(stats) - len(clean)})
+                         "n_samples": len(kept), "n_skipped": n_skipped})
     columns = ["s", "n_modes", "rho", "policy", "probe_phase", "fano_mc", "stderr",
                "fano_analytic", "n_samples", "n_skipped"]
     return columns, rows

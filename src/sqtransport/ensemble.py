@@ -3,22 +3,24 @@
 Sample k of an ensemble uses the seed derived from (master_seed, k), so runs
 are reproducible and media at different lengths share their leading slices
 (common random numbers across a length sweep).  A sweep over s = L / xi_a is
-one ``collect_statistics`` over all lengths, then one
-``result_from_statistics`` per length, as the CLI runs it.  Averages follow the
-separate-averaging convention of the large-N theory: the disorder averages of
-numerator and denominator of each Fano-factor term are taken individually
-before forming the ratio ("ratio of means"); the plain sample mean of the
-per-realization Fano factors ("mean of ratios") is always reported alongside
-as a diagnostic.  Standard errors come from leave-one-out jackknife, which
-adds no random-number stream of its own.  The samples run on the sample
-driver that the calibration shares, ``medium.map_seed_chunks``, in which the
-calling process is one of the workers.
+one ``collect_statistics`` over all lengths, then, per length,
+``drop_skipped`` and ``assemble_direct_fano`` or ``assemble_homodyne_fano``,
+as the CLI runs it.  Averages follow the separate-averaging convention of the
+large-N theory: the disorder averages of numerator and denominator of each
+Fano-factor term are taken individually before forming the ratio ("ratio of
+means"); the plain sample mean of the per-realization Fano factors ("mean of
+ratios") is the diagnostic ``averaging_mode=MEAN_OF_RATIOS``.  Skipped
+realizations (the None entries of ``collect_statistics``) are dropped and
+counted in one place, ``drop_skipped``.  Standard errors come from
+leave-one-out jackknife, which adds no random-number stream of its own.  The
+samples run on the sample driver that the calibration shares,
+``medium.map_seed_chunks``, in which the calling process is one of the
+workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,36 +35,14 @@ from .medium import (
     map_seed_chunks,
 )
 from .photostatistics import (
-    DetectionConfig,
     SampleStatistics,
-    SqueezedInput,
     direct_fano_terms,
-    fano_in_squeezed,
     homodyne_fano_terms,
     sample_statistics,
 )
 
 RATIO_OF_MEANS = "ratio_of_means"
 MEAN_OF_RATIOS = "mean_of_ratios"
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Disorder-averaged Fano factor with jackknife error.
-
-    ``mean_fano``/``stderr`` follow ``averaging_mode``; the mean-of-ratios
-    diagnostic is carried alongside.  ``n_samples`` counts the realizations
-    that entered the average; above-threshold amplifying realizations are
-    skipped and counted in ``n_skipped_above_threshold``.
-    """
-
-    mean_fano: float
-    stderr: float
-    n_samples: int
-    n_skipped_above_threshold: int
-    averaging_mode: str
-    mean_of_ratios: float
-    mean_of_ratios_stderr: float
 
 
 def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: float,
@@ -111,6 +91,18 @@ def collect_statistics(base_spec: MediumSpec, lengths, n_samples: int, master_se
     rows = map_seed_chunks(_collect_chunk, seeds, workers, base_spec, lengths,
                            incident_mode, probe_mode, mode_average)
     return [[row[j] for row in rows] for j in range(len(lengths))]
+
+
+def drop_skipped(stats_with_gaps) -> tuple[list[SampleStatistics], int]:
+    """The realizations that enter an average, and the count of skipped ones.
+
+    Raises:
+        AllSamplesAboveThreshold: every realization was skipped.
+    """
+    stats = [s for s in stats_with_gaps if s is not None]
+    if not stats:
+        raise AllSamplesAboveThreshold("every realization was at or beyond threshold")
+    return stats, len(stats_with_gaps) - len(stats)
 
 
 def _jackknife(samples: np.ndarray, assemble) -> tuple[float, float]:
@@ -175,67 +167,3 @@ def assemble_homodyne_fano(stats: list[SampleStatistics], rho: float, phi: float
     )
     columns = np.column_stack(terms)
     return _jackknife_fano(columns, lambda rows: 1.0 + rows.sum(axis=-1), averaging_mode)
-
-
-def run_ensemble(medium: MediumSpec, state: SqueezedInput, config: DetectionConfig,
-                 n_samples: int, master_seed: int, *, incident_fano: float | None = None,
-                 mode_average: bool = True, averaging_mode: str = RATIO_OF_MEANS,
-                 workers: int = 1) -> EnsembleResult:
-    """Monte Carlo average of the requested Fano factor over disorder.
-
-    Direct detection is used unless ``config.homodyne`` is present.  The
-    incident state enters the direct-detection average only through its Fano
-    factor, which may be overridden by ``incident_fano`` (the average holds
-    for any incident state, also non-Gaussian ones with F_in unreachable by a
-    squeezed state).  Homodyne detection takes each realization's optimal
-    probe phase.
-
-    Raises:
-        AllSamplesAboveThreshold: no realization was below the laser threshold.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    probe_mode = config.homodyne.probe_mode if config.homodyne is not None else 0
-    per_length = collect_statistics(
-        medium, [medium.total_length], n_samples, master_seed,
-        incident_mode=state.incident_mode, probe_mode=probe_mode,
-        mode_average=mode_average, workers=workers,
-    )
-    return result_from_statistics(
-        per_length[0], state, config, medium.occupation,
-        incident_fano=incident_fano, averaging_mode=averaging_mode,
-    )
-
-
-def result_from_statistics(stats_with_gaps, state: SqueezedInput, config: DetectionConfig,
-                           occupation: float, *, incident_fano: float | None = None,
-                           averaging_mode: str = RATIO_OF_MEANS) -> EnsembleResult:
-    """Assemble an EnsembleResult from already-collected per-sample statistics."""
-    stats = [s for s in stats_with_gaps if s is not None]
-    n_skipped = len(stats_with_gaps) - len(stats)
-    if not stats:
-        raise AllSamplesAboveThreshold("every realization was at or beyond threshold")
-
-    if config.homodyne is None:
-        fano_in = fano_in_squeezed(state) if incident_fano is None else incident_fano
-
-        def run(mode):
-            return assemble_direct_fano(stats, fano_in, config.efficiency, occupation, mode)
-    else:
-        def run(mode):
-            return assemble_homodyne_fano(
-                stats, state.rho, state.phi, config.efficiency,
-                config.homodyne.coupling, occupation, None, mode,
-            )
-
-    primary = run(averaging_mode)
-    diagnostic = primary if averaging_mode == MEAN_OF_RATIOS else run(MEAN_OF_RATIOS)
-    return EnsembleResult(
-        mean_fano=primary[0],
-        stderr=primary[1],
-        n_samples=len(stats),
-        n_skipped_above_threshold=n_skipped,
-        averaging_mode=averaging_mode,
-        mean_of_ratios=diagnostic[0],
-        mean_of_ratios_stderr=diagnostic[1],
-    )

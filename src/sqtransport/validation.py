@@ -297,15 +297,26 @@ def check_zero_length_ensemble():
     config = ps.DetectionConfig(0.8, homodyne=ps.HomodyneConfig(0.5, 1))
     spec = md.MediumSpec(4, 0.0, 0.32, 1, 400.0, 1e-3, 0)
     direct0, homodyne0 = an.zero_length_limits(state, config)
-    res = en.run_ensemble(spec, state, ps.DetectionConfig(0.8), 5, 7, mode_average=False)
-    _expect(res.mean_fano == direct0 and res.stderr == 0.0)
-    _expect(res.n_samples == 5 and res.n_skipped_above_threshold == 0)
-    res_h = en.run_ensemble(spec, state, config, 4, 7, mode_average=False)
-    _expect(abs(res_h.mean_fano - homodyne0) <= 1e-14 and res_h.stderr < 1e-15)
+
+    def kept(n_samples, probe_mode=0):
+        per_length = en.collect_statistics(spec, [spec.total_length], n_samples, 7,
+                                           incident_mode=state.incident_mode,
+                                           probe_mode=probe_mode, mode_average=False)
+        return en.drop_skipped(per_length[0])
+
+    def homodyne(probe_mode):
+        return en.assemble_homodyne_fano(kept(4, probe_mode)[0], state.rho, state.phi, 0.8,
+                                         0.5, spec.occupation)
+
+    stats, n_skipped = kept(5)
+    value, stderr = en.assemble_direct_fano(stats, ps.fano_in_squeezed(state), 0.8,
+                                            spec.occupation)
+    _expect(value == direct0 and stderr == 0.0)
+    _expect(len(stats) == 5 and n_skipped == 0)
+    value_h, stderr_h = homodyne(1)
+    _expect(abs(value_h - homodyne0) <= 1e-14 and stderr_h < 1e-15)
     # a probe in another mode than the incident one sees no signal
-    other = ps.DetectionConfig(0.8, homodyne=ps.HomodyneConfig(0.5, 3))
-    res_o = en.run_ensemble(spec, state, other, 4, 7, mode_average=False)
-    _expect(abs(res_o.mean_fano - 1.0) <= 1e-14)
+    _expect(abs(homodyne(3)[0] - 1.0) <= 1e-14)
 
 
 FAST_CHECKS = [
@@ -350,20 +361,18 @@ def _full_checks(mc_samples: int):
         xi = cal.mean_free_path / l_over_xi
         per_length = en.collect_statistics(base, [s * xi for s in s_values],
                                            mc_samples, seed)
-        state = ps.SqueezedInput(alpha=1.0)
-        config = ps.DetectionConfig(1.0)
         failures = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             for s, stats in zip(s_values, per_length):
-                result = en.result_from_statistics(stats, state, config, base.occupation,
-                                                   incident_fano=0.0)
+                mean, stderr = en.assemble_direct_fano(en.drop_skipped(stats)[0], 0.0, 1.0,
+                                                       base.occupation)
                 w = an.WaveguideRatios(s=s, l_over_xi=l_over_xi, efficiency=1.0,
                                        occupation=1e-3, fano_in=0.0)
                 target = an.fano_direct_absorbing_avg(w)
-                tolerance = max(3 * result.stderr, 0.05 * abs(target - 1.0) + 0.01)
-                if abs(result.mean_fano - target) > tolerance:
-                    failures.append(f"s={s}: MC {result.mean_fano:.4f} vs {target:.4f}")
+                tolerance = max(3 * stderr, 0.05 * abs(target - 1.0) + 0.01)
+                if abs(mean - target) > tolerance:
+                    failures.append(f"s={s}: MC {mean:.4f} vs {target:.4f}")
         _expect(not failures, "; ".join(failures))
 
     return [

@@ -193,8 +193,6 @@ def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50, workers):
     mean_free_path = calibrated_n50.mean_free_path
     xi = mean_free_path / l_over_xi
     s_values = [0.5, 1.0, 2.0]
-    state = ps.SqueezedInput(alpha=1.0)
-    config = ps.DetectionConfig(1.0)
 
     base50 = en.spec_for_ratios(50, max(s_values), l_over_xi, mean_free_path,
                                 1, 1e-3, 0.45, 0)
@@ -207,16 +205,16 @@ def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50, workers):
         warnings.simplefilter("ignore", ValidityWarning)
         for s, stats in zip(s_values, per_length):
             for fano_in in (0.0, 1.0):
-                result = en.result_from_statistics(stats, state, config, 1e-3,
-                                                   incident_fano=fano_in)
+                fano_mc, stderr = en.assemble_direct_fano(en.drop_skipped(stats)[0], fano_in,
+                                                          1.0, 1e-3)
                 target = an.fano_direct_absorbing_avg(
                     an.WaveguideRatios(s=s, l_over_xi=l_over_xi, efficiency=1.0,
                                        occupation=1e-3, fano_in=fano_in))
-                tolerance = max(3 * result.stderr, 0.05 * abs(target - 1.0) + 0.01)
-                deviation = abs(result.mean_fano - target)
+                tolerance = max(3 * stderr, 0.05 * abs(target - 1.0) + 0.01)
+                deviation = abs(fano_mc - target)
                 row_ok = deviation <= tolerance
-                print(f"  s={s} F_in={fano_in}: MC {result.mean_fano:.4f} "
-                      f"+- {result.stderr:.4f} vs analytic {target:.4f} "
+                print(f"  s={s} F_in={fano_in}: MC {fano_mc:.4f} "
+                      f"+- {stderr:.4f} vs analytic {target:.4f} "
                       f"(dev {deviation:.4f}, tol {tolerance:.4f}) "
                       f"{'ok' if row_ok else 'OUT OF TOLERANCE'}")
                 if not row_ok:
@@ -228,12 +226,11 @@ def test_criterion_07_monte_carlo_vs_analytic(calibrated_n50, workers):
         base25 = en.spec_for_ratios(25, 1.0, l_over_xi, mean_free_path, 1, 1e-3,
                                     0.45, 0)
         stats25 = en.collect_statistics(base25, [xi], 500, 313, workers=workers)[0]
-        result25 = en.result_from_statistics(stats25, state, config, 1e-3,
-                                             incident_fano=0.0)
+        fano_mc25, _ = en.assemble_direct_fano(en.drop_skipped(stats25)[0], 0.0, 1.0, 1e-3)
         target_s1 = an.fano_direct_absorbing_avg(
             an.WaveguideRatios(s=1.0, l_over_xi=l_over_xi, efficiency=1.0,
                                occupation=1e-3, fano_in=0.0))
-    discrepancy25_s1 = abs(result25.mean_fano - target_s1)
+    discrepancy25_s1 = abs(fano_mc25 - target_s1)
     print(f"  N=25 -> N=50 discrepancy at s=1: {discrepancy25_s1:.4f} -> "
           f"{discrepancy50_s1:.4f}")
     if discrepancy50_s1 > discrepancy25_s1:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -15,9 +16,8 @@ from sqtransport import cli
 from sqtransport import ensemble as en
 from sqtransport import io as sio
 from sqtransport import medium as md
-from sqtransport import photostatistics as ps
 from sqtransport import validation
-from sqtransport.errors import ValidityWarning
+from sqtransport.errors import NearSingularCavity, ValidityWarning
 
 
 def run(args):
@@ -238,6 +238,10 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-direct", "--config", {"n_modes": 2.5, "s": [0], "samples": 3}], "'n_modes'"),
     (["fano-direct", "--config", {"samples": True}], "'samples'"),
     (["fano-direct", "--n-modes", 2.5], "--n-modes"),
+    (["fano-homodyne", "--phase-policy", "min", "--probe-phase", 2.0], "--probe-phase"),
+    (["fano-homodyne", "--phase-policy", "scan", "--probe-phase", 2.0], "--probe-phase"),
+    (["fano-homodyne", "--n-phases", 8], "--n-phases"),
+    (["fano-homodyne", "--phase-policy", "fixed", "--n-phases", 8], "--n-phases"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "direct-calibration-one",
         "validate-mc-one", "unknown-averaging", "l-over-xi-zero", "mean-free-path-zero",
         "mean-free-path-negative", "scatter-strength-zero",
@@ -245,7 +249,9 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "vacuum-input", "coupling-above-one", "coupling-zero", "no-phases", "no-modes",
         "efficiency-above-one", "rho-negative", "absorbing-occupation",
         "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points",
-        "config-modes-fractional", "config-samples-bool", "modes-fractional"])
+        "config-modes-fractional", "config-samples-bool", "modes-fractional",
+        "probe-phase-under-min", "probe-phase-under-scan", "n-phases-under-min",
+        "n-phases-under-fixed"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
                                                              capsys, tmp_path):
     def no_calibration(*args, **kwargs):
@@ -260,6 +266,43 @@ def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monke
             config.write_text(json.dumps(arg))
     assert run([config if isinstance(arg, dict) else arg for arg in args]) == 2
     assert option in capsys.readouterr().err
+
+
+def test_config_file_may_hold_the_phase_options_of_every_policy(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("probe_phase = 2.0\nn_phases = 8\n")
+    out = tmp_path / "h.csv"
+    assert run(["fano-homodyne", "--config", config, "--n-modes", 4, "--s", 0.5,
+                "--samples", 4, "--mean-free-path", 9.9, "--output", out]) == 0
+    _, _, rows = sio.read_csv(out)
+    assert [row["policy"] for row in rows] == ["min"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (["figure3", "--output", "missing-dir/f.csv"], "--output"),
+    (["fano-direct", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--json",
+      "missing-dir/x.json"], "--json"),
+], ids=["figure3-output", "direct-json"])
+def test_output_in_a_missing_directory_exits_2_before_calibration(args, option, monkeypatch,
+                                                                  capsys, tmp_path):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", no_calibration)
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fano-direct", "fano-homodyne"])
+def test_all_samples_skipped_exits_3(command, monkeypatch, capsys):
+    def always_failing(spec, seeds, lengths):
+        return [[NearSingularCavity("forced") for _ in lengths] for _ in seeds]
+
+    monkeypatch.setattr(en, "build_batch_checkpoints", always_failing)
+    assert run([command, "--medium", "amplifying", "--n-modes", 3, "--s", "0.5,1",
+                "--samples", 4, "--mean-free-path", 9.9]) == 3
+    assert "every realization was at or beyond threshold" in capsys.readouterr().err
 
 
 def test_int_options_take_integral_numbers_only():
@@ -298,9 +341,9 @@ def test_auto_calibration_runs_on_the_threads(tmp_path, monkeypatch):
     assert texts[0] == texts[1]
 
 
-def test_fano_direct_rows_equal_run_ensemble(tmp_path):
-    # the CLI sweeps all s in one collection; each row must equal the
-    # library's single-length ensemble at the same seed and sample count
+def test_fano_direct_rows_equal_single_length_assembly(tmp_path):
+    # the CLI sweeps all s in one collection; each row must equal a
+    # single-length collection and assembly at the same seed and sample count
     out = tmp_path / "d.csv"
     assert run(["fano-direct", "--n-modes", 5, "--s", "0.5,1", "--fano-in", "0,1.5",
                 "--samples", 8, "--seed", 21, "--mean-free-path", 9.9,
@@ -309,10 +352,9 @@ def test_fano_direct_rows_equal_run_ensemble(tmp_path):
     assert len(rows) == 4
     for row in rows:
         spec = en.spec_for_ratios(5, row["s"], 0.1, 9.9, 1, 1e-3, 0.45, 0)
-        result = en.run_ensemble(spec, ps.SqueezedInput(alpha=1.0), ps.DetectionConfig(1.0),
-                                 8, 21, incident_fano=row["f_in"])
-        assert row["fano_mc"] == result.mean_fano
-        assert row["stderr"] == result.stderr
+        stats, _ = en.drop_skipped(en.collect_statistics(spec, [spec.total_length], 8, 21)[0])
+        assert (row["fano_mc"], row["stderr"]) == en.assemble_direct_fano(
+            stats, row["f_in"], 1.0, spec.occupation)
 
 
 def test_threshold_exits_3():
@@ -398,6 +440,15 @@ def test_validate_detects_corrupted_formula_under_python_O():
     assert "optimize 1" in result.stdout
     assert "[FAIL] analytic brackets pinned" in result.stdout
     assert result.returncode == 4
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so runtime checks must raise instead
+    package = Path(cli.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 @pytest.mark.slow

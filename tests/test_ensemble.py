@@ -18,82 +18,91 @@ test_zero_length_matches_limits_exactly = validation.check_zero_length_ensemble
 
 
 STATE = ps.SqueezedInput(alpha=1.2, rho=0.4, phi=0.3, incident_mode=1)
+FANO_IN = ps.fano_in_squeezed(STATE)
 
 
 def _zero_length_spec(n_modes=4):
     return md.MediumSpec(n_modes, 0.0, 0.32, 1, 400.0, 1e-3, 0)
 
 
-def _statistics(spec, n_samples, master_seed):
-    """Per-sample statistics behind ``run_ensemble`` with the same arguments."""
+def _statistics(spec, n_samples, master_seed, workers=1):
+    """Per-sample statistics of the single length ``spec.total_length``, with gaps."""
     return en.collect_statistics(spec, [spec.total_length], n_samples, master_seed,
-                                 incident_mode=STATE.incident_mode)[0]
+                                 incident_mode=STATE.incident_mode, workers=workers)[0]
 
 
-def _sweep(base, s_values, mean_free_path, l_over_xi, n_samples, master_seed, **kwargs):
-    """Results over s = L / xi_a the way the CLI sweeps: one collection, one result per s."""
+def _direct(spec, n_samples, master_seed, fano_in=FANO_IN, efficiency=1.0, **kwargs):
+    """Direct-detection (value, stderr) at one length, skipped realizations dropped."""
+    stats, _ = en.drop_skipped(_statistics(spec, n_samples, master_seed))
+    return en.assemble_direct_fano(stats, fano_in, efficiency, spec.occupation, **kwargs)
+
+
+def _sweep(base, s_values, mean_free_path, l_over_xi, n_samples, master_seed, fano_in):
+    """((value, stderr), n_skipped) per s the way the CLI sweeps: one collection."""
     xi = mean_free_path / l_over_xi
     per_length = en.collect_statistics(base, [s * xi for s in s_values], n_samples,
                                        master_seed, incident_mode=STATE.incident_mode)
-    return [en.result_from_statistics(stats, STATE, ps.DetectionConfig(1.0), base.occupation,
-                                      **kwargs)
-            for stats in per_length]
+    points = []
+    for stats_with_gaps in per_length:
+        stats, n_skipped = en.drop_skipped(stats_with_gaps)
+        points.append((en.assemble_direct_fano(stats, fano_in, 1.0, base.occupation),
+                       n_skipped))
+    return points
 
 
 def test_passive_coherent_is_poisson():
     spec = md.MediumSpec(6, 25, 0.32, 0, None, 0.0, 0)
-    result = en.run_ensemble(spec, ps.SqueezedInput(alpha=2.0), ps.DetectionConfig(1.0), 4, 9)
-    assert result.mean_fano == pytest.approx(1.0, abs=1e-12)
-    assert result.stderr < 1e-12
+    stats = en.collect_statistics(spec, [25], 4, 9)[0]
+    mean, stderr = en.assemble_direct_fano(
+        stats, ps.fano_in_squeezed(ps.SqueezedInput(alpha=2.0)), 1.0, spec.occupation)
+    assert mean == pytest.approx(1.0, abs=1e-12)
+    assert stderr < 1e-12
 
 
 def test_reproducibility_bitwise():
     spec = absorbing_spec(5, 18, 0)
-    a = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 123)
-    b = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 123)
-    assert a == b
+    assert _direct(spec, 6, 123) == _direct(spec, 6, 123)
     assert _statistics(spec, 6, 123) == _statistics(spec, 6, 123)
 
 
 def test_workers_do_not_change_results():
     spec = absorbing_spec(4, 10, 0)
-    serial = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 3)
-    parallel = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 6, 3, workers=2)
+    serial = _statistics(spec, 6, 3)
+    parallel = _statistics(spec, 6, 3, workers=2)
     assert serial == parallel
+    assert (en.assemble_direct_fano(serial, FANO_IN, 1.0, spec.occupation)
+            == en.assemble_direct_fano(parallel, FANO_IN, 1.0, spec.occupation))
 
 
 def test_incident_fano_override_is_linear_in_transmittance():
     spec = absorbing_spec(5, 20, 0)
-    config = ps.DetectionConfig(0.9)
-    r0 = en.run_ensemble(spec, STATE, config, 10, 11, incident_fano=0.0)
-    r1 = en.run_ensemble(spec, STATE, config, 10, 11, incident_fano=1.0)
+    r0 = _direct(spec, 10, 11, fano_in=0.0, efficiency=0.9)
+    r1 = _direct(spec, 10, 11, fano_in=1.0, efficiency=0.9)
     mean_t = np.mean([s.transmittance for s in _statistics(spec, 10, 11)])
-    assert r1.mean_fano - r0.mean_fano == pytest.approx(0.9 * mean_t, rel=1e-12)
+    assert r1[0] - r0[0] == pytest.approx(0.9 * mean_t, rel=1e-12)
 
 
 def test_ratio_of_means_uses_separate_averages():
     spec = absorbing_spec(4, 15, 0)
-    result = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 12, 5,
-                             incident_fano=0.0)
     stats = _statistics(spec, 12, 5)
     t = np.array([s.transmittance for s in stats])
     b = np.array([s.beating for s in stats])
     expected = 1.0 - t.mean() + 2e-3 * b.mean() / t.mean()
-    assert result.mean_fano == pytest.approx(expected, rel=1e-12)
+    assert _direct(spec, 12, 5, fano_in=0.0)[0] == pytest.approx(expected, rel=1e-12)
     per_sample = 1.0 - t + 2e-3 * b / t
-    assert result.mean_of_ratios == pytest.approx(per_sample.mean(), rel=1e-12)
+    mean_of_ratios = _direct(spec, 12, 5, fano_in=0.0, averaging_mode=en.MEAN_OF_RATIOS)
+    assert mean_of_ratios[0] == pytest.approx(per_sample.mean(), rel=1e-12)
 
 
 def test_mean_of_ratios_jackknife_matches_standard_error():
     spec = absorbing_spec(4, 15, 0)
-    result = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 16, 5,
-                             incident_fano=0.0, averaging_mode=en.MEAN_OF_RATIOS)
+    mean, stderr = _direct(spec, 16, 5, fano_in=0.0, averaging_mode=en.MEAN_OF_RATIOS)
     stats = _statistics(spec, 16, 5)
     t = np.array([s.transmittance for s in stats])
     b = np.array([s.beating for s in stats])
     per_sample = 1.0 - t + 2e-3 * b / t
-    assert result.mean_fano == pytest.approx(per_sample.mean(), rel=1e-12)
-    assert result.stderr == pytest.approx(per_sample.std(ddof=1) / math.sqrt(16), rel=1e-10)
+    assert mean == pytest.approx(per_sample.mean(), rel=1e-12)
+    assert stderr == pytest.approx(per_sample.std(ddof=1) / math.sqrt(16), rel=1e-10)
 
 
 @pytest.mark.slow
@@ -101,10 +110,10 @@ def test_averaging_modes_agree_for_many_modes(calibrated_n50, workers):
     # sample-to-sample fluctuations shrink with N, so the two conventions meet
     l = calibrated_n50.mean_free_path
     spec = en.spec_for_ratios(50, 0.5, 0.1, l, 1, 1e-3, 0.45, 0)
-    rom = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 40, 17, incident_fano=0.0,
-                          workers=workers)
-    assert abs(rom.mean_fano - rom.mean_of_ratios) < 3 * (
-        rom.stderr + rom.mean_of_ratios_stderr)
+    stats, _ = en.drop_skipped(_statistics(spec, 40, 17, workers=workers))
+    rom = en.assemble_direct_fano(stats, 0.0, 1.0, spec.occupation)
+    mor = en.assemble_direct_fano(stats, 0.0, 1.0, spec.occupation, en.MEAN_OF_RATIOS)
+    assert abs(rom[0] - mor[0]) < 3 * (rom[1] + mor[1])
 
 
 def test_all_samples_above_threshold(monkeypatch):
@@ -113,8 +122,10 @@ def test_all_samples_above_threshold(monkeypatch):
 
     monkeypatch.setattr(en, "build_batch_checkpoints", always_failing)
     spec = md.MediumSpec(3, 5, 0.32, -1, 50.0, -1.0, 0)
+    stats_with_gaps = _statistics(spec, 4, 1)
+    assert stats_with_gaps == [None] * 4
     with pytest.raises(AllSamplesAboveThreshold):
-        en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 4, 1)
+        en.drop_skipped(stats_with_gaps)
 
 
 def test_partial_skips_are_counted(monkeypatch):
@@ -127,19 +138,19 @@ def test_partial_skips_are_counted(monkeypatch):
 
     monkeypatch.setattr(en, "build_batch_checkpoints", flaky)
     spec = md.MediumSpec(3, 5, 0.32, -1, 500.0, -1.0, 0)
-    result = en.run_ensemble(spec, STATE, ps.DetectionConfig(1.0), 12, 1)
-    assert result.n_samples + result.n_skipped_above_threshold == 12
-    assert result.n_skipped_above_threshold > 0
+    stats, n_skipped = en.drop_skipped(_statistics(spec, 12, 1))
+    assert len(stats) + n_skipped == 12
+    assert n_skipped > 0
+    assert None not in stats
 
 
 def test_sweep_shares_slice_prefixes():
     l = 9.9
     base = en.spec_for_ratios(5, 2.0, 0.1, l, 1, 1e-3, 0.45, 0)
-    points = _sweep(base, [0.5, 2.0], l, 0.1, 8, 22, incident_fano=0.0)
+    points = _sweep(base, [0.5, 2.0], l, 0.1, 8, 22, fano_in=0.0)
     short_spec = dataclasses.replace(base, total_length=0.5 * l / 0.1)
-    alone = en.run_ensemble(short_spec, STATE, ps.DetectionConfig(1.0), 8, 22,
-                            incident_fano=0.0)
-    assert points[0].mean_fano == alone.mean_fano
+    alone = _direct(short_spec, 8, 22, fano_in=0.0)
+    assert points[0][0][0] == alone[0]
 
 
 def test_amplifying_near_threshold_skip_fixture():
@@ -149,17 +160,12 @@ def test_amplifying_near_threshold_skip_fixture():
     # still reported per point
     l = 9.9
     base = en.spec_for_ratios(6, 4.0, 0.1, l, -1, -1.0, 0.45, 0)
-    points = _sweep(base, [2.0, 3.0, 3.8], l, 0.1, 20, 11)
-    skips = [p.n_skipped_above_threshold for p in points]
+    points = _sweep(base, [2.0, 3.0, 3.8], l, 0.1, 20, 11, fano_in=FANO_IN)
+    skips = [n_skipped for _, n_skipped in points]
     assert skips == [0, 0, 0]
     assert all(b >= a for a, b in zip(skips, skips[1:]))
-    stderrs = [p.stderr for p in points]
+    stderrs = [stderr for (_, stderr), _ in points]
     assert stderrs[1] > stderrs[0] and max(stderrs) > 1.0
-
-
-def test_run_ensemble_needs_two_samples():
-    with pytest.raises(ValueError):
-        en.run_ensemble(_zero_length_spec(), STATE, ps.DetectionConfig(1.0), 1, 0)
 
 
 def test_spec_for_ratios_mapping():
