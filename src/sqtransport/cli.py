@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: fano-direct, fano-homodyne, figure3, figure4, calibrate,
-validate.  Every physical option can come from a configuration file
-(``--config``, flat ``key = value`` lines or JSON) with command-line flags
-taking precedence.  The environment variable SQT_SEED overrides the master
-seed.  Exit codes: 0 success, 2 configuration error, 3 physics-domain error
-(laser threshold, no below-threshold samples, failed calibration fit),
-4 validation failure.
+validate.  Every option is its default, overlaid by a configuration file
+(``--config``, flat ``key = value`` lines or JSON), overlaid by its flag; any
+value out of domain, and any flag the run does not read, is an error that
+names its option.  Exit codes: 0 success (or stdout closed by its reader),
+2 configuration error, 3 physics-domain error (laser threshold, no
+below-threshold samples, failed calibration fit), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -127,11 +127,6 @@ def _resolve(options, args) -> dict:
             resolved[name] = parser_of[name](getattr(args, name))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"option --{name.replace('_', '-')}: {exc}") from None
-    if "seed" in resolved and os.environ.get("SQT_SEED"):
-        try:
-            resolved["seed"] = int(os.environ["SQT_SEED"])
-        except ValueError:
-            raise ConfigError("SQT_SEED must be an integer") from None
     _check_domains(resolved, given)
     return resolved
 
@@ -172,16 +167,28 @@ def _check_domains(cfg, given) -> None:
                  "s_max_amplifying"):
         if cfg.get(name) is not None and cfg[name] <= 0:
             _reject(name, f"{cfg[name]}, need > 0")
+    if cfg.get("s_max_amplifying", 0) >= math.pi:
+        _reject("s_max_amplifying", f"{cfg['s_max_amplifying']}, need < pi")
     for name in ("n_phases", "points"):
         if cfg.get(name, 1) < 1:
             _reject(name, f"{cfg[name]}, need >= 1")
     policy = cfg.get("phase_policy")
     if policy not in (None, "min", "fixed", "scan"):
         _reject("phase_policy", f"must be min, fixed or scan, got {policy!r}")
-    # a config file may hold the keys of every policy, a flag only its policy's
-    for name, owner in (("probe_phase", "fixed"), ("n_phases", "scan")):
-        if name in given and policy != owner:
-            _reject(name, f"only the {owner} phase policy reads it, not {policy}")
+    if cfg.get("level", "fast") not in ("fast", "full"):
+        _reject("level", f"must be fast or full, got {cfg['level']!r}")
+    media = (*_MEDIUM_SIGNS, "both") if "points" in cfg else tuple(_MEDIUM_SIGNS)  # figures
+    if cfg.get("medium", media[0]) not in media:
+        _reject("medium", f"must be one of {', '.join(media)}, got {cfg['medium']!r}")
+    # a config file may hold keys the run does not read, a flag only what it reads
+    for name, read, reader in (("probe_phase", policy == "fixed", "the fixed phase policy"),
+                               ("n_phases", policy == "scan", "the scan phase policy"),
+                               ("alpha", "fano_in" in cfg, "fano-direct"),
+                               ("mc_samples", cfg.get("level") == "full", "--level full"),
+                               ("calibration_samples", cfg.get("mean_free_path") is None,
+                                "a run without --mean-free-path")):
+        if name in given and not read:
+            _reject(name, f"only {reader} reads it")
     for name in ("output", "json"):
         if cfg.get(name) and not os.path.isdir(os.path.dirname(cfg[name]) or "."):
             _reject(name, f"the directory of {cfg[name]!r} does not exist")
@@ -193,14 +200,14 @@ def _check_domains(cfg, given) -> None:
         values = cfg.get(name, [])
         if min(values if isinstance(values, list) else [values], default=0) < 0:
             _reject(name, f"{values}, need >= 0")
+    if "phase_policy" in cfg and min(cfg["s"]) <= 0:
+        _reject("s", f"{cfg['s']}, a homodyne sweep needs s > 0")
     if "lengths" in cfg:
         _check_lengths("lengths", cfg["lengths"])
     if "mean_free_path" in cfg and cfg["mean_free_path"] is None:
         _check_lengths("scatter_strength", _calibration_lengths(cfg["scatter_strength"]),
                        "; give --mean-free-path")
     if "occupation" in cfg:  # the Monte Carlo commands
-        if cfg["medium"] not in _MEDIUM_SIGNS:
-            _reject("medium", f"must be absorbing or amplifying, got {cfg['medium']!r}")
         f = _default_occupation(cfg)
         if cfg["medium"] == "absorbing" and f < 0:
             _reject("occupation", f"{f}, an absorbing medium needs >= 0")
@@ -235,16 +242,6 @@ def _calibration_lengths(scatter_strength: float) -> list[int]:
     return [max(2, round(base * factor)) for factor in (0.5, 1, 2, 4)]
 
 
-def _mean_free_path(cfg) -> float:
-    if cfg["mean_free_path"] is not None:
-        return cfg["mean_free_path"]
-    result = md.calibrate_mean_free_path(
-        cfg["n_modes"], cfg["scatter_strength"], _calibration_lengths(cfg["scatter_strength"]),
-        cfg["calibration_samples"], cfg["seed"], workers=cfg["threads"],
-    )
-    return result.mean_free_path
-
-
 def _emit(cfg, command, columns, rows):
     header = {key: (",".join(str(v) for v in value) if isinstance(value, list) else value)
               for key, value in sorted(cfg.items())}
@@ -263,13 +260,16 @@ _COMMON_MC = [
     ("occupation", "float", None, "signed Bose-Einstein occupation f"),
     ("efficiency", "float", 1.0, "detector efficiency d"),
     ("samples", "int", 500, "disorder realizations per point"),
-    ("seed", "int", 1, "master seed (SQT_SEED overrides)"),
+    ("seed", "int", 1, "master seed"),
     ("scatter_strength", "float", 0.32, "slice scattering strength"),
     ("mean_free_path", "float", None, "calibrated mean free path (auto if absent)"),
     ("calibration_samples", "int", 100, "samples per length for auto-calibration"),
     ("mode_average", "bool", True, "average over mode indices"),
     ("averaging", "str", en.RATIO_OF_MEANS, "ratio_of_means or mean_of_ratios"),
     ("threads", "int", 1, "worker processes, the calling one included"),
+]
+
+_OUTPUTS = [
     ("output", "str", None, "CSV output path"),
     ("json", "str", None, "JSON output path"),
 ]
@@ -284,7 +284,7 @@ _STATE = [
 DIRECT_OPTIONS = _COMMON_MC + _STATE + [
     ("s", "floats", [1.0], "lengths s = L/xi_a, sorted before the run"),
     ("fano_in", "floats", None, "incident Fano factors (overrides the state)"),
-]
+] + _OUTPUTS
 
 HOMODYNE_OPTIONS = _COMMON_MC + _STATE + [
     ("s", "floats", [1.0], "lengths s = L/xi_a, sorted before the run"),
@@ -293,15 +293,19 @@ HOMODYNE_OPTIONS = _COMMON_MC + _STATE + [
     ("phase_policy", "str", "min", "min, fixed, or scan"),
     ("probe_phase", "float", 0.0, "probe phase for the fixed policy"),
     ("n_phases", "int", 64, "grid size for the scan policy"),
-]
+] + _OUTPUTS
 
 
-def _collect(cfg, s_values, probe_mode=0, incident_mode=0):
+def _collect(cfg, s_values):
     sign = _MEDIUM_SIGNS[cfg["medium"]]
     occupation = _default_occupation(cfg)
     if sign < 0 and any(s >= math.pi for s in s_values):
         raise ThresholdReached("requested s at or beyond the laser threshold")
-    mean_free_path = _mean_free_path(cfg)
+    mean_free_path = cfg["mean_free_path"]
+    if mean_free_path is None:
+        mean_free_path = md.calibrate_mean_free_path(
+            cfg["n_modes"], cfg["scatter_strength"], _calibration_lengths(cfg["scatter_strength"]),
+            cfg["calibration_samples"], cfg["seed"], workers=cfg["threads"]).mean_free_path
     base = en.spec_for_ratios(cfg["n_modes"], max(s_values), cfg["l_over_xi"],
                               mean_free_path, sign, occupation,
                               cfg["scatter_strength"], 0)
@@ -309,10 +313,10 @@ def _collect(cfg, s_values, probe_mode=0, incident_mode=0):
     lengths = [s * xi for s in s_values]
     stats = en.collect_statistics(
         base, lengths, cfg["samples"], cfg["seed"],
-        incident_mode=incident_mode, probe_mode=probe_mode,
+        incident_mode=cfg["incident_mode"], probe_mode=cfg.get("probe_mode", 0),
         mode_average=cfg["mode_average"], workers=cfg["threads"],
     )
-    return stats, occupation, mean_free_path
+    return stats, occupation
 
 
 def _direct_rows(cfg):
@@ -320,10 +324,8 @@ def _direct_rows(cfg):
     state = ps.SqueezedInput(cfg["alpha"], cfg["rho"], cfg["phi"], cfg["incident_mode"])
     fano_ins = cfg["fano_in"] if cfg["fano_in"] is not None else [ps.fano_in_squeezed(state)]
     positive = [s for s in s_values if s > 0]
-    stats_per_length, occupation, _ = (
-        _collect(cfg, positive, incident_mode=cfg["incident_mode"])
-        if positive else ([], _default_occupation(cfg), None)
-    )
+    stats_per_length, occupation = (_collect(cfg, positive) if positive
+                                    else ([], _default_occupation(cfg)))
     kept_of = {s: en.drop_skipped(stats) for s, stats in zip(positive, stats_per_length)}
     amplifying = cfg["medium"] == "amplifying"
 
@@ -357,11 +359,8 @@ def _direct_rows(cfg):
 
 def _homodyne_rows(cfg):
     s_values = sorted(cfg["s"])
-    if any(s <= 0 for s in s_values):
-        raise ConfigError("homodyne sweeps need s > 0")
     policy = cfg["phase_policy"]
-    stats_per_length, occupation, _ = _collect(
-        cfg, s_values, probe_mode=cfg["probe_mode"], incident_mode=cfg["incident_mode"])
+    stats_per_length, occupation = _collect(cfg, s_values)
     amplifying = cfg["medium"] == "amplifying"
     offsets = ([2 * math.pi * k / cfg["n_phases"] for k in range(cfg["n_phases"])]
                if policy == "scan" else [])
@@ -398,17 +397,18 @@ def _homodyne_rows(cfg):
     return columns, rows
 
 
-def cmd_fano_direct(args) -> int:
-    cfg = _resolve(DIRECT_OPTIONS, args)
-    columns, rows = _direct_rows(cfg)
-    _emit(cfg, "fano-direct", columns, rows)
-    return 0
+# command -> (options, the function from the resolved options to columns and rows)
+_MONTE_CARLO = {
+    "fano-direct": (DIRECT_OPTIONS, _direct_rows),
+    "fano-homodyne": (HOMODYNE_OPTIONS, _homodyne_rows),
+}
 
 
-def cmd_fano_homodyne(args) -> int:
-    cfg = _resolve(HOMODYNE_OPTIONS, args)
-    columns, rows = _homodyne_rows(cfg)
-    _emit(cfg, "fano-homodyne", columns, rows)
+def cmd_fano(args) -> int:
+    """Disorder-averaged Fano factors: direct or homodyne detection."""
+    options, table = _MONTE_CARLO[args.command]
+    cfg = _resolve(options, args)
+    _emit(cfg, args.command, *table(cfg))
     return 0
 
 
@@ -425,10 +425,8 @@ _FIGURE_TAIL = [
     ("points", "int", 240, "points per curve"),
     ("s_max_absorbing", "float", 12.0, "largest s of the absorbing panel"),
     ("s_max_amplifying", "float", 3.12, "largest s of the amplifying panel (< pi)"),
-    ("output", "str", None, "CSV output path"),
-    ("json", "str", None, "JSON output path"),
     ("seed", "int", 1, "unused; kept for config uniformity"),
-]
+] + _OUTPUTS
 
 FIGURE3_OPTIONS = _FIGURE_HEAD + _FIGURE_OCCUPATIONS + [
     ("fano_in", "floats", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], "incident Fano curve family"),
@@ -455,10 +453,6 @@ def cmd_figure(args) -> int:
     """Closed-form curve families: figure 3 (direct) or figure 4 (homodyne minimum)."""
     options, column, family, *formulas = _FIGURES[args.command]
     cfg = _resolve(options, args)
-    if cfg["s_max_amplifying"] >= math.pi:
-        raise ConfigError("the amplifying panel must end below s = pi")
-    if cfg["medium"] not in ("absorbing", "amplifying", "both"):
-        raise ConfigError(f"medium must be absorbing, amplifying or both, got {cfg['medium']!r}")
     shared = {key: cfg[key] for key in ("coupling", "n_modes") if key in cfg}
     rows = []
     for name, formula in zip(("absorbing", "amplifying"), formulas):
@@ -482,10 +476,8 @@ CALIBRATE_OPTIONS = [
     ("scatter_strength", "float", 0.32, "slice scattering strength"),
     ("lengths", "floats", [10.0, 20.0, 40.0, 80.0], "slab lengths for the Ohm fit"),
     ("samples", "int", 500, "realizations per length"),
-    ("seed", "int", 1, "master seed (SQT_SEED overrides)"),
-    ("output", "str", None, "CSV output path"),
-    ("json", "str", None, "JSON output path"),
-]
+    ("seed", "int", 1, "master seed"),
+] + _OUTPUTS
 
 
 def cmd_calibrate(args) -> int:
@@ -515,15 +507,12 @@ VALIDATE_OPTIONS = [
 
 def cmd_validate(args) -> int:
     cfg = _resolve(VALIDATE_OPTIONS, args)
-    if cfg["level"] not in ("fast", "full"):
-        raise ConfigError("level must be fast or full")
     outcomes = validation.run_checks(cfg["level"], cfg["mc_samples"])
-    failures = 0
     for outcome in outcomes:
         mark = "ok " if outcome.passed else "FAIL"
         detail = f"  ({outcome.detail})" if outcome.detail else ""
         print(f"[{mark}] {outcome.name}{detail}")
-        failures += 0 if outcome.passed else 1
+    failures = sum(not outcome.passed for outcome in outcomes)
     print(f"{len(outcomes) - failures}/{len(outcomes)} checks passed")
     return 0 if failures == 0 else 4
 
@@ -535,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options, handler in (
-        ("fano-direct", DIRECT_OPTIONS, cmd_fano_direct),
-        ("fano-homodyne", HOMODYNE_OPTIONS, cmd_fano_homodyne),
+        ("fano-direct", DIRECT_OPTIONS, cmd_fano),
+        ("fano-homodyne", HOMODYNE_OPTIONS, cmd_fano),
         ("figure3", FIGURE3_OPTIONS, cmd_figure),
         ("figure4", FIGURE4_OPTIONS, cmd_figure),
         ("calibrate", CALIBRATE_OPTIONS, cmd_calibrate),
@@ -555,6 +544,10 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             return args.handler(args)
+    except BrokenPipeError:
+        # the reader closed stdout; a quiet devnull takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

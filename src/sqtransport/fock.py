@@ -112,8 +112,7 @@ def squeezed_coherent_fock(alpha: complex, rho: float, phi: float, n_max: int) -
     c[0] = math.sqrt(1.0 / ch) * cmath.exp(
         -0.5 * abs(alpha) ** 2 - 0.5 * np.conj(alpha) ** 2 * phase * math.tanh(rho)
     )
-    if n_max >= 1:
-        c[1] = gamma * c[0] / ch
+    c[1] = gamma * c[0] / ch
     for n in range(1, n_max):
         c[n + 1] = (gamma * c[n] - phase * sh * math.sqrt(n) * c[n - 1]) / (
             ch * math.sqrt(n + 1)

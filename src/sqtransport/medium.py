@@ -281,8 +281,6 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
     polar fallback replaced the batch, since it then no longer describes U.
     """
     m = 2 * n_modes
-    if count == 0:
-        return np.empty((0, m, m), dtype=complex), np.empty(0)
     # one contiguous draw per slice, so shorter media are stream prefixes
     draws = rng.standard_normal((count, 2, m, m))
     g = draws[:, 0] + 1j * draws[:, 1]
@@ -650,7 +648,6 @@ class CalibrationResult:
     stderr: float
     intercept: float
     residual_rel: float
-    lengths: tuple
     inverse_transmittance: tuple
 
 
@@ -732,6 +729,5 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
         stderr=float(stderr),
         intercept=float(intercept),
         residual_rel=residual_rel,
-        lengths=tuple(lengths),
         inverse_transmittance=tuple(float(v) for v in y),
     )

@@ -242,6 +242,15 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-homodyne", "--phase-policy", "scan", "--probe-phase", 2.0], "--probe-phase"),
     (["fano-homodyne", "--n-phases", 8], "--n-phases"),
     (["fano-homodyne", "--phase-policy", "fixed", "--n-phases", 8], "--n-phases"),
+    (["fano-homodyne", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--alpha", 7], "--alpha"),
+    (["validate", "--level", "fast", "--mc-samples", 5], "--mc-samples"),
+    (["fano-direct", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--calibration-samples", 50], "--calibration-samples"),
+    (["validate", "--level", "bogus"], "option --level:"),
+    (["figure3", "--medium", "bogus"], "option --medium:"),
+    (["fano-homodyne", "--s", 0, "--mean-free-path", 20], "option --s:"),
+    (["figure3", "--s-max-amplifying", 3.2], "option --s-max-amplifying:"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "direct-calibration-one",
         "validate-mc-one", "unknown-averaging", "l-over-xi-zero", "mean-free-path-zero",
         "mean-free-path-negative", "scatter-strength-zero",
@@ -251,7 +260,9 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points",
         "config-modes-fractional", "config-samples-bool", "modes-fractional",
         "probe-phase-under-min", "probe-phase-under-scan", "n-phases-under-min",
-        "n-phases-under-fixed"])
+        "n-phases-under-fixed", "alpha-under-homodyne", "mc-samples-under-fast",
+        "calibration-samples-with-mean-free-path", "level-unknown", "figure-medium-unknown",
+        "homodyne-s-zero", "figure-beyond-threshold"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
                                                              capsys, tmp_path):
     def no_calibration(*args, **kwargs):
@@ -376,13 +387,14 @@ def test_figure3_beyond_threshold_exits_2():
     assert run(["figure3", "--s-max-amplifying", "3.2"]) == 2
 
 
-def test_sqt_seed_env_override(tmp_path, monkeypatch):
+def test_environment_does_not_set_the_seed(tmp_path, monkeypatch):
+    # the seed comes from its default, the config file or --seed, nowhere else
     out = tmp_path / "o.csv"
     monkeypatch.setenv("SQT_SEED", "4242")
     assert run(["fano-direct", "--s", "0", "--samples", 4, "--seed", "1",
                 "--output", out]) == 0
     header, _, _ = sio.read_csv(out)
-    assert header["seed"] == "4242"
+    assert header["seed"] == "1"
 
 
 def test_stdout_equals_the_output_file_without_its_header(tmp_path, capsys):
@@ -420,6 +432,13 @@ def test_validate_detects_corrupted_formula(monkeypatch, capsys):
     assert "[FAIL] analytic brackets pinned" in out
 
 
+def _source_env():
+    """The environment with this source tree first on PYTHONPATH, for a child python."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
 _CORRUPTED_VALIDATE = """
 import sys
 from sqtransport import analytics as an, cli, validation
@@ -432,14 +451,37 @@ sys.exit(cli.main(["validate", "--level", "fast"]))
 
 def test_validate_detects_corrupted_formula_under_python_O():
     # python -O strips assert statements; the checks must still fail
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_VALIDATE],
-                            env=dict(os.environ, PYTHONPATH=path),
-                            capture_output=True, text=True, timeout=300)
+                            env=_source_env(), capture_output=True, text=True, timeout=300)
     assert "optimize 1" in result.stdout
     assert "[FAIL] analytic brackets pinned" in result.stdout
     assert result.returncode == 4
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # figure3 writes more than a pipe buffer holds; the reader stops after one line
+    process = subprocess.Popen([sys.executable, "-m", "sqtransport", "figure3"],
+                               env=_source_env(), stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE)
+    assert process.stdout.readline().startswith(b"medium,")
+    process.stdout.close()
+    assert process.wait(timeout=300) == 0
+    assert process.stderr.read() == b""
+    process.stderr.close()
+
+
+def test_only_the_option_checker_raises_config_errors():
+    # every option error goes through _check_domains and _reject, which name the option
+    tree = ast.parse(Path(cli.__file__).read_text())
+    raisers = set()
+    for definition in tree.body:
+        for node in ast.walk(definition):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                raisers.add(getattr(definition, "name", f"line {node.lineno}"))
+    assert raisers == {"_load_config_file", "_resolve", "_reject"}
 
 
 def test_no_assert_statements_in_the_package():

@@ -23,8 +23,6 @@ from conftest import random_contraction, random_homodyne_case, scalar_channel
 # each property's one copy is a fast check of ``validation``; test_cli's
 # test_fast_check runs every check, and these names keep this module's test ids
 test_fano_in_coherent_is_poisson = validation.check_fano_in_limits
-test_fano_in_squeezed_vacuum = validation.check_fano_in_limits
-test_fano_in_large_amplitude_squeezed = validation.check_fano_in_limits
 test_thermal_cumulants_scalar_channel = validation.check_thermal_cumulants_scalar
 test_m_element_limits = validation.check_m_element_scalar
 test_numeric_cumulants_match_closed_forms = validation.check_generating_function_consistency
