@@ -180,13 +180,22 @@ def _check_domains(cfg, given) -> None:
     media = (*_MEDIUM_SIGNS, "both") if "points" in cfg else tuple(_MEDIUM_SIGNS)  # figures
     if cfg.get("medium", media[0]) not in media:
         _reject("medium", f"must be one of {', '.join(media)}, got {cfg['medium']!r}")
+    for name in ("rho", "s"):
+        values = cfg.get(name, [])
+        if min(values if isinstance(values, list) else [values], default=0) < 0:
+            _reject(name, f"{values}, need >= 0")
+    # a fano-direct run whose s are all 0 draws and calibrates nothing
+    draws = max(cfg.get("s", [1.0])) > 0
     # a config file may hold keys the run does not read, a flag only what it reads
     for name, read, reader in (("probe_phase", policy == "fixed", "the fixed phase policy"),
                                ("n_phases", policy == "scan", "the scan phase policy"),
                                ("alpha", "fano_in" in cfg, "fano-direct"),
                                ("mc_samples", cfg.get("level") == "full", "--level full"),
                                ("calibration_samples", cfg.get("mean_free_path") is None,
-                                "a run without --mean-free-path")):
+                                "a run without --mean-free-path"),
+                               ("calibration_samples", draws, "a run with some --s > 0"),
+                               ("threads", draws, "a run with some --s > 0"),
+                               ("averaging", draws, "a run with some --s > 0")):
         if name in given and not read:
             _reject(name, f"only {reader} reads it")
     for name in ("output", "json"):
@@ -196,15 +205,11 @@ def _check_domains(cfg, given) -> None:
         _reject("efficiency", f"{cfg['efficiency']} outside [0, 1]")
     if not 0 < cfg.get("coupling", 0.5) < 1:
         _reject("coupling", f"{cfg['coupling']} outside (0, 1)")
-    for name in ("rho", "s"):
-        values = cfg.get(name, [])
-        if min(values if isinstance(values, list) else [values], default=0) < 0:
-            _reject(name, f"{values}, need >= 0")
     if "phase_policy" in cfg and min(cfg["s"]) <= 0:
         _reject("s", f"{cfg['s']}, a homodyne sweep needs s > 0")
     if "lengths" in cfg:
         _check_lengths("lengths", cfg["lengths"])
-    if "mean_free_path" in cfg and cfg["mean_free_path"] is None:
+    if "mean_free_path" in cfg and cfg["mean_free_path"] is None and draws:
         _check_lengths("scatter_strength", _calibration_lengths(cfg["scatter_strength"]),
                        "; give --mean-free-path")
     if "occupation" in cfg:  # the Monte Carlo commands

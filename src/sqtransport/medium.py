@@ -21,16 +21,20 @@ sample draws its slices and phases from its own two streams, exactly as a
 sample built alone does; the composites are [B, N, N] stacks, so each period
 costs one stacked star product and one stacked propagation unit instead of B
 of each.  For small N this removes most of the per-call Python overhead.
-The batch's slice buffers, one sampling block of every sample, are allocated
-once and refilled in place; B = max(1, BATCH_BYTES // (SAMPLING_BLOCK (2N)^2
-16 bytes)) keeps them near ``BATCH_BYTES``, which gives B = 12 at N = 10 and
-one sample per batch from N = 26 up.  Stacking leaves every sample bitwise
-unchanged: ``matmul``, ``solve`` and ``svd`` on a stack call the same BLAS or
-LAPACK routine matrix by matrix that they call on one matrix, and the
-elementwise steps do not depend on their neighbours.  The cavity guard and
-a failure, which takes the sample out of the stack, are decided per sample.
-The cavity-free formula is decided for the whole stack; every sample takes
-it in the first period and, with probability one, in no other.
+The batch's slice buffers, one sampling block of P periods for every sample,
+are allocated once and refilled in place.  ``BATCH_BYTES`` sizes both
+factors: P = max(1, min(SAMPLING_BLOCK, BATCH_BYTES // ((2N)^2 16 bytes)))
+and B = max(1, BATCH_BYTES // (P (2N)^2 16 bytes)), so the buffers stay
+within ``BATCH_BYTES`` wherever one slice fits (N <= 142).  That gives
+(P, B) = (16, 12) at N = 10, (16, 2) at N = 25, (16, 1) from N = 26,
+(8, 1) at N = 50, (2, 1) at N = 100 and (1, 1) from N = 143 up.  Stacking
+leaves every sample bitwise unchanged: ``matmul``, ``solve`` and ``svd`` on a
+stack call the same BLAS or LAPACK routine matrix by matrix that they call
+on one matrix, and the elementwise steps do not depend on their neighbours.
+The cavity guard and a failure, which takes the sample out of the stack, are
+decided per sample.  The cavity-free formula is decided for the whole stack;
+every sample takes it in the first period and, with probability one, in no
+other.
 ``build_batch_checkpoints`` splits any number of seeds into such batches;
 ``build_medium_checkpoints`` is the batch of one.
 
@@ -40,12 +44,13 @@ pool's W - 1 chunks are submitted first, so it forks before the caller
 allocates anything; the caller computes the first chunk itself, and the
 chunks are joined in seed order.  Every result is bitwise independent of W.
 
-Block sampling.  Slices are drawn ``SAMPLING_BLOCK`` periods at a time.  The
-normal draws of a block continue the generator's stream exactly where the
-previous block stopped, and the batched ``qr``, ``eigvalsh`` and matrix
+Block sampling.  Slices are drawn P periods at a time (``_sampling_block``):
+``SAMPLING_BLOCK`` while 16 slices fit in ``BATCH_BYTES``, fewer for large N.
+The normal draws of a block continue the generator's stream exactly where
+the previous block stopped, and the batched ``qr``, ``eigvalsh`` and matrix
 products act matrix by matrix, so a medium is bitwise the same whatever the
 block size.  Only the unitarity spot-check of the sampler looks at its own
-block.
+block: the first, middle and last slice of each call.
 
 Cavity bound.  A slice U = exp(i eps K) = V exp(i eps w) V+ is sampled as a
 Haar V and eigenvalues w drawn directly from their law, not as the ``eigh``
@@ -92,9 +97,9 @@ SINGULAR_VALUE_TOL = 1e-10
 UNITARITY_DRIFT_TOL = 1e-12
 #: condition-number limit of the cavity factor in a star product
 CONDITION_LIMIT = 1e12
-#: periods whose slices are sampled together (about 2.6 MB per buffer at N = 50)
+#: most periods whose slices are sampled together (fewer from N = 36 up)
 SAMPLING_BLOCK = 16
-#: memory for the slice buffers of one batch of samples; N >= 26 gets one sample
+#: memory for the slice buffers of one batch; sizes the sampling block and the batch
 BATCH_BYTES = 1_300_000
 # below this q a slice's cavity bound (1 + q) / (1 - q) is under CONDITION_LIMIT,
 # with 1e-6 left for the round-off in ||r_A||_2 <= 1 and ||r'_B||_2 <= q
@@ -439,9 +444,14 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix(*blocks, kind)
 
 
+def _sampling_block(n_modes: int) -> int:
+    """Periods sampled per call: up to ``SAMPLING_BLOCK``, as many as fit in ``BATCH_BYTES``."""
+    return max(1, min(SAMPLING_BLOCK, BATCH_BYTES // ((2 * n_modes) ** 2 * 16)))
+
+
 def _batch_size(n_modes: int) -> int:
     """Samples advanced together: as many as fit their slice buffers in ``BATCH_BYTES``."""
-    return max(1, BATCH_BYTES // (SAMPLING_BLOCK * (2 * n_modes) ** 2 * 16))
+    return max(1, BATCH_BYTES // (_sampling_block(n_modes) * (2 * n_modes) ** 2 * 16))
 
 
 def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
@@ -498,7 +508,8 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     # one sampling block of every active sample, refilled in place: the
     # (r', t', t, r) blocks of the slices, the diagonals of the propagation
     # units and the cavity guards
-    period_block = min(SAMPLING_BLOCK, n_periods)
+    block_size = _sampling_block(n)
+    period_block = min(block_size, n_periods)
     slices = np.empty((4, period_block, size, n, n), dtype=complex)
     diagonals = np.empty((period_block, size, n), dtype=complex)
     guards = np.empty((period_block, size), dtype=bool)
@@ -513,11 +524,11 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     drawn = -1  # index of the sampling block held in the buffers
     for target in period_targets:
         while active.size and period < target:
-            sampling_block, offset = divmod(period, SAMPLING_BLOCK)
+            sampling_block, offset = divmod(period, block_size)
             live = active.size
             if sampling_block != drawn:
                 drawn = sampling_block
-                count = min(SAMPLING_BLOCK, n_periods - period)
+                count = min(block_size, n_periods - period)
                 for row, sample in enumerate(active):
                     rng_slices, rng_phases = streams[sample]
                     unitaries, distance = _slice_unitaries(n, spec.scatter_strength,

@@ -47,6 +47,14 @@ def test_fano_direct_zero_length(tmp_path):
     assert all(row["fano_analytic"] == row["fano_mc"] for row in rows)
 
 
+def test_fano_direct_zero_length_skips_the_calibration_checks(monkeypatch, capsys):
+    # every s = 0: no calibration runs, so its lengths are not checked
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", None)
+    assert run(["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4,
+                "--scatter-strength", 2]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_fano_direct_output_is_deterministic(tmp_path):
     out = tmp_path / "a.csv"
     args = ["fano-direct", "--n-modes", 6, "--s", "0.5", "--fano-in", "0",
@@ -251,6 +259,11 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["figure3", "--medium", "bogus"], "option --medium:"),
     (["fano-homodyne", "--s", 0, "--mean-free-path", 20], "option --s:"),
     (["figure3", "--s-max-amplifying", 3.2], "option --s-max-amplifying:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--calibration-samples", 50],
+     "--calibration-samples"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--threads", 2], "--threads"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--averaging",
+      "mean_of_ratios"], "--averaging"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "direct-calibration-one",
         "validate-mc-one", "unknown-averaging", "l-over-xi-zero", "mean-free-path-zero",
         "mean-free-path-negative", "scatter-strength-zero",
@@ -262,7 +275,8 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "probe-phase-under-min", "probe-phase-under-scan", "n-phases-under-min",
         "n-phases-under-fixed", "alpha-under-homodyne", "mc-samples-under-fast",
         "calibration-samples-with-mean-free-path", "level-unknown", "figure-medium-unknown",
-        "homodyne-s-zero", "figure-beyond-threshold"])
+        "homodyne-s-zero", "figure-beyond-threshold", "calibration-samples-with-s-zero",
+        "threads-with-s-zero", "averaging-with-s-zero"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
                                                              capsys, tmp_path):
     def no_calibration(*args, **kwargs):

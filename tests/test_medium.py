@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -231,6 +232,60 @@ def test_checkpoints_independent_of_sampling_block(monkeypatch, spec, block):
         assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
 
 
+def test_slice_buffers_stay_within_batch_bytes():
+    for n in range(1, 201):
+        block, size, slice_bytes = md._sampling_block(n), md._batch_size(n), (2 * n) ** 2 * 16
+        assert 1 <= block <= md.SAMPLING_BLOCK
+        if slice_bytes <= md.BATCH_BYTES:
+            assert block * size * slice_bytes <= md.BATCH_BYTES, n
+        else:
+            assert (block, size) == (1, 1), n
+    assert (md._sampling_block(10), md._batch_size(10)) == (16, 12)
+    assert (md._sampling_block(50), md._batch_size(50)) == (8, 1)
+
+
+def test_sampler_draws_at_most_one_sampling_block_per_call(monkeypatch):
+    counts = []
+    real = md._slice_unitaries
+
+    def recording(n_modes, eps, rng, count):
+        counts.append(count)
+        return real(n_modes, eps, rng, count)
+
+    monkeypatch.setattr(md, "_slice_unitaries", recording)
+    md.build_medium(absorbing_spec(50, 20, seed=3, decay=40.0, scatter_strength=0.45))
+    assert max(counts) == 8 == md._sampling_block(50)
+    assert sum(counts) == 20
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
+def test_checkpoints_independent_of_batch_bytes(monkeypatch, spec):
+    # a small budget shrinks the sampling block (3 periods at N = 5) and the
+    # batch (one sample); every medium stays bitwise the same
+    seeds = [md.derive_sample_seed(spec.seed, k) for k in range(3)]
+    lengths = [7, 16.5, 33]
+    default = list(md.build_batch_checkpoints(spec, seeds, lengths))
+    monkeypatch.setattr(md, "BATCH_BYTES", 5000)
+    assert md._sampling_block(spec.n_modes) < md.SAMPLING_BLOCK
+    assert md._batch_size(spec.n_modes) == 1
+    for got, want in zip(md.build_batch_checkpoints(spec, seeds, lengths), default):
+        assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
+
+
+def test_large_n_build_memory_bounded():
+    # the sampler's temporaries scale with its block: 16 periods at N = 100
+    # would take five arrays of about 10 MB each, a 2-period block about 1.3 MB
+    spec = absorbing_spec(100, 20, seed=5, decay=40.0, scatter_strength=0.45)
+    seeds = [md.derive_sample_seed(5, k) for k in range(2)]
+    tracemalloc.start()
+    try:
+        list(md.build_batch_checkpoints(spec, seeds, [20]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
 def test_calibrate_equals_per_length_builds():
     lengths, samples, seed = [4.5, 9, 18, 36], 5, 21
     cal = md.calibrate_mean_free_path(6, 0.4, lengths, samples, seed)
@@ -415,11 +470,9 @@ def test_calibrate_fixture_n25(workers):
 def test_ohms_law_at_ten_mean_free_paths(workers):
     cal = md.calibrate_mean_free_path(25, 0.32, [10, 20, 40, 80], 150, seed=7, workers=workers)
     length = 10 * cal.mean_free_path
-    g = np.empty(150)
-    for k in range(150):
-        spec = md.MediumSpec(25, length, 0.32, 0, None, 0.0,
-                             md.derive_sample_seed(7, 1000 + k))
-        g[k] = np.sum(np.abs(md.build_medium(spec).t) ** 2)
+    spec = md.MediumSpec(25, length, 0.32, 0, None, 0.0, 7)
+    seeds = [md.derive_sample_seed(7, 1000 + k) for k in range(150)]
+    g = np.array(md.map_seed_chunks(md._transmittances, seeds, workers, spec, [length]))[:, 0]
     observed = 25 / g.mean()
     stderr = 25 / g.mean() ** 2 * g.std(ddof=1) / math.sqrt(g.size)
     assert abs(observed - 11.0) < 3 * stderr + 0.01 * 11.0
