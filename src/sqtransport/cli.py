@@ -12,6 +12,7 @@ below-threshold samples, failed calibration fit), 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -142,6 +143,11 @@ def _check_lengths(name: str, lengths, hint: str = "") -> None:
                       f"lengths spanning a factor of four{hint}")
 
 
+# the options that a fano-direct run whose --s are all 0 reads
+_ZERO_LENGTH_READS = {"s", "fano_in", "alpha", "rho", "phi", "efficiency", "medium", "occupation",
+                      "n_modes", "samples", "output", "json"}
+
+
 def _check_domains(cfg, given) -> None:
     """Reject every option value outside its domain, before any work starts.
 
@@ -187,15 +193,25 @@ def _check_domains(cfg, given) -> None:
     # a fano-direct run whose s are all 0 draws and calibrates nothing
     draws = max(cfg.get("s", [1.0])) > 0
     # a config file may hold keys the run does not read, a flag only what it reads
+    if not draws and "fano_in" in cfg:
+        for name in given:
+            if name not in _ZERO_LENGTH_READS:
+                _reject(name, "only a run with some --s > 0 reads it")
+    state_read = cfg.get("fano_in") is None  # --fano-in overrides the incident state
+    # a mode-averaged run reads no incident mode, except the fixed policy's t_{n0 m0}
+    mode_read = not cfg.get("mode_average") or policy == "fixed"
     for name, read, reader in (("probe_phase", policy == "fixed", "the fixed phase policy"),
                                ("n_phases", policy == "scan", "the scan phase policy"),
                                ("alpha", "fano_in" in cfg, "fano-direct"),
+                               ("alpha", state_read, "a run without --fano-in"),
+                               ("rho", state_read, "a run without --fano-in"),
+                               ("phi", state_read, "a run without --fano-in"),
+                               ("incident_mode", mode_read,
+                                "--mode-average false or the fixed phase policy"),
+                               ("seed", "points" not in cfg, "a command that draws samples"),
                                ("mc_samples", cfg.get("level") == "full", "--level full"),
                                ("calibration_samples", cfg.get("mean_free_path") is None,
-                                "a run without --mean-free-path"),
-                               ("calibration_samples", draws, "a run with some --s > 0"),
-                               ("threads", draws, "a run with some --s > 0"),
-                               ("averaging", draws, "a run with some --s > 0")):
+                                "a run without --mean-free-path")):
         if name in given and not read:
             _reject(name, f"only {reader} reads it")
     for name in ("output", "json"):
@@ -341,22 +357,20 @@ def _direct_rows(cfg):
                 # a transparent segment: T = 1 and no beating
                 value = 1.0 + sum(ps.direct_fano_terms(1.0, 0.0, fano_in, cfg["efficiency"],
                                                        occupation))
-                rows.append({"s": s, "n_modes": cfg["n_modes"], "f_in": fano_in,
-                             "fano_mc": value, "stderr": 0.0, "fano_analytic": value,
-                             "n_samples": cfg["samples"], "n_skipped": 0})
-                continue
-            stats, n_skipped = kept_of[s]
-            value, stderr = en.assemble_direct_fano(stats, fano_in, cfg["efficiency"],
-                                                    occupation, cfg["averaging"])
-            ratios = an.WaveguideRatios(s=s, l_over_xi=cfg["l_over_xi"],
-                                        efficiency=cfg["efficiency"],
-                                        occupation=occupation, fano_in=fano_in)
-            analytic = (an.fano_direct_amplifying_avg(ratios) if amplifying
-                        else an.fano_direct_absorbing_avg(ratios))
+                stderr, analytic, n_samples, n_skipped = 0.0, value, cfg["samples"], 0
+            else:
+                stats, n_skipped = kept_of[s]
+                value, stderr = en.assemble_direct_fano(stats, fano_in, cfg["efficiency"],
+                                                        occupation, cfg["averaging"])
+                ratios = an.WaveguideRatios(s=s, l_over_xi=cfg["l_over_xi"],
+                                            efficiency=cfg["efficiency"],
+                                            occupation=occupation, fano_in=fano_in)
+                analytic = (an.fano_direct_amplifying_avg(ratios) if amplifying
+                            else an.fano_direct_absorbing_avg(ratios))
+                n_samples = len(stats)
             rows.append({"s": s, "n_modes": cfg["n_modes"], "f_in": fano_in,
-                         "fano_mc": value, "stderr": stderr,
-                         "fano_analytic": analytic, "n_samples": len(stats),
-                         "n_skipped": n_skipped})
+                         "fano_mc": value, "stderr": stderr, "fano_analytic": analytic,
+                         "n_samples": n_samples, "n_skipped": n_skipped})
     columns = ["s", "n_modes", "f_in", "fano_mc", "stderr", "fano_analytic",
                "n_samples", "n_skipped"]
     return columns, rows
@@ -402,21 +416,6 @@ def _homodyne_rows(cfg):
     return columns, rows
 
 
-# command -> (options, the function from the resolved options to columns and rows)
-_MONTE_CARLO = {
-    "fano-direct": (DIRECT_OPTIONS, _direct_rows),
-    "fano-homodyne": (HOMODYNE_OPTIONS, _homodyne_rows),
-}
-
-
-def cmd_fano(args) -> int:
-    """Disorder-averaged Fano factors: direct or homodyne detection."""
-    options, table = _MONTE_CARLO[args.command]
-    cfg = _resolve(options, args)
-    _emit(cfg, args.command, *table(cfg))
-    return 0
-
-
 _FIGURE_HEAD = [
     ("medium", "str", "both", "absorbing, amplifying or both"),
     ("l_over_xi", "float", 0.1, "mean free path over absorption length"),
@@ -444,20 +443,13 @@ FIGURE4_OPTIONS = _FIGURE_HEAD + [
     ("rho", "floats", [0.0, 0.25, 0.5, 0.75, 1.0], "squeezing curve family"),
 ] + _FIGURE_TAIL
 
-# command -> (options, curve-family column, family key of the config and of
-# WaveguideRatios, absorbing and amplifying closed forms in ``analytics``)
-_FIGURES = {
-    "figure3": (FIGURE3_OPTIONS, "f_in", "fano_in",
-                "fano_direct_absorbing_avg", "fano_direct_amplifying_avg"),
-    "figure4": (FIGURE4_OPTIONS, "rho", "rho",
-                "fano_homo_min_absorbing_avg", "fano_homo_min_amplifying_avg"),
-}
 
+def _figure_rows(cfg, column, family, formulas):
+    """Closed-form curve families over s, one per value of ``cfg[family]``.
 
-def cmd_figure(args) -> int:
-    """Closed-form curve families: figure 3 (direct) or figure 4 (homodyne minimum)."""
-    options, column, family, *formulas = _FIGURES[args.command]
-    cfg = _resolve(options, args)
+    ``column`` names the family column; ``formulas`` names the absorbing and
+    amplifying closed forms in ``analytics``.
+    """
     shared = {key: cfg[key] for key in ("coupling", "n_modes") if key in cfg}
     rows = []
     for name, formula in zip(("absorbing", "amplifying"), formulas):
@@ -472,8 +464,7 @@ def cmd_figure(args) -> int:
                                             **{family: value}, **shared)
                 rows.append({"medium": name, column: value, "s": float(s),
                              "fano": getattr(an, formula)(ratios)})
-    _emit(cfg, args.command, ["medium", column, "s", "fano"], rows)
-    return 0
+    return ["medium", column, "s", "fano"], rows
 
 
 CALIBRATE_OPTIONS = [
@@ -485,23 +476,15 @@ CALIBRATE_OPTIONS = [
 ] + _OUTPUTS
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _resolve(CALIBRATE_OPTIONS, args)
+def _calibrate_rows(cfg):
     result = md.calibrate_mean_free_path(cfg["n_modes"], cfg["scatter_strength"],
                                          cfg["lengths"], cfg["samples"], cfg["seed"])
-    rows = [{
-        "n_modes": cfg["n_modes"],
-        "scatter_strength": cfg["scatter_strength"],
-        "mean_free_path": result.mean_free_path,
-        "stderr": result.stderr,
-        "intercept": result.intercept,
-        "residual_rel": result.residual_rel,
-    }]
-    columns = list(rows[0])
-    _emit(cfg, "calibrate", columns, rows)
     print(f"mean free path = {result.mean_free_path:.6g} "
           f"+- {result.stderr:.2g} slice units", file=sys.stderr)
-    return 0
+    row = {"n_modes": cfg["n_modes"], "scatter_strength": cfg["scatter_strength"],
+           "mean_free_path": result.mean_free_path, "stderr": result.stderr,
+           "intercept": result.intercept, "residual_rel": result.residual_rel}
+    return list(row), [row]
 
 
 VALIDATE_OPTIONS = [
@@ -510,8 +493,8 @@ VALIDATE_OPTIONS = [
 ]
 
 
-def cmd_validate(args) -> int:
-    cfg = _resolve(VALIDATE_OPTIONS, args)
+def _validate(cfg) -> int:
+    """Print the self-check report; the exit code, 4 if any check failed."""
     outcomes = validation.run_checks(cfg["level"], cfg["mc_samples"])
     for outcome in outcomes:
         mark = "ok " if outcome.passed else "FAIL"
@@ -522,33 +505,45 @@ def cmd_validate(args) -> int:
     return 0 if failures == 0 else 4
 
 
+# subcommand -> (options, the function from the resolved options to the columns
+# and rows to emit, or to an exit code)
+COMMANDS = {
+    "fano-direct": (DIRECT_OPTIONS, _direct_rows),
+    "fano-homodyne": (HOMODYNE_OPTIONS, _homodyne_rows),
+    "figure3": (FIGURE3_OPTIONS, functools.partial(
+        _figure_rows, column="f_in", family="fano_in",
+        formulas=("fano_direct_absorbing_avg", "fano_direct_amplifying_avg"))),
+    "figure4": (FIGURE4_OPTIONS, functools.partial(
+        _figure_rows, column="rho", family="rho",
+        formulas=("fano_homo_min_absorbing_avg", "fano_homo_min_amplifying_avg"))),
+    "calibrate": (CALIBRATE_OPTIONS, _calibrate_rows),
+    "validate": (VALIDATE_OPTIONS, _validate),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqtransport",
         description="Squeezed light through absorbing/amplifying random media",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, options, handler in (
-        ("fano-direct", DIRECT_OPTIONS, cmd_fano),
-        ("fano-homodyne", HOMODYNE_OPTIONS, cmd_fano),
-        ("figure3", FIGURE3_OPTIONS, cmd_figure),
-        ("figure4", FIGURE4_OPTIONS, cmd_figure),
-        ("calibrate", CALIBRATE_OPTIONS, cmd_calibrate),
-        ("validate", VALIDATE_OPTIONS, cmd_validate),
-    ):
-        command = sub.add_parser(name)
-        _add_options(command, options)
-        command.set_defaults(handler=handler)
+    for name, (options, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name), options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    options, function = COMMANDS[args.command]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
-            return args.handler(args)
+            cfg = _resolve(options, args)
+            table = function(cfg)
+            if isinstance(table, int):  # validate prints its own report
+                return table
+            _emit(cfg, args.command, *table)
+            return 0
     except BrokenPipeError:
         # the reader closed stdout; a quiet devnull takes the interpreter's last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -106,13 +106,16 @@ def drop_skipped(stats_with_gaps) -> tuple[list[SampleStatistics], int]:
 
 
 def _jackknife(samples: np.ndarray, assemble) -> tuple[float, float]:
-    """Jackknife mean/stderr of assemble(column means) over sample rows."""
+    """Jackknife mean/stderr of assemble(column means) over sample rows.
+
+    ``assemble`` maps a row of column means, or a stack of such rows, to values.
+    """
     n = samples.shape[0]
     sums = samples.sum(axis=0)
-    full = assemble(sums / n)
+    full = float(assemble(sums / n))
     if n < 2:
         return full, 0.0
-    leave_out = np.array([assemble((sums - samples[i]) / (n - 1)) for i in range(n)])
+    leave_out = assemble((sums - samples) / (n - 1))
     center = leave_out.mean()
     variance = (n - 1) / n * np.sum((leave_out - center) ** 2)
     return full, math.sqrt(variance)
@@ -128,7 +131,7 @@ def _jackknife_fano(columns: np.ndarray, fano, averaging_mode: str) -> tuple[flo
     if averaging_mode == RATIO_OF_MEANS:
         return _jackknife(columns, fano)
     if averaging_mode == MEAN_OF_RATIOS:
-        return _jackknife(fano(columns)[:, None], lambda means: float(means[0]))
+        return _jackknife(fano(columns)[:, None], lambda means: means[..., 0])
     raise ValueError(f"unknown averaging mode {averaging_mode!r}")
 
 

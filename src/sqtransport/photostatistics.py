@@ -117,22 +117,14 @@ class FanoBreakdown:
     sensitive homodyne part (zero for direct detection).
     """
 
-    value: float
     incident_term: float
     beating_term: float
-    probe_term: float
+    probe_term: float = 0.0
     optimal_probe_phase: float | None = None
 
-    @classmethod
-    def from_terms(cls, incident_term: float, beating_term: float, probe_term: float = 0.0,
-                   optimal_probe_phase: float | None = None) -> "FanoBreakdown":
-        return cls(
-            value=1.0 + incident_term + beating_term + probe_term,
-            incident_term=incident_term,
-            beating_term=beating_term,
-            probe_term=probe_term,
-            optimal_probe_phase=optimal_probe_phase,
-        )
+    @property
+    def value(self) -> float:
+        return 1.0 + self.incident_term + self.beating_term + self.probe_term
 
 
 def squeezed_number_bracket(state: SqueezedInput) -> float:
@@ -425,7 +417,7 @@ def fano_direct(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConf
     stats = sample_statistics(s, state.incident_mode, state.incident_mode)
     if stats.transmittance < 1e-200:
         raise ZeroTransmission("no transmitted signal in the incident mode")
-    return FanoBreakdown.from_terms(*direct_fano_terms(
+    return FanoBreakdown(*direct_fano_terms(
         stats.transmittance, stats.beating, fano_in_squeezed(state), config.efficiency,
         occupation))
 
@@ -451,7 +443,7 @@ def fano_homodyne(s: ScatteringMatrix, state: SqueezedInput, config: DetectionCo
     displacement alpha and of the probe amplitude.
     """
     _, terms = _homodyne(s, state, config, occupation, at_minimum=False)
-    return FanoBreakdown.from_terms(*terms)
+    return FanoBreakdown(*terms)
 
 
 def fano_homodyne_min(s: ScatteringMatrix, state: SqueezedInput, config: DetectionConfig,
@@ -469,4 +461,4 @@ def fano_homodyne_min(s: ScatteringMatrix, state: SqueezedInput, config: Detecti
     """
     stats, terms = _homodyne(s, state, config, occupation, at_minimum=True)
     best_phase = 0.5 * state.phi + cmath.phase(stats.probe_amplitude)
-    return FanoBreakdown.from_terms(*terms, optimal_probe_phase=best_phase)
+    return FanoBreakdown(*terms, optimal_probe_phase=best_phase)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -344,9 +345,12 @@ FAST_CHECKS = [
 
 
 def _full_checks(mc_samples: int):
+    # the Monte Carlo checks run on every core this process may use
+    workers = len(os.sched_getaffinity(0))
+
     def check_mc_passive_ohm():
         cal = md.calibrate_mean_free_path(10, 0.32, [8, 16, 32, 64],
-                                          max(60, mc_samples // 2), seed=21)
+                                          max(60, mc_samples // 2), seed=21, workers=workers)
         _expect(cal.residual_rel < 0.10)
 
     def check_mc_direct_absorbing():
@@ -354,25 +358,23 @@ def _full_checks(mc_samples: int):
         # the per-row outcome of this comparison at the published parameters
         n_modes, l_over_xi, seed = 25, 0.1, 31
         cal = md.calibrate_mean_free_path(n_modes, 0.32, [8, 16, 32, 64],
-                                          max(80, mc_samples // 2), seed=22)
+                                          max(80, mc_samples // 2), seed=22, workers=workers)
         s_values = [0.5, 1.0, 2.0]
         base = en.spec_for_ratios(n_modes, max(s_values), l_over_xi, cal.mean_free_path,
                                   1, 1e-3, 0.32, 0)
         xi = cal.mean_free_path / l_over_xi
         per_length = en.collect_statistics(base, [s * xi for s in s_values],
-                                           mc_samples, seed)
+                                           mc_samples, seed, workers=workers)
         failures = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            for s, stats in zip(s_values, per_length):
-                mean, stderr = en.assemble_direct_fano(en.drop_skipped(stats)[0], 0.0, 1.0,
-                                                       base.occupation)
-                w = an.WaveguideRatios(s=s, l_over_xi=l_over_xi, efficiency=1.0,
-                                       occupation=1e-3, fano_in=0.0)
-                target = an.fano_direct_absorbing_avg(w)
-                tolerance = max(3 * stderr, 0.05 * abs(target - 1.0) + 0.01)
-                if abs(mean - target) > tolerance:
-                    failures.append(f"s={s}: MC {mean:.4f} vs {target:.4f}")
+        for s, stats in zip(s_values, per_length):
+            mean, stderr = en.assemble_direct_fano(en.drop_skipped(stats)[0], 0.0, 1.0,
+                                                   base.occupation)
+            w = an.WaveguideRatios(s=s, l_over_xi=l_over_xi, efficiency=1.0,
+                                   occupation=1e-3, fano_in=0.0)
+            target = an.fano_direct_absorbing_avg(w)
+            tolerance = max(3 * stderr, 0.05 * abs(target - 1.0) + 0.01)
+            if abs(mean - target) > tolerance:
+                failures.append(f"s={s}: MC {mean:.4f} vs {target:.4f}")
         _expect(not failures, "; ".join(failures))
 
     return [

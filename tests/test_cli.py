@@ -47,11 +47,13 @@ def test_fano_direct_zero_length(tmp_path):
     assert all(row["fano_analytic"] == row["fano_mc"] for row in rows)
 
 
-def test_fano_direct_zero_length_skips_the_calibration_checks(monkeypatch, capsys):
+def test_fano_direct_zero_length_skips_the_calibration_checks(monkeypatch, capsys, tmp_path):
     # every s = 0: no calibration runs, so its lengths are not checked
     monkeypatch.setattr(cli.md, "calibrate_mean_free_path", None)
-    assert run(["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4,
-                "--scatter-strength", 2]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("scatter_strength = 2\n")
+    assert run(["fano-direct", "--config", config, "--n-modes", 4, "--s", 0,
+                "--samples", 4]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -264,6 +266,32 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--threads", 2], "--threads"),
     (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--averaging",
       "mean_of_ratios"], "--averaging"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--mean-free-path", 9.9],
+     "option --mean-free-path:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--scatter-strength", 0.1],
+     "option --scatter-strength:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--mode-average", "false"],
+     "option --mode-average:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--seed", 9], "option --seed:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--l-over-xi", 0.2],
+     "option --l-over-xi:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0, "--samples", 4, "--incident-mode", 2],
+     "option --incident-mode:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--fano-in", 0, "--alpha", 3], "option --alpha:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--fano-in", 0, "--rho", 0.5], "option --rho:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--fano-in", 0, "--phi", 1.0], "option --phi:"),
+    (["figure3", "--seed", 5], "option --seed:"),
+    (["figure4", "--seed", 5], "option --seed:"),
+    (["fano-direct", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--incident-mode", 2], "option --incident-mode:"),
+    (["fano-homodyne", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--phase-policy", "min", "--incident-mode", 2], "option --incident-mode:"),
+    (["fano-homodyne", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+      "--phase-policy", "scan", "--n-phases", 4, "--incident-mode", 2],
+     "option --incident-mode:"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "direct-calibration-one",
         "validate-mc-one", "unknown-averaging", "l-over-xi-zero", "mean-free-path-zero",
         "mean-free-path-negative", "scatter-strength-zero",
@@ -276,7 +304,12 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "n-phases-under-fixed", "alpha-under-homodyne", "mc-samples-under-fast",
         "calibration-samples-with-mean-free-path", "level-unknown", "figure-medium-unknown",
         "homodyne-s-zero", "figure-beyond-threshold", "calibration-samples-with-s-zero",
-        "threads-with-s-zero", "averaging-with-s-zero"])
+        "threads-with-s-zero", "averaging-with-s-zero", "mean-free-path-with-s-zero",
+        "scatter-strength-with-s-zero", "mode-average-with-s-zero", "seed-with-s-zero",
+        "l-over-xi-with-s-zero", "incident-mode-with-s-zero", "alpha-with-fano-in",
+        "rho-with-fano-in", "phi-with-fano-in", "seed-under-figure3", "seed-under-figure4",
+        "incident-mode-under-mode-average", "incident-mode-under-homodyne-min",
+        "incident-mode-under-homodyne-scan"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
                                                              capsys, tmp_path):
     def no_calibration(*args, **kwargs):
@@ -301,6 +334,28 @@ def test_config_file_may_hold_the_phase_options_of_every_policy(tmp_path):
                 "--samples", 4, "--mean-free-path", 9.9, "--output", out]) == 0
     _, _, rows = sio.read_csv(out)
     assert [row["policy"] for row in rows] == ["min"]
+
+
+@pytest.mark.parametrize("args", [
+    ["fano-direct", "--mode-average", "false"],
+    ["fano-homodyne", "--phase-policy", "fixed", "--rho", 0.5],
+], ids=["direct-without-mode-average", "homodyne-fixed"])
+def test_incident_mode_is_accepted_where_the_run_reads_it(args, tmp_path):
+    fano = []
+    for mode in (0, 2):
+        out = tmp_path / f"mode{mode}.csv"
+        assert run([*args, "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
+                    "--incident-mode", mode, "--output", out]) == 0
+        fano.append([row["fano_mc"] for row in sio.read_csv(out)[2]])
+    assert fano[0] != fano[1]
+
+
+def test_figure_config_file_may_hold_the_seed(tmp_path):
+    config = tmp_path / "figure.cfg"
+    config.write_text("seed = 5\n")
+    out = tmp_path / "f3.csv"
+    assert run(["figure3", "--config", config, "--points", 3, "--output", out]) == 0
+    assert sio.read_csv(out)[0]["seed"] == "5"
 
 
 @pytest.mark.parametrize("args, option", [
@@ -405,8 +460,8 @@ def test_environment_does_not_set_the_seed(tmp_path, monkeypatch):
     # the seed comes from its default, the config file or --seed, nowhere else
     out = tmp_path / "o.csv"
     monkeypatch.setenv("SQT_SEED", "4242")
-    assert run(["fano-direct", "--s", "0", "--samples", 4, "--seed", "1",
-                "--output", out]) == 0
+    assert run(["fano-direct", "--n-modes", 4, "--s", "0.5", "--samples", 4,
+                "--mean-free-path", 9.9, "--seed", "1", "--output", out]) == 0
     header, _, _ = sio.read_csv(out)
     assert header["seed"] == "1"
 
