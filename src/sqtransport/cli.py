@@ -477,8 +477,8 @@ CALIBRATE_OPTIONS = [
 
 
 def _calibrate_rows(cfg):
-    result = md.calibrate_mean_free_path(cfg["n_modes"], cfg["scatter_strength"],
-                                         cfg["lengths"], cfg["samples"], cfg["seed"])
+    result = md.calibrate_mean_free_path(cfg["n_modes"], cfg["scatter_strength"], cfg["lengths"],
+                                         cfg["samples"], cfg["seed"], workers=md.usable_cores())
     print(f"mean free path = {result.mean_free_path:.6g} "
           f"+- {result.stderr:.2g} slice units", file=sys.stderr)
     row = {"n_modes": cfg["n_modes"], "scatter_strength": cfg["scatter_strength"],

@@ -21,11 +21,11 @@ sample draws its slices and phases from its own two streams, exactly as a
 sample built alone does; the composites are [B, N, N] stacks, so each period
 costs one stacked star product and one stacked propagation unit instead of B
 of each.  For small N this removes most of the per-call Python overhead.
-The batch's slice buffers, one sampling block of P periods for every sample,
-are allocated once and refilled in place.  ``BATCH_BYTES`` sizes both
-factors: P = max(1, min(SAMPLING_BLOCK, BATCH_BYTES // ((2N)^2 16 bytes)))
-and B = max(1, BATCH_BYTES // (P (2N)^2 16 bytes)), so the buffers stay
-within ``BATCH_BYTES`` wherever one slice fits (N <= 142).  That gives
+The batch's slices live in one (B, P, 2N, 2N) buffer, refilled in place for
+each sampling block of P periods.  ``BATCH_BYTES`` sizes both factors:
+P = max(1, min(SAMPLING_BLOCK, BATCH_BYTES // ((2N)^2 16 bytes))) and
+B = max(1, BATCH_BYTES // (P (2N)^2 16 bytes)), so the buffer stays within
+``BATCH_BYTES`` wherever one slice fits (N <= 142).  That gives
 (P, B) = (16, 12) at N = 10, (16, 2) at N = 25, (16, 1) from N = 26,
 (8, 1) at N = 50, (2, 1) at N = 100 and (1, 1) from N = 143 up.  Stacking
 leaves every sample bitwise unchanged: ``matmul``, ``solve`` and ``svd`` on a
@@ -44,13 +44,14 @@ pool's W - 1 chunks are submitted first, so it forks before the caller
 allocates anything; the caller computes the first chunk itself, and the
 chunks are joined in seed order.  Every result is bitwise independent of W.
 
-Block sampling.  Slices are drawn P periods at a time (``_sampling_block``):
-``SAMPLING_BLOCK`` while 16 slices fit in ``BATCH_BYTES``, fewer for large N.
-The normal draws of a block continue the generator's stream exactly where
-the previous block stopped, and the batched ``qr``, ``eigvalsh`` and matrix
-products act matrix by matrix, so a medium is bitwise the same whatever the
-block size.  Only the unitarity spot-check of the sampler looks at its own
-block: the first, middle and last slice of each call.
+Block sampling.  The sampler fills a sample's rows of the buffer in chunks
+of max(1, BATCH_BYTES // (4 (2N)^2 16 bytes)) slices with four slice-sized
+arrays live per chunk, so its working set also stays within ``BATCH_BYTES``
+wherever four slices fit (N <= 71); at N = 50 a chunk is 2 slices.  A chunk's
+normal draws continue the stream where the last one stopped, and ``qr``,
+``eigvalsh`` and ``matmul`` act matrix by matrix, so a medium is bitwise the
+same whatever the block or chunk size; only the unitarity spot-check looks
+at its block (the first, middle and last slice of each call).
 
 Cavity bound.  A slice U = exp(i eps K) = V exp(i eps w) V+ is sampled as a
 Haar V and eigenvalues w drawn directly from their law, not as the ``eigh``
@@ -74,6 +75,7 @@ always runs.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from concurrent import futures
 from dataclasses import dataclass
@@ -99,8 +101,10 @@ UNITARITY_DRIFT_TOL = 1e-12
 CONDITION_LIMIT = 1e12
 #: most periods whose slices are sampled together (fewer from N = 36 up)
 SAMPLING_BLOCK = 16
-#: memory for the slice buffers of one batch; sizes the sampling block and the batch
+#: memory for one batch's slice buffer and for the slice sampler's working set
 BATCH_BYTES = 1_300_000
+# slice-sized arrays the sampler holds at once: the Ginibre draw, qr's copy, R and Q
+_SAMPLER_ARRAYS = 4
 # below this q a slice's cavity bound (1 + q) / (1 - q) is under CONDITION_LIMIT,
 # with 1e-6 left for the round-off in ||r_A||_2 <= 1 and ||r'_B||_2 <= q
 _PROVEN_Q_MAX = (CONDITION_LIMIT - 1.0) / (CONDITION_LIMIT + 1.0) - 1e-6
@@ -252,7 +256,7 @@ class MediumSpec:
 
 
 def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Generator,
-                     count: int) -> tuple[np.ndarray, np.ndarray | None]:
+                     count: int, out: np.ndarray | None = None) -> tuple:
     """Sample ``count`` unitaries exp(i * eps * K) with K from the Gaussian ensemble.
 
     K is Hermitian 2N x 2N with independent complex Gaussian off-diagonal
@@ -261,7 +265,7 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
     exp(-tr H^2 / 2).  K is never formed: it is unitarily invariant, so
     K = V diag(w) V+ in law with V Haar and independent of the eigenvalues w,
     and both factors are drawn from one complex Ginibre matrix G = X + iY,
-    the same (count, 2, 2N, 2N) normal draw per block as a direct K would take.
+    the same (count, 2, 2N, 2N) normal draw as a direct K would take.
 
     - V.  Let G = QR, and Lambda = diag(r_ii / |r_ii|).  Then Q Lambda is
       Haar and independent of the triangular factor Lambda+ R, whose diagonal
@@ -281,41 +285,44 @@ def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Gener
     drawn K, at the cost of one complex QR and one real eigenvalue solve, and
     it is unitary to round-off.
 
-    Returns the stacked unitaries and, per slice, q = ||U - 1||_2 =
-    max_j |exp(i eps w_j) - 1| over the eigenvalues w of K; q is None when the
-    polar fallback replaced the batch, since it then no longer describes U.
+    Writes the slices into ``out`` (new when None) and returns it with, per
+    slice, q = ||U - 1||_2 = max_j |exp(i eps w_j) - 1| over the eigenvalues w
+    of K; q is None when the polar fallback replaced the slices.
     """
     m = 2 * n_modes
-    # one contiguous draw per slice, so shorter media are stream prefixes
-    draws = rng.standard_normal((count, 2, m, m))
-    g = draws[:, 0] + 1j * draws[:, 1]
-    del draws
-    q, r = np.linalg.qr(g)
-    del g
-    diagonal = np.diagonal(r, axis1=1, axis2=2)
-    magnitude = np.abs(diagonal)
-    row = r[:, 0, 1:] * (magnitude[:, :1] / diagonal[:, :1])  # first row of Lambda+ R
-    normals = np.concatenate((row.real, row.imag), axis=1)[:, :m]
-    del r, diagonal, row
-    # only the lower triangle is read by eigvalsh
-    tridiagonal = np.zeros((count, m * m))
-    tridiagonal[:, :: m + 1] = normals
-    tridiagonal[:, m :: m + 1] = magnitude[:, 1:] / math.sqrt(2.0)
-    w = np.linalg.eigvalsh(tridiagonal.reshape(count, m, m))
-    del tridiagonal
-    phases = np.exp(1j * (scatter_strength / math.sqrt(m)) * w)
-    distance = np.max(np.abs(phases - 1.0), axis=1)
-    s = (q * phases[:, None, :]) @ np.conj(q).transpose(0, 2, 1)
-    # Householder QR keeps the batch unitary to round-off; spot-check a few
-    # slices and fall back to a full polar cleanup if any drifted
-    probes = sorted({0, count // 2, count - 1})
-    drift = max(
-        np.max(np.abs(s[i] @ s[i].conj().T - np.eye(m))) for i in probes
-    )
+    out = np.empty((count, m, m), dtype=complex) if out is None else out
+    distance = np.empty(count)
+    chunk = max(1, BATCH_BYTES // (_SAMPLER_ARRAYS * m * m * 16))
+    for start in range(0, count, chunk):
+        # one contiguous draw per slice, so shorter media are stream prefixes
+        draws = rng.standard_normal((min(chunk, count - start), 2, m, m))
+        g = draws[:, 0] + 1j * draws[:, 1]
+        del draws
+        q, r = np.linalg.qr(g)
+        del g
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        magnitude = np.abs(diagonal)
+        row = r[:, 0, 1:] * (magnitude[:, :1] / diagonal[:, :1])  # first row of Lambda+ R
+        normals = np.concatenate((row.real, row.imag), axis=1)[:, :m]
+        del r, diagonal, row
+        # only the lower triangle is read by eigvalsh
+        tridiagonal = np.zeros((len(normals), m * m))
+        tridiagonal[:, :: m + 1] = normals
+        tridiagonal[:, m :: m + 1] = magnitude[:, 1:] / math.sqrt(2.0)
+        w = np.linalg.eigvalsh(tridiagonal.reshape(-1, m, m))
+        phases = np.exp(1j * (scatter_strength / math.sqrt(m)) * w)
+        distance[start:start + chunk] = np.max(np.abs(phases - 1.0), axis=1)
+        np.matmul(q * phases[:, None, :], np.conj(q).transpose(0, 2, 1),
+                  out=out[start:start + chunk])
+        del q, tridiagonal  # before the next chunk's draw
+    # Householder QR keeps the slices unitary to round-off; spot-check a few
+    # and fall back to a full polar cleanup if any drifted
+    drift = max(np.max(np.abs(out[i] @ out[i].conj().T - np.eye(m)))
+                for i in {0, count // 2, count - 1})
     if drift > UNITARITY_DRIFT_TOL:
-        u, _, vh = np.linalg.svd(s)
-        return u @ vh, None
-    return s, distance
+        u, _, vh = np.linalg.svd(out)
+        return np.matmul(u, vh, out=out), None
+    return out, distance
 
 
 def _transparent_order(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -351,8 +358,7 @@ def sample_slice(n_modes: int, scatter_strength: float,
     if scatter_strength <= 0:
         raise ValueError("scatter_strength must be positive")
     unitary = _slice_unitaries(n_modes, scatter_strength, rng, 1)[0][0]
-    r_prime, t_prime, t, r = _transparent_order(unitary)
-    return ScatteringMatrix(r_prime=r_prime, t_prime=t_prime, t=t, r=r, medium_kind=PASSIVE)
+    return ScatteringMatrix(*_transparent_order(unitary), medium_kind=PASSIVE)
 
 
 def _combined_kind(kind_a: str, kind_b: str) -> str:
@@ -505,14 +511,12 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     eye = np.repeat(np.eye(n, dtype=complex)[None], size, axis=0)
     blocks = (zero, eye, eye, zero)
 
-    # one sampling block of every active sample, refilled in place: the
-    # (r', t', t, r) blocks of the slices, the diagonals of the propagation
-    # units and the cavity guards
+    # one sampling block of every active sample, refilled in place
     block_size = _sampling_block(n)
     period_block = min(block_size, n_periods)
-    slices = np.empty((4, period_block, size, n, n), dtype=complex)
-    diagonals = np.empty((period_block, size, n), dtype=complex)
-    guards = np.empty((period_block, size), dtype=bool)
+    slices = np.empty((size, period_block, 2 * n, 2 * n), dtype=complex)
+    diagonals = np.empty((size, period_block, n), dtype=complex)
+    guards = np.empty((size, period_block), dtype=bool)
     # the propagation units of one period; only the diagonal is ever written
     units = np.zeros((size, n, n), dtype=complex)
     unit_diagonals = units.reshape(size, n * n)[:, :: n + 1]
@@ -531,19 +535,17 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
                 count = min(block_size, n_periods - period)
                 for row, sample in enumerate(active):
                     rng_slices, rng_phases = streams[sample]
-                    unitaries, distance = _slice_unitaries(n, spec.scatter_strength,
-                                                           rng_slices, count)
-                    for buffer, block in zip(slices, _transparent_order(unitaries)):
-                        buffer[:count, row] = block
+                    _, distance = _slice_unitaries(n, spec.scatter_strength, rng_slices,
+                                                   count, out=slices[row, :count])
                     thetas = rng_phases.uniform(0.0, 2.0 * np.pi, (count, n))
-                    diagonals[:count, row] = amplitude * np.exp(1j * thetas)
+                    diagonals[row, :count] = amplitude * np.exp(1j * thetas)
                     # amplifying composites may have ||r_A||_2 > 1, and a polar
                     # fallback leaves no q: both keep the SVD guard
-                    guards[:count, row] = (True if spec.loss_gain_sign < 0 or distance is None
+                    guards[row, :count] = (True if spec.loss_gain_sign < 0 or distance is None
                                            else distance >= _PROVEN_Q_MAX)
             try:
-                blocks = _star_blocks(blocks, tuple(buffer[offset, :live] for buffer in slices),
-                                      guards[offset, :live])
+                blocks = _star_blocks(blocks, _transparent_order(slices[:live, offset]),
+                                      guards[:live, offset])
             except NearSingularCavity as exc:
                 # the failing samples leave the stack; the rest redo the star
                 # product of this period with the slices already drawn
@@ -553,12 +555,12 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
                     failures[sample] = exc
                 active = active[keep]
                 blocks = tuple(block[keep] for block in blocks)
-                for buffer in (*slices, diagonals, guards):
-                    buffer[:, :active.size] = buffer[:, :live][:, keep]
+                for buffer in (slices, diagonals, guards):
+                    buffer[:active.size] = buffer[:live][keep]
                 continue
             # the propagation unit: r, r' = 0 and t = t' = diagonal, so
             # r' + t' 0 t = r' stays and no star product is needed
-            unit_diagonals[:live] = diagonals[offset, :live]
+            unit_diagonals[:live] = diagonals[:live, offset]
             d = units[:live]
             r_prime, t_prime, t, r = blocks
             blocks = (r_prime, t_prime @ d, d @ t, d @ r @ d)
@@ -618,6 +620,13 @@ def derive_sample_seed(master_seed: int, index: int) -> int:
     """Deterministic 64-bit seed for ensemble sample ``index``."""
     seq = np.random.SeedSequence(entropy=(master_seed, index))
     return int(seq.generate_state(1, np.uint64)[0])
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def map_seed_chunks(function, seeds, workers: int, *args) -> list:

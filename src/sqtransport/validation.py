@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -346,7 +345,7 @@ FAST_CHECKS = [
 
 def _full_checks(mc_samples: int):
     # the Monte Carlo checks run on every core this process may use
-    workers = len(os.sched_getaffinity(0))
+    workers = md.usable_cores()
 
     def check_mc_passive_ohm():
         cal = md.calibrate_mean_free_path(10, 0.32, [8, 16, 32, 64],

@@ -18,7 +18,7 @@ from sqtransport.validation import (  # noqa: E402, F401
 @pytest.fixture(scope="session")
 def workers():
     """Processes for the heavy Monte Carlo tests: the cores this process may use."""
-    return len(os.sched_getaffinity(0))
+    return md.usable_cores()
 
 
 @pytest.fixture(scope="session")

@@ -421,6 +421,26 @@ def test_auto_calibration_runs_on_the_threads(tmp_path, monkeypatch):
     assert texts[0] == texts[1]
 
 
+def test_calibrate_fits_on_every_usable_core(tmp_path, monkeypatch):
+    workers = []
+    calibrate = md.calibrate_mean_free_path
+
+    def recording(*args, **kwargs):
+        workers.append(kwargs.get("workers"))
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", recording)
+    out = tmp_path / "c.csv"
+    texts = []
+    for cores in (1, 3):
+        monkeypatch.setattr(cli.md, "usable_cores", lambda: cores)
+        assert run(["calibrate", "--n-modes", 4, "--samples", 6, "--seed", 5,
+                    "--output", out]) == 0
+        texts.append(out.read_bytes())
+    assert workers == [1, 3]
+    assert texts[0] == texts[1]
+
+
 def test_fano_direct_rows_equal_single_length_assembly(tmp_path):
     # the CLI sweeps all s in one collection; each row must equal a
     # single-length collection and assembly at the same seed and sample count

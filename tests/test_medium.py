@@ -248,9 +248,9 @@ def test_sampler_draws_at_most_one_sampling_block_per_call(monkeypatch):
     counts = []
     real = md._slice_unitaries
 
-    def recording(n_modes, eps, rng, count):
+    def recording(n_modes, eps, rng, count, out):
         counts.append(count)
-        return real(n_modes, eps, rng, count)
+        return real(n_modes, eps, rng, count, out=out)
 
     monkeypatch.setattr(md, "_slice_unitaries", recording)
     md.build_medium(absorbing_spec(50, 20, seed=3, decay=40.0, scatter_strength=0.45))
@@ -272,18 +272,36 @@ def test_checkpoints_independent_of_batch_bytes(monkeypatch, spec):
         assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
 
 
-def test_large_n_build_memory_bounded():
-    # the sampler's temporaries scale with its block: 16 periods at N = 100
-    # would take five arrays of about 10 MB each, a 2-period block about 1.3 MB
-    spec = absorbing_spec(100, 20, seed=5, decay=40.0, scatter_strength=0.45)
+def test_slices_independent_of_sampler_chunk(monkeypatch):
+    # chunks of 5 slices (the last one short) continue the stream of one
+    # 16-slice draw, and write the same slices and q into ``out``
+    whole, q_whole = md._slice_unitaries(5, 0.45, np.random.default_rng(4), 16)
+    monkeypatch.setattr(md, "BATCH_BYTES", 32000)
+    out = np.empty_like(whole)
+    chunked, q_chunked = md._slice_unitaries(5, 0.45, np.random.default_rng(4), 16, out=out)
+    assert chunked is out
+    assert np.array_equal(chunked, whole) and np.array_equal(q_chunked, q_whole)
+
+
+def _traced_build_peak(n_modes):
+    spec = absorbing_spec(n_modes, 20, seed=5, decay=40.0, scatter_strength=0.45)
     seeds = [md.derive_sample_seed(5, k) for k in range(2)]
     tracemalloc.start()
     try:
         list(md.build_batch_checkpoints(spec, seeds, [20]))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+
+
+def test_large_n_build_memory_bounded():
+    # the sampler's temporaries scale with its block: 16 periods at N = 100
+    # would take five arrays of about 10 MB each, a 2-period block about 1.3 MB
+    assert _traced_build_peak(100) < 20e6
+    # at N = 50 four slices fit in BATCH_BYTES, so the slice buffer and the
+    # sampler's working set each stay within it; one more BATCH_BYTES covers
+    # the composites, the star products and the checkpoint validation
+    assert _traced_build_peak(50) < 3 * md.BATCH_BYTES
 
 
 def test_calibrate_equals_per_length_builds():
@@ -391,8 +409,12 @@ def test_cavity_at_threshold_raises(monkeypatch, sign, fallback):
     second = np.eye(2 * n, dtype=complex)
     second[n, 0] = np.exp(-2j * theta) / (0.5 * gain)  # r' of the second slice
     stack = np.array([first, second, np.eye(2 * n)])
-    monkeypatch.setattr(md, "_slice_unitaries", lambda n_modes, eps, rng, count: (
-        stack[:count], None if fallback else np.zeros(count)))
+
+    def rigged(n_modes, eps, rng, count, out):
+        out[...] = stack[:count]
+        return out, None if fallback else np.zeros(count)
+
+    monkeypatch.setattr(md, "_slice_unitaries", rigged)
     spec = md.MediumSpec(n, 3, 0.32, sign, decay if sign else None,
                          -1.0 if sign else 0.0, seed)
     with pytest.raises(NearSingularCavity):
@@ -561,12 +583,13 @@ def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail
     drawn = []
     real = md._slice_unitaries
 
-    def rigged(n_modes, eps, rng, count):
+    def rigged(n_modes, eps, rng, count, out):
         if rng.bit_generator.seed_seq.entropy != doomed:
-            return real(n_modes, eps, rng, count)
+            return real(n_modes, eps, rng, count, out=out)
         start = len(drawn)
         drawn.extend(range(count))
-        return stack[start:start + count], np.zeros(count)
+        out[...] = stack[start:start + count]
+        return out, np.zeros(count)
 
     monkeypatch.setattr(md, "_slice_unitaries", rigged)
     lengths = [10, fail_period - 0.5, fail_period, fail_period + 0.5, 30, n_periods]
