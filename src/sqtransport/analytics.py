@@ -7,7 +7,7 @@ amplifying expressions are analytic continuations of each other under
 xi_a -> i xi_a, i.e. sinh -> sin and cotanh -> cotan.  The amplifying forms
 hold below the laser threshold s = pi only.
 
-All homodyne averages are ``_homo_avg``,
+All homodyne averages are ``_homo``,
 
     1 + (8 l d k / 3 N xi_a sinh s) c sinh rho + (8 l d k / 3 xi_a) f [cotanh s + 1/sinh s]
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ThresholdReached, ValidityWarning
 from .photostatistics import DetectionConfig, SqueezedInput, fano_in_squeezed
@@ -68,31 +68,29 @@ class WaveguideRatios:
             raise ValueError("n_modes must be >= 1")
 
 
-def _warn_outside_window(w: WaveguideRatios) -> None:
-    length_over_l = w.s / w.l_over_xi
-    if length_over_l < _VALIDITY_FACTOR:
-        warnings.warn(
-            f"L = {length_over_l:.2f} l is not large compared to the mean free path",
-            ValidityWarning,
-            stacklevel=3,
-        )
-    elif w.n_modes is not None and length_over_l > w.n_modes / _VALIDITY_FACTOR:
-        # localization sets in at L ~ N l; stay well below it
-        warnings.warn(
-            "L approaches the localization length N l",
-            ValidityWarning,
-            stacklevel=3,
-        )
+def _check(w: WaveguideRatios, names: tuple, amplifying: bool, s_values) -> None:
+    """Raise and warn as a closed form does at each s of ``s_values``, the rest from ``w``.
 
-
-def _require(w: WaveguideRatios, *names: str) -> None:
+    The first failing point raises after the warnings of those before it, each
+    issued once and at the caller of the public function.
+    """
     for name in names:
         if getattr(w, name) is None:
             raise ValueError(f"WaveguideRatios.{name} is required here")
-
-
-def _check_below_threshold(s: float) -> None:
-    if s >= math.pi:
+    valid = next((i for i, s in enumerate(s_values) if s <= 0 or amplifying and s >= math.pi),
+                 len(s_values))
+    lengths_over_l = [s / w.l_over_xi for s in s_values[:valid]]
+    short = next((x for x in lengths_over_l if x < _VALIDITY_FACTOR), None)
+    if short is not None:
+        warnings.warn(f"L = {short:.2f} l is not large compared to the mean free path",
+                      ValidityWarning, stacklevel=3)
+    # localization sets in at L ~ N l; stay well below it
+    if w.n_modes is not None and any(x >= _VALIDITY_FACTOR and x > w.n_modes / _VALIDITY_FACTOR
+                                     for x in lengths_over_l):
+        warnings.warn("L approaches the localization length N l", ValidityWarning, stacklevel=3)
+    if valid < len(s_values):
+        s = s_values[valid]
+        replace(w, s=s)  # WaveguideRatios' own error for s <= 0
         raise ThresholdReached(f"s = {s:.6f} is at or beyond the laser threshold s = pi")
 
 
@@ -110,17 +108,44 @@ def direct_bracket_amplifying(s: float) -> float:
     return 3.0 - (2.0 * s - cot) / sn + (s * cot - 1.0) / sn**2 - s / sn**3
 
 
+def _direct(s: float, w: WaveguideRatios, amplifying: bool) -> float:
+    """The direct average at s, the other ratios from ``w``; unchecked."""
+    geometry, bracket = ((math.sin, direct_bracket_amplifying) if amplifying
+                         else (math.sinh, direct_bracket_absorbing))
+    d = w.efficiency
+    incident = (4.0 * w.l_over_xi * d / (3.0 * geometry(s))) * (w.fano_in - 1.0)
+    return 1.0 + incident + 0.5 * d * w.occupation * bracket(s)
+
+
+def _homo(s: float, w: WaveguideRatios, amplifying: bool, factor: float | None = None) -> float:
+    """The homodyne average at s, incident factor c = ``factor`` or the minimum's; unchecked."""
+    if factor is None:
+        factor = -math.exp(-w.rho)
+    front = 8.0 * w.l_over_xi * w.efficiency * w.coupling / 3.0
+    sh = math.sinh(w.rho)
+    if amplifying:
+        geometry = math.sin(s)
+        thermal_shape = math.cos(s) / geometry - 1.0 / geometry
+    else:
+        geometry = math.sinh(s)
+        thermal_shape = math.cosh(s) / geometry + 1.0 / geometry
+    incident = front / (w.n_modes * geometry) * factor * sh
+    thermal = front * w.occupation * thermal_shape
+    return 1.0 + incident + thermal
+
+
+_DIRECT_FIELDS = ("fano_in",)
+_HOMO_FIELDS = ("rho", "coupling", "n_modes")
+
+
 def fano_direct_absorbing_avg(w: WaveguideRatios) -> float:
     """Average direct-detection Fano factor of an absorbing waveguide.
 
     1 + (4 l d / 3 xi_a sinh s)(F_in - 1) + (d f / 2) * bracket(s); tends to
     the universal value 1 + (3/2) d f for strong absorption.
     """
-    _require(w, "fano_in")
-    _warn_outside_window(w)
-    d = w.efficiency
-    incident = (4.0 * w.l_over_xi * d / (3.0 * math.sinh(w.s))) * (w.fano_in - 1.0)
-    return 1.0 + incident + 0.5 * d * w.occupation * direct_bracket_absorbing(w.s)
+    _check(w, _DIRECT_FIELDS, False, (w.s,))
+    return _direct(w.s, w, False)
 
 
 def fano_direct_amplifying_avg(w: WaveguideRatios) -> float:
@@ -132,30 +157,8 @@ def fano_direct_amplifying_avg(w: WaveguideRatios) -> float:
     Raises:
         ThresholdReached: s >= pi.
     """
-    _require(w, "fano_in")
-    _check_below_threshold(w.s)
-    _warn_outside_window(w)
-    d = w.efficiency
-    incident = (4.0 * w.l_over_xi * d / (3.0 * math.sin(w.s))) * (w.fano_in - 1.0)
-    return 1.0 + incident + 0.5 * d * w.occupation * direct_bracket_amplifying(w.s)
-
-
-def _homo_avg(w: WaveguideRatios, amplifying: bool, incident_factor: float) -> float:
-    _require(w, "rho", "coupling", "n_modes")
-    if amplifying:
-        _check_below_threshold(w.s)
-    _warn_outside_window(w)
-    front = 8.0 * w.l_over_xi * w.efficiency * w.coupling / 3.0
-    sh = math.sinh(w.rho)
-    if amplifying:
-        geometry = math.sin(w.s)
-        thermal_shape = math.cos(w.s) / geometry - 1.0 / geometry
-    else:
-        geometry = math.sinh(w.s)
-        thermal_shape = math.cosh(w.s) / geometry + 1.0 / geometry
-    incident = front / (w.n_modes * geometry) * incident_factor * sh
-    thermal = front * w.occupation * thermal_shape
-    return 1.0 + incident + thermal
+    _check(w, _DIRECT_FIELDS, True, (w.s,))
+    return _direct(w.s, w, True)
 
 
 def fano_homo_min_absorbing_avg(w: WaveguideRatios) -> float:
@@ -164,12 +167,14 @@ def fano_homo_min_absorbing_avg(w: WaveguideRatios) -> float:
     1 - (8 l d k / 3 N xi_a sinh s) e^{-rho} sinh rho
       + (8 l d k / 3 xi_a) f [cotanh s + 1/sinh s]
     """
-    return _homo_avg(w, amplifying=False, incident_factor=-math.exp(-w.rho))
+    _check(w, _HOMO_FIELDS, False, (w.s,))
+    return _homo(w.s, w, False)
 
 
 def fano_homo_min_amplifying_avg(w: WaveguideRatios) -> float:
     """Average phase-minimised homodyne Fano factor, amplifying waveguide (s < pi)."""
-    return _homo_avg(w, amplifying=True, incident_factor=-math.exp(-w.rho))
+    _check(w, _HOMO_FIELDS, True, (w.s,))
+    return _homo(w.s, w, True)
 
 
 def fano_homo_fixed_phase_avg(w: WaveguideRatios, amplifying: bool = False) -> float:
@@ -179,7 +184,8 @@ def fano_homo_fixed_phase_avg(w: WaveguideRatios, amplifying: bool = False) -> f
     which amounts to replacing e^{-rho} by -sinh(rho) in the minimised
     expressions.
     """
-    return _homo_avg(w, amplifying=amplifying, incident_factor=math.sinh(w.rho))
+    _check(w, _HOMO_FIELDS, amplifying, (w.s,))
+    return _homo(w.s, w, amplifying, math.sinh(w.rho))
 
 
 def fano_homo_detuned_avg(w: WaveguideRatios, offset: float, amplifying: bool = False) -> float:
@@ -187,8 +193,33 @@ def fano_homo_detuned_avg(w: WaveguideRatios, offset: float, amplifying: bool = 
 
     The formula and its two special cases are in the module docstring.
     """
+    _check(w, _HOMO_FIELDS, amplifying, (w.s,))
     factor = math.sinh(w.rho) - math.cosh(w.rho) * math.cos(2.0 * offset)
-    return _homo_avg(w, amplifying=amplifying, incident_factor=factor)
+    return _homo(w.s, w, amplifying, factor)
+
+
+# the figure closed forms: name -> (required fields, amplifying, value at (s, w))
+_CURVES = {
+    "fano_direct_absorbing_avg": (_DIRECT_FIELDS, False, _direct),
+    "fano_direct_amplifying_avg": (_DIRECT_FIELDS, True, _direct),
+    "fano_homo_min_absorbing_avg": (_HOMO_FIELDS, False, _homo),
+    "fano_homo_min_amplifying_avg": (_HOMO_FIELDS, True, _homo),
+}
+
+
+def fano_curve(formula: str, s_values: list[float], **fields) -> list[float]:
+    """The figure average named ``formula`` at each s, the other ratios from ``fields``.
+
+    Bit for bit the named function point by point, checked once as those calls
+    would be: the first failing point raises the same error, and each
+    ``ValidityWarning`` is issued once.
+    """
+    if not s_values:
+        return []
+    names, amplifying, value = _CURVES[formula]
+    w = WaveguideRatios(s=s_values[0], **fields)
+    _check(w, names, amplifying, s_values)
+    return [value(s, w, amplifying) for s in s_values]
 
 
 def zero_length_limits(state: SqueezedInput, config: DetectionConfig) -> tuple[float, float]:

@@ -448,22 +448,21 @@ def _figure_rows(cfg, column, family, formulas):
     """Closed-form curve families over s, one per value of ``cfg[family]``.
 
     ``column`` names the family column; ``formulas`` names the absorbing and
-    amplifying closed forms in ``analytics``.
+    amplifying closed forms, each evaluated a curve at a time by
+    ``analytics.fano_curve``.
     """
-    shared = {key: cfg[key] for key in ("coupling", "n_modes") if key in cfg}
+    shared = {key: cfg[key] for key in ("l_over_xi", "efficiency", "coupling", "n_modes")
+              if key in cfg}
     rows = []
     for name, formula in zip(("absorbing", "amplifying"), formulas):
         if cfg["medium"] not in (name, "both"):
             continue
-        grid = np.linspace(0.05, cfg[f"s_max_{name}"], cfg["points"])
+        grid = np.linspace(0.05, cfg[f"s_max_{name}"], cfg["points"]).tolist()
         for value in cfg[family]:
-            for s in grid:
-                ratios = an.WaveguideRatios(s=float(s), l_over_xi=cfg["l_over_xi"],
-                                            efficiency=cfg["efficiency"],
-                                            occupation=cfg[f"occupation_{name}"],
-                                            **{family: value}, **shared)
-                rows.append({"medium": name, column: value, "s": float(s),
-                             "fano": getattr(an, formula)(ratios)})
+            curve = an.fano_curve(formula, grid, occupation=cfg[f"occupation_{name}"],
+                                  **{family: value}, **shared)
+            rows += [{"medium": name, column: value, "s": s, "fano": fano}
+                     for s, fano in zip(grid, curve)]
     return ["medium", column, "s", "fano"], rows
 
 

@@ -9,12 +9,13 @@ as mixtures over environment occupation numbers, so every branch stays a pure
 state.
 
 The beam splitter conserves the total photon number N, so its matrix is one
-block per N.  The thermal mixture reads only the columns with
-n2 = N - n1 <= k_max, k_max the last environment occupation kept, and the
-raising recursion closes on those columns.  The loss channel raises just
-them, one N at a time up to n_total = n_max + k_max, as array operations over
-all their entries, and keeps their |.|^2: work O(n_total^2 k_max) rather than
-O(n_total^3), memory O(k_max n_total n_max).  The squeezer's layers likewise
+block per N.  The thermal mixture reads only the band of columns with
+n2 = N - n1 <= k_max, k_max the last environment occupation kept, and
+n1 <= n_max, and the raising recursion closes on that band.  The loss channel
+raises just it, one N at a time up to n_total = n_max + k_max, as array
+operations over all its entries, and keeps their |.|^2: work
+O(n_total^2 min(n_max, k_max)) rather than O(n_total^3), memory
+O(k_max n_total n_max).  The squeezer's layers likewise
 advance one idler occupation at a time over all signal occupations at once.
 
 This module is deliberately independent of the scattering-matrix machinery:
@@ -135,7 +136,8 @@ def _thermal_weights(occupation: float) -> np.ndarray:
     return ratio**k / (1.0 + occupation)
 
 
-def _beamsplitter_blocks(t_amp: complex, n_total: int, n2_max: int) -> Iterator[np.ndarray]:
+def _beamsplitter_blocks(t_amp: complex, n_total: int, n2_max: int,
+                         n1_max: int) -> Iterator[np.ndarray]:
     """Yield the matrix elements <m1, N-m1| U |n1, N-n1> of the two-mode mixer.
 
     U satisfies U+ a U = t a + r b and U+ b U = -r a + t* b, with
@@ -149,11 +151,12 @@ def _beamsplitter_blocks(t_amp: complex, n_total: int, n2_max: int) -> Iterator[
         sqrt(m1) B[m1, n1] = t sqrt(n1) B'[m1-1, n1-1] + r sqrt(n2) B'[m1-1, n1]
         sqrt(m2) B[m1, n1] = t* sqrt(n2) B'[m1, n1] - r sqrt(n1) B'[m1, n1-1]
 
-    Column n2 = N - n1 thus reads only columns n2 and n2 - 1 of the previous
-    block, so the recursion closes on the columns n2 <= ``n2_max``: each yield
-    is the (N+1) x (min(n2_max, N)+1) slab of block N holding the columns
-    n1 = N - min(n2_max, N) .. N, in that order, and the work is
-    O(n_total^2 n2_max).  ``n2_max >= n_total`` yields the full blocks.
+    Column n1 thus reads only columns n1 - 1 and n1 of the previous block, so
+    the recursion closes on the band N - ``n1_max`` <= n2 <= ``n2_max``: each
+    yield is the (N+1)-row slab of block N holding the columns
+    n1 = max(0, N - n2_max) .. min(N, n1_max), in that order, and the work is
+    O(n_total^2 min(n1_max, n2_max)).  n1_max = n2_max = n_total yields the
+    full blocks.
 
     The first relation has coefficient norm sqrt(<m1>/m1), the second
     sqrt((N - <m1>)/m2), with <m1> = |t|^2 n1 + r^2 n2 the mean output in
@@ -168,28 +171,34 @@ def _beamsplitter_blocks(t_amp: complex, n_total: int, n2_max: int) -> Iterator[
     widest = min(n2_max, n_total) + 1
     index = np.arange(n_total + 1)
     root = np.sqrt(index)
-    # the coefficients and <m1> terms per occupation n, built once per call
-    t_root, r_root, t_conj_root = t_amp * root, r_amp * root, np.conj(t_amp) * root
-    t_mean, r_mean = abs(t_amp) ** 2 * index, r_amp**2 * index
+    # the coefficients per occupation n; reversed, they run over n2 = N - n1
+    t_root, r_root = t_amp * root, r_amp * root
+    r_root_rev, t_conj_root_rev = r_root[::-1], (np.conj(t_amp) * root)[::-1]
+    # <m1> = |t|^2 n1 + r^2 n2 clipped to [1, N] at every (N, n2 <= n2_max), held in
+    # padded's columns (c = widest - 1 - n2, below); entries with n2 > N are never read
+    n, n2_all = index[:, None], index[widest - 1 :: -1]
+    mean_m1 = np.minimum(np.maximum(abs(t_amp) ** 2 * (n - n2_all) + r_amp**2 * n2_all, 1), n)
     # rows divide by sqrt(m1) and sqrt(m2); the row each relation cannot
     # reach (m1 = 0 for a, m2 = 0 for b) divides by 1 and is never chosen
     root_floor = np.maximum(root, 1.0)
-    # right-aligned: padded[i, widest - j] = B'[i - 1, N - j], zero outside B'
+    # at step N, padded[i, widest - N + n1] = B'[i - 1, n1], zero outside B'
     padded = np.zeros((n_total + 2, widest + 1), dtype=dtype)
-    block = np.ones((1, 1), dtype=dtype)
+    block, low = np.ones((1, 1), dtype=dtype), 0
     yield block
     for total in range(1, n_total + 1):
-        padded[1 : total + 1, widest - block.shape[1] : widest] = block
-        width = min(widest, total + 1)
-        n1 = slice(total + 1 - width, total + 1)  # the slab's columns
-        n2 = slice(width - 1, None, -1)  # N - n1 over the same columns
-        window = padded[: total + 2, widest - width :]  # window[i, j] = B'[i - 1, n1[j] - 1]
-        via_a = (t_root[n1] * window[:-1, :-1] + r_root[n2] * window[:-1, 1:]) / (
+        shift = widest - total
+        padded[1 : total + 1, shift + low : shift + low + block.shape[1]] = block
+        low, high = max(0, total - n2_max), min(total, n1_max)
+        n1 = slice(low, high + 1)  # the slab's columns
+        n2 = slice(n_total - total + low, n_total - total + high + 1)  # N - n1, reversed arrays
+        window = padded[: total + 2, shift + low - 1 : shift + high + 1]
+        # window[i, j] = B'[i - 1, n1[j] - 1]
+        via_a = (t_root[n1] * window[:-1, :-1] + r_root_rev[n2] * window[:-1, 1:]) / (
             root_floor[: total + 1, None])
-        via_b = (t_conj_root[n2] * window[1:, 1:] - r_root[n1] * window[1:, :-1]) / (
+        via_b = (t_conj_root_rev[n2] * window[1:, 1:] - r_root[n1] * window[1:, :-1]) / (
             root_floor[total::-1, None])
-        mean_m1 = np.minimum(np.maximum(t_mean[n1] + r_mean[n2], 1), total)
-        block = np.where(index[: total + 1, None] >= mean_m1, via_a, via_b)
+        mean = mean_m1[total, shift + low - 1 : shift + high]
+        block = np.where(index[: total + 1, None] >= mean, via_a, via_b)
         yield block
 
 
@@ -201,10 +210,11 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     occupation numbers k up to the ``ENV_WEIGHT_CUTOFF`` weight.  In branch
     |psi> x |k> each output cell (m1, m2) receives exactly one input amplitude,
     the one with n1 = m1 + m2 - k, so tracing out the environment needs only
-    the columns |<m1, N-m1| U |n1, N-n1>|^2 with N = n1 + k.  Only these
-    columns n2 = k <= k_max of each block are raised, and their |.|^2 kept as
-    a (k_max+1, n_total+1, n_max+1) array over (k, m1, n1), so work is
-    O(n_total^2 k_max) and memory O(k_max n_total n_max) with
+    the columns |<m1, N-m1| U |n1, N-n1>|^2 with N = n1 + k, n1 <= n_max and
+    k <= k_max.  Only this band of each block is raised, at most
+    min(n_max, k_max) + 1 columns, and its |.|^2 kept as a
+    (k_max+1, n_total+1, n_max+1) array over (k, m1, n1), so work is
+    O(n_total^2 min(n_max, k_max)) and memory O(k_max n_total n_max) with
     n_total = n_max + k_max.
 
     Returns the exact output distribution, its factorial cumulants and Fano
@@ -218,13 +228,18 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     n_total = n_max + k_max
 
     # |B|^2 does not depend on the phase of t, which phase shifters on the
-    # modes absorb, so the blocks are built real from |t|; column
-    # min(k_max, N) - k of the slab of block N holds n2 = k
+    # modes absorb, so the blocks are built real from |t|; the slab of block N
+    # holds n2 = k from high down to low, so its reversed view runs over k
     columns = np.zeros((k_max + 1, n_total + 1, n_max + 1))
-    slabs = _beamsplitter_blocks(abs(transmission_amplitude), n_total, k_max)
+    # by_total[N, k, m1] is columns[k, m1, N - k]; its strides are positive and
+    # its last element is that of columns, so every index stays inside columns
+    s0, s1, s2 = columns.strides
+    by_total = np.lib.stride_tricks.as_strided(
+        columns, (n_total + 1, k_max + 1, n_total + 1), (s2, s0 - s2, s1))
+    slabs = _beamsplitter_blocks(abs(transmission_amplitude), n_total, k_max, n_max)
     for total, slab in enumerate(slabs):
-        k = np.arange(max(0, total - n_max), min(k_max, total) + 1)
-        columns[k, : total + 1, total - k] = slab[:, min(k_max, total) - k].T ** 2
+        low, high = max(0, total - n_max), min(k_max, total)
+        by_total[total, low : high + 1, : total + 1] = np.square(slab[:, high - low :: -1]).T
     p_out = weights @ (columns @ state.photon_distribution())
     return _statistics_from_distribution(p_out)
 

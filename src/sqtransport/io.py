@@ -11,7 +11,6 @@ identical bytes.
 from __future__ import annotations
 
 import json
-import math
 
 SCHEMA_VERSION = 1
 
@@ -19,19 +18,22 @@ SCHEMA_VERSION = 1
 def _format_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return format(value, ".17g")
     return str(value)
 
 
+# exact type -> formatter of the common cells; numpy scalars take _format_value
+_FORMAT_BY_TYPE = {float: lambda value: format(value, ".17g"), int: str, str: str,
+                   type(None): _format_value}
+
+
 def csv_lines(columns, rows) -> list[str]:
     """The column-name line and one line per row (dicts keyed by column name)."""
-    return [",".join(columns)] + [",".join(_format_value(row.get(col)) for col in columns)
-                                  for row in rows]
+    cell = _FORMAT_BY_TYPE.get
+    return [",".join(columns)] + [
+        ",".join([cell(type(value), _format_value)(value) for value in map(row.get, columns)])
+        for row in rows]
 
 
 def write_csv(path, columns, rows, config: dict | None = None) -> None:

@@ -9,7 +9,7 @@ import pytest
 from sqtransport import analytics as an
 from sqtransport import photostatistics as ps
 from sqtransport import validation
-from sqtransport.errors import ValidityWarning
+from sqtransport.errors import ThresholdReached, ValidityWarning
 
 mp.mp.dps = 40
 
@@ -221,3 +221,106 @@ def test_ratio_validation():
         an.WaveguideRatios(s=1.0, l_over_xi=-0.1)
     with pytest.raises(ValueError):
         an.fano_direct_absorbing_avg(an.WaveguideRatios(s=6.0, l_over_xi=0.1))
+
+
+# the figure closed forms, each with the other ratios of one curve: short media
+# below s = 0.5, localization from s = 0.2 at N = 10 and from s = 20 at N = 1000
+_FIGURE_FORMULAS = [
+    ("fano_direct_absorbing_avg", dict(occupation=1e-3, fano_in=0.5)),
+    ("fano_direct_amplifying_avg", dict(occupation=-1.0, fano_in=0.5)),
+    ("fano_homo_min_absorbing_avg", dict(occupation=1e-3, rho=0.5, coupling=0.5, n_modes=10)),
+    ("fano_homo_min_amplifying_avg", dict(occupation=-1.0, rho=0.5, coupling=0.5, n_modes=10)),
+]
+_FIGURE_IDS = [formula for formula, _ in _FIGURE_FORMULAS]
+
+
+def _outcome(call):
+    """The value of ``call()`` or its error as (type, message), and the warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except (ValueError, ThresholdReached) as exc:
+            result = (type(exc), str(exc))
+    assert all(w.category is ValidityWarning for w in caught)
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_curve_equals_points(formula, s_values, **fields):
+    curve, curve_warnings = _outcome(lambda: an.fano_curve(formula, s_values, **fields))
+    points, point_warnings = _outcome(lambda: [
+        getattr(an, formula)(an.WaveguideRatios(s=s, **fields)) for s in s_values])
+    assert curve == points
+    # once per curve: the first warning of each kind that the points issue
+    short = [message for message in point_warnings if message.startswith("L = ")]
+    localization = [message for message in point_warnings if "localization" in message]
+    assert curve_warnings == short[:1] + localization[:1]
+    return curve, curve_warnings
+
+
+@pytest.mark.parametrize("formula, fields", _FIGURE_FORMULAS, ids=_FIGURE_IDS)
+def test_curve_equals_per_point_calls(formula, fields):
+    s_max = 3.12 if "amplifying" in formula else 12.0
+    grids = [np.linspace(0.05, s_max, 240).tolist(),  # the figures' default grid
+             np.linspace(0.6, 3.0, 25).tolist(),  # inside the diffusive window
+             [2.0, 0.7, 1.3]]
+    for s_values in grids:
+        for l_over_xi, n_modes in ((0.1, 10), (0.1, 1000), (0.01, 1000)):
+            ratios = dict(fields, l_over_xi=l_over_xi, efficiency=0.8)
+            if "n_modes" in ratios:
+                ratios["n_modes"] = n_modes
+            curve, _ = _assert_curve_equals_points(formula, s_values, **ratios)
+            assert len(curve) == len(s_values)
+    # inside the window the curve is silent; the short grid warns
+    inside = dict(fields, l_over_xi=0.1, n_modes=1000) if "n_modes" in fields else dict(
+        fields, l_over_xi=0.1)
+    assert _assert_curve_equals_points(formula, grids[1], **inside)[1] == []
+    assert _assert_curve_equals_points(formula, grids[0], **inside)[1] == [
+        "L = 0.50 l is not large compared to the mean free path"]
+    assert an.fano_curve(formula, [], **inside) == []
+
+
+@pytest.mark.parametrize("formula, fields", _FIGURE_FORMULAS, ids=_FIGURE_IDS)
+def test_curve_raises_as_the_first_failing_point(formula, fields):
+    amplifying = "amplifying" in formula
+    base = dict(fields, l_over_xi=0.1)
+    cases = [
+        ([0.2, 1.0, 0.0, 2.0], base),  # s <= 0 after warnings
+        ([1.0, 0.0, 0.2], base),  # no warnings from the points after it
+        ([-1.0, 1.0], base),
+        ([0.2, 1.0, 3.5, -1.0], base),  # beyond pi: raises only when amplifying
+        ([math.pi], base),
+        ([1.0, 2.0], dict(base, l_over_xi=-0.1)),
+        ([0.0, 2.0], dict(base, l_over_xi=-0.1)),  # the s check comes first
+        ([1.0, 2.0], dict(base, efficiency=1.5)),
+        ([0.3, 4.0], dict(base, **{name: None for name in fields if name != "occupation"})),
+    ]
+    if "n_modes" in fields:
+        cases.append(([1.0], dict(base, n_modes=0)))
+    for s_values, ratios in cases:
+        curve, _ = _assert_curve_equals_points(formula, s_values, **ratios)
+        if amplifying or min(s_values) <= 0 or ratios is not base:
+            assert isinstance(curve, tuple), (s_values, ratios)
+
+
+def test_validity_warnings_point_at_the_caller():
+    short = dict(s=0.2, l_over_xi=0.1, efficiency=1.0, occupation=1e-3)
+    homodyne = dict(rho=0.5, coupling=0.5, n_modes=10)
+    direct_w = an.WaveguideRatios(**short, fano_in=1.0)
+    homodyne_w = an.WaveguideRatios(**short, **homodyne)
+    calls = [
+        lambda: an.fano_direct_absorbing_avg(direct_w),
+        lambda: an.fano_direct_amplifying_avg(direct_w),
+        lambda: an.fano_homo_min_absorbing_avg(homodyne_w),
+        lambda: an.fano_homo_min_amplifying_avg(homodyne_w),
+        lambda: an.fano_homo_fixed_phase_avg(homodyne_w, amplifying=True),
+        lambda: an.fano_homo_detuned_avg(homodyne_w, 0.3),
+        lambda: an.fano_curve("fano_direct_absorbing_avg", [0.2, 0.3], l_over_xi=0.1,
+                              fano_in=1.0),
+        lambda: an.fano_curve("fano_homo_min_amplifying_avg", [0.2, 0.3], l_over_xi=0.1,
+                              occupation=-1.0, **homodyne),
+    ]
+    for call in calls:
+        with pytest.warns(ValidityWarning) as record:
+            call()
+        assert {warning.filename for warning in record} == {__file__}

@@ -35,6 +35,30 @@ def test_csv_round_trip(tmp_path):
     assert math.isnan(back[1]["b"]) and back[1]["c"] is None
 
 
+def _format_value_reference(value):
+    """Reference for a CSV cell: the per-cell formatter before the type dispatch."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        return format(value, ".17g")
+    return str(value)
+
+
+def test_csv_lines_match_the_per_cell_formatter():
+    row = {"float": 0.1 + 1e-17, "np_float": np.float64(1 / 3), "nan": float("nan"),
+           "np_nan": np.float64("nan"), "negative_zero": -0.0, "inf": float("inf"),
+           "minus_inf": float("-inf"), "subnormal": 5e-324, "bool": True, "int": 7,
+           "np_int": np.int64(-12), "str": "absorbing", "none": None}
+    columns = [*row, "missing"]
+    expected = ",".join(_format_value_reference(row.get(column)) for column in columns)
+    assert sio.csv_lines(columns, [row, {}]) == [
+        ",".join(columns), expected, "," * (len(columns) - 1)]
+
+
 def test_fano_direct_zero_length(tmp_path):
     out = tmp_path / "d.csv"
     assert run(["fano-direct", "--s", "0", "--fano-in", "0,1", "--efficiency", "0.8",

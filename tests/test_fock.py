@@ -58,24 +58,26 @@ def full_blocks_reference(t_amp, n_total):
     Block N holds <m1, N-m1| U |n1, N-n1>; each entry takes the output-side
     relation (a or b) whose coefficient vector has norm at most 1, as
     ``fock._beamsplitter_blocks`` does, but over all columns n1 = 0..N.
+    Yields the blocks in order of N, holding only the last one.
     """
     r_amp = math.sqrt(max(0.0, 1.0 - abs(t_amp) ** 2))
     dtype = np.result_type(t_amp, 1.0)
-    blocks = [np.ones((1, 1), dtype=dtype)]
+    block = np.ones((1, 1), dtype=dtype)
+    yield block
     for total in range(1, n_total + 1):
         index = np.arange(total + 1)  # m1 down the rows, n1 across the columns
         root_n1 = np.sqrt(index)
         root_n2 = root_n1[::-1]
         # padded[i, j] = B'[i - 1, j - 1], zero outside B'
         padded = np.zeros((total + 2, total + 2), dtype=dtype)
-        padded[1:-1, 1:-1] = blocks[-1]
+        padded[1:-1, 1:-1] = block
         via_a = (t_amp * root_n1 * padded[:-1, :-1] + r_amp * root_n2 * padded[:-1, 1:]) / (
             np.maximum(root_n1, 1.0)[:, None])
         via_b = (np.conj(t_amp) * root_n2 * padded[1:, 1:] - r_amp * root_n1 * padded[1:, :-1]) / (
             np.maximum(root_n2, 1.0)[:, None])
         mean_m1 = abs(t_amp) ** 2 * index + r_amp**2 * (total - index)
-        blocks.append(np.where(index[:, None] >= np.clip(mean_m1, 1, total), via_a, via_b))
-    return blocks
+        block = np.where(index[:, None] >= np.clip(mean_m1, 1, total), via_a, via_b)
+        yield block
 
 
 def lossy_channel_reference(state, transmission_amplitude, env_occupation):
@@ -115,7 +117,7 @@ def test_beamsplitter_blocks_match_column_loop(t_amp):
     # N = 60 for t = 0.37), so it is a reference only up to N = 25, where it
     # is unitary to 1e-13; the new blocks must stay unitary to N = 60
     reference = beamsplitter_blocks_reference(t_amp, 25)
-    blocks = list(fock._beamsplitter_blocks(t_amp, 60, 60))
+    blocks = list(fock._beamsplitter_blocks(t_amp, 60, 60, 60))
     assert len(blocks) == 61
     for total, block in enumerate(blocks):
         assert block.shape == (total + 1, total + 1)
@@ -127,19 +129,29 @@ def test_beamsplitter_blocks_match_column_loop(t_amp):
 @pytest.mark.parametrize("t_amp", [0.0, 1.0, 0.37, 0.6 + 0.3j])
 def test_beamsplitter_slabs_are_columns_of_full_blocks(t_amp):
     # the slab of block N holds its columns n2 = N - n1 <= n2_max, bit for bit
-    reference = full_blocks_reference(t_amp, 60)
+    reference = list(full_blocks_reference(t_amp, 60))
     for n2_max in (0, 1, 7, 60):
-        slabs = list(fock._beamsplitter_blocks(t_amp, 60, n2_max))
+        slabs = list(fock._beamsplitter_blocks(t_amp, 60, n2_max, 60))
         assert len(slabs) == 61
         for total, slab in enumerate(slabs):
             width = min(n2_max, total) + 1
             assert slab.shape == (total + 1, width)
             assert np.array_equal(slab, reference[total][:, total + 1 - width :])
+    # banded: only the columns N - n1_max <= n2 <= n2_max, as the loss channel
+    # raises them with n2_max = k_max and n1_max = n_max = n_total - k_max
+    for n2_max, n1_max in ((0, 60), (1, 59), (7, 53), (40, 20), (53, 7), (60, 0), (30, 45)):
+        slabs = list(fock._beamsplitter_blocks(t_amp, 60, n2_max, n1_max))
+        assert len(slabs) == 61
+        for total, slab in enumerate(slabs):
+            low, high = max(0, total - n2_max), min(total, n1_max)
+            assert slab.shape == (total + 1, high - low + 1)
+            assert np.array_equal(slab, reference[total][:, low : high + 1])
 
 
-# the oracle workload's grid, and one hot environment
+# the oracle workload's grid, and two hot environments, where k_max > n_max
+# and the slabs are banded
 @pytest.mark.parametrize("rho, env_occupation", [
-    *((rho, f) for rho in (0.0, 0.4, 0.8) for f in (0.0, 0.1, 0.3)), (0.4, 5.0)])
+    *((rho, f) for rho in (0.0, 0.4, 0.8) for f in (0.0, 0.1, 0.3)), (0.4, 5.0), (0.4, 10.0)])
 def test_lossy_channel_bitwise_equal_to_full_blocks(rho, env_occupation):
     state = fock.squeezed_coherent_fock(cmath.exp(0.3j), rho, 0.7, 120)
     out = fock.lossy_channel_photostats(state, math.sqrt(0.6), env_occupation)
