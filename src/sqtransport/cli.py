@@ -52,7 +52,7 @@ def _parse_bool(text):
 
 def _parse_float(text):
     value = float(text)
-    if not math.isfinite(value):
+    if isinstance(text, bool) or not math.isfinite(value):  # JSON true is no number
         raise ValueError(f"not a finite number: {text!r}")
     return value
 
@@ -72,10 +72,16 @@ def _parse_int(value):
     return int(value)
 
 
+def _parse_str(value):
+    if not isinstance(value, str):  # a JSON null or number; flags and flat files give str
+        raise ValueError(f"not a string: {value!r}")
+    return value
+
+
 _PARSERS = {
     "int": _parse_int,
     "float": _parse_float,
-    "str": str,
+    "str": _parse_str,
     "bool": _parse_bool,
     "floats": _parse_float_list,
 }

@@ -13,10 +13,11 @@ block per N.  The thermal mixture reads only the band of columns with
 n2 = N - n1 <= k_max, k_max the last environment occupation kept, and
 n1 <= n_max, and the raising recursion closes on that band.  The loss channel
 raises just it, one N at a time up to n_total = n_max + k_max, as array
-operations over all its entries, and keeps their |.|^2: work
-O(n_total^2 min(n_max, k_max)) rather than O(n_total^3), memory
-O(k_max n_total n_max).  The squeezer's layers likewise
-advance one idler occupation at a time over all signal occupations at once.
+operations over all its entries, and adds each slab's weighted |.|^2 to one
+running output distribution: work O(n_total^2 min(n_max, k_max)) rather than
+O(n_total^3), memory O(n_total) beyond the slab and the recursion's own
+arrays.  The squeezer's layers likewise advance one idler occupation at a
+time over all signal occupations at once.
 
 This module is deliberately independent of the scattering-matrix machinery:
 it shares no code with it beyond elementary arithmetic.
@@ -212,10 +213,10 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     the one with n1 = m1 + m2 - k, so tracing out the environment needs only
     the columns |<m1, N-m1| U |n1, N-n1>|^2 with N = n1 + k, n1 <= n_max and
     k <= k_max.  Only this band of each block is raised, at most
-    min(n_max, k_max) + 1 columns, and its |.|^2 kept as a
-    (k_max+1, n_total+1, n_max+1) array over (k, m1, n1), so work is
-    O(n_total^2 min(n_max, k_max)) and memory O(k_max n_total n_max) with
-    n_total = n_max + k_max.
+    min(n_max, k_max) + 1 columns, and slab N adds
+    sum_n1 |B[m1, n1]|^2 w_{N-n1} p_in(n1) to the running output p_out(m1),
+    so work is O(n_total^2 min(n_max, k_max)) with n_total = n_max + k_max,
+    and memory O(n_total) beyond what ``_beamsplitter_blocks`` holds.
 
     Returns the exact output distribution, its factorial cumulants and Fano
     factor.
@@ -228,19 +229,14 @@ def lossy_channel_photostats(state: FockState, transmission_amplitude: complex,
     n_total = n_max + k_max
 
     # |B|^2 does not depend on the phase of t, which phase shifters on the
-    # modes absorb, so the blocks are built real from |t|; the slab of block N
-    # holds n2 = k from high down to low, so its reversed view runs over k
-    columns = np.zeros((k_max + 1, n_total + 1, n_max + 1))
-    # by_total[N, k, m1] is columns[k, m1, N - k]; its strides are positive and
-    # its last element is that of columns, so every index stays inside columns
-    s0, s1, s2 = columns.strides
-    by_total = np.lib.stride_tricks.as_strided(
-        columns, (n_total + 1, k_max + 1, n_total + 1), (s2, s0 - s2, s1))
+    # modes absorb, so the blocks are built real from |t|; column n1 of the
+    # slab of block N is read in the branch k = N - n1
+    p_in = state.photon_distribution()
+    p_out = np.zeros(n_total + 1)
     slabs = _beamsplitter_blocks(abs(transmission_amplitude), n_total, k_max, n_max)
     for total, slab in enumerate(slabs):
-        low, high = max(0, total - n_max), min(k_max, total)
-        by_total[total, low : high + 1, : total + 1] = np.square(slab[:, high - low :: -1]).T
-    p_out = weights @ (columns @ state.photon_distribution())
+        n1 = np.arange(max(0, total - k_max), min(total, n_max) + 1)
+        p_out[: total + 1] += np.square(slab) @ (weights[total - n1] * p_in[n1])
     return _statistics_from_distribution(p_out)
 
 

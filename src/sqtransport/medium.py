@@ -186,16 +186,13 @@ class ScatteringMatrix:
             PhysicalityError: passive matrix not unitary, or absorbing matrix
                 not a contraction, within ``SINGULAR_VALUE_TOL``.
             GainPositivityViolation: amplifying matrix with an eigenvalue of
-                S S+ - 1 below ``-SINGULAR_VALUE_TOL``.
+                1 - S S+ above ``SINGULAR_VALUE_TOL`` (of S S+ - 1 below minus it).
         """
         if self.medium_kind == AMPLIFYING:
-            full = self.full
-            gain = full @ full.conj().T - np.eye(2 * self.n_modes)
-            lowest = np.linalg.eigvalsh(gain)[0]
-            if lowest < -SINGULAR_VALUE_TOL:
-                raise GainPositivityViolation(
-                    f"eigenvalue of S S+ - 1 at {lowest:.3e} below tolerance"
-                )
+            highest = np.linalg.eigvalsh(deviation_from_unitarity(self))[-1]
+            if highest > SINGULAR_VALUE_TOL:
+                raise GainPositivityViolation(f"eigenvalue of S S+ - 1 at {-highest:.3e} "
+                                              "below tolerance")
             return
         sigma = self.singular_values()
         if self.medium_kind == PASSIVE:

@@ -271,6 +271,8 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["figure3", "--points", -1], "--points"),
     (["fano-direct", "--config", {"n_modes": 2.5, "s": [0], "samples": 3}], "'n_modes'"),
     (["fano-direct", "--config", {"samples": True}], "'samples'"),
+    (["figure3", "--config", {"efficiency": True, "points": 2}], "'efficiency'"),
+    (["figure3", "--config", {"fano_in": [True, 0.5], "points": 2}], "'fano_in'"),
     (["fano-direct", "--n-modes", 2.5], "--n-modes"),
     (["fano-homodyne", "--phase-policy", "min", "--probe-phase", 2.0], "--probe-phase"),
     (["fano-homodyne", "--phase-policy", "scan", "--probe-phase", 2.0], "--probe-phase"),
@@ -323,7 +325,8 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "vacuum-input", "coupling-above-one", "coupling-zero", "no-phases", "no-modes",
         "efficiency-above-one", "rho-negative", "absorbing-occupation",
         "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points",
-        "config-modes-fractional", "config-samples-bool", "modes-fractional",
+        "config-modes-fractional", "config-samples-bool", "config-efficiency-bool",
+        "config-fano-in-bool", "modes-fractional",
         "probe-phase-under-min", "probe-phase-under-scan", "n-phases-under-min",
         "n-phases-under-fixed", "alpha-under-homodyne", "mc-samples-under-fast",
         "calibration-samples-with-mean-free-path", "level-unknown", "figure-medium-unknown",
@@ -348,6 +351,16 @@ def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monke
             config.write_text(json.dumps(arg))
     assert run([config if isinstance(arg, dict) else arg for arg in args]) == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output", [None, 5])
+def test_config_output_must_be_a_string(output, monkeypatch, capsys, tmp_path):
+    # str(None) and str(5) would name a file in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"output": output, "points": 2}))
+    assert run(["figure3", "--config", "run.json"]) == 2
+    assert "'output'" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_config_file_may_hold_the_phase_options_of_every_policy(tmp_path):
