@@ -39,15 +39,16 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
+def _parse_bool(value):
+    if isinstance(value, bool):
+        return value
+    # a JSON number or null is no boolean; flags and flat files give str
+    lowered = value.strip().lower() if isinstance(value, str) else None
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 def _parse_float(text):
@@ -526,19 +527,24 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; only ``command``'s options, if one is named."""
     parser = argparse.ArgumentParser(
         prog="sqtransport",
         description="Squeezed light through absorbing/amplifying random media",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (options, _) in COMMANDS.items():
-        _add_options(sub.add_parser(name), options)
+        subparser = sub.add_parser(name)
+        if command in (None, name):
+            _add_options(subparser, options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand comes first, as the top-level parser takes no other argument
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     options, function = COMMANDS[args.command]
     try:
         with warnings.catch_warnings():

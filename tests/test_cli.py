@@ -273,6 +273,8 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-direct", "--config", {"samples": True}], "'samples'"),
     (["figure3", "--config", {"efficiency": True, "points": 2}], "'efficiency'"),
     (["figure3", "--config", {"fano_in": [True, 0.5], "points": 2}], "'fano_in'"),
+    (["fano-direct", "--config", {"mode_average": 1, "n_modes": 4, "s": [0], "samples": 4}],
+     "'mode_average'"),
     (["fano-direct", "--n-modes", 2.5], "--n-modes"),
     (["fano-homodyne", "--phase-policy", "min", "--probe-phase", 2.0], "--probe-phase"),
     (["fano-homodyne", "--phase-policy", "scan", "--probe-phase", 2.0], "--probe-phase"),
@@ -326,7 +328,7 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "efficiency-above-one", "rho-negative", "absorbing-occupation",
         "amplifying-occupation", "seed-negative", "calibrate-lengths", "figure-points",
         "config-modes-fractional", "config-samples-bool", "config-efficiency-bool",
-        "config-fano-in-bool", "modes-fractional",
+        "config-fano-in-bool", "config-mode-average-number", "modes-fractional",
         "probe-phase-under-min", "probe-phase-under-scan", "n-phases-under-min",
         "n-phases-under-fixed", "alpha-under-homodyne", "mc-samples-under-fast",
         "calibration-samples-with-mean-free-path", "level-unknown", "figure-medium-unknown",
@@ -584,6 +586,29 @@ def test_validate_detects_corrupted_formula_under_python_O():
     assert result.returncode == 4
 
 
+_IMPORT_EVERY_MODULE = """
+import importlib, pkgutil, sys
+import sqtransport
+# __main__ runs the command line on import
+names = [info.name for info in pkgutil.iter_modules(sqtransport.__path__)
+         if info.name != "__main__"]
+for name in names:
+    importlib.import_module("sqtransport." + name)
+print(len(names), sorted(module for module in sys.modules if module.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_module_imports_scipy():
+    # scipy is no declared dependency, and one import costs about 0.2 s of start-up
+    result = subprocess.run([sys.executable, "-c", _IMPORT_EVERY_MODULE], env=_source_env(),
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    count, loaded = result.stdout.split(maxsplit=1)
+    modules = [path for path in Path(cli.__file__).parent.glob("*.py")
+               if path.stem not in ("__init__", "__main__")]
+    assert int(count) == len(modules) and loaded.strip() == "[]"
+
+
 def test_closed_stdout_ends_the_run_quietly():
     # figure3 writes more than a pipe buffer holds; the reader stops after one line
     process = subprocess.Popen([sys.executable, "-m", "sqtransport", "figure3"],
@@ -594,6 +619,29 @@ def test_closed_stdout_ends_the_run_quietly():
     assert process.wait(timeout=300) == 0
     assert process.stderr.read() == b""
     process.stderr.close()
+
+
+def _parse_outcome(parser, argv, capsys):
+    """Exit code, stdout and stderr of parsing ``argv``, which must exit."""
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    return exit_info.value.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in cli.COMMANDS]
+                         + [["--help"], ["bogus"], ["bogus", "--help"], []],
+                         ids=lambda argv: " ".join(argv) or "empty")
+def test_main_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the named subcommand's options; help, an unknown
+    # command and no command must read as with every subcommand's options
+    expected = _parse_outcome(cli.build_parser(), argv, capsys)
+    build, named = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: named.append(command) or build(command))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert (exit_info.value.code, *capsys.readouterr()) == expected
+    assert named == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
 
 
 def test_only_the_option_checker_raises_config_errors():

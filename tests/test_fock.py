@@ -22,7 +22,7 @@ test_amplifier_matches_scalar_closed_form = validation.check_fock_oracle_amplify
 
 
 def beamsplitter_blocks_reference(t_amp, n_total):
-    """Reference for the block recursion: the column-by-column loop, every block kept.
+    """The beam-splitter blocks a second way: the column-by-column loop, every block kept.
 
     Block N holds <m1, N-m1| U |n1, N-n1> for U+ a U = t a + r b with
     r = sqrt(1 - |t|^2), raised from the vacuum block one column n1 at a time.
@@ -52,13 +52,24 @@ def beamsplitter_blocks_reference(t_amp, n_total):
     return blocks
 
 
-def full_blocks_reference(t_amp, n_total):
-    """Reference for the slabs: every full block, each raised array-at-once.
+def thermal_weights(occupation):
+    """Bose-Einstein weights of occupations 0..k_max, k_max the first with ratio^k <= 1e-12."""
+    if occupation == 0:
+        return np.array([1.0])
+    ratio = occupation / (1.0 + occupation)
+    k_max = max(1, int(math.ceil(math.log(1e-12) / math.log(ratio))))
+    return ratio ** np.arange(k_max + 1) / (1.0 + occupation)
 
-    Block N holds <m1, N-m1| U |n1, N-n1>; each entry takes the output-side
-    relation (a or b) whose coefficient vector has norm at most 1, as
-    ``fock._beamsplitter_blocks`` does, but over all columns n1 = 0..N.
-    Yields the blocks in order of N, holding only the last one.
+
+def full_blocks_reference(t_amp, n_total):
+    """Reference beam splitter: every full block, each raised array-at-once.
+
+    Block N holds <m1, N-m1| U |n1, N-n1> for U+ a U = t a + r b with
+    r = sqrt(1 - |t|^2).  Each entry follows from block N-1 through a on the
+    output side (dividing by sqrt(m1)) or through b (dividing by sqrt(m2)),
+    and takes the relation whose coefficient vector has norm at most 1: a
+    where m1 >= <m1> = |t|^2 n1 + r^2 n2.  Yields the blocks in order of N,
+    holding only the last one.
     """
     r_amp = math.sqrt(max(0.0, 1.0 - abs(t_amp) ** 2))
     dtype = np.result_type(t_amp, 1.0)
@@ -81,46 +92,84 @@ def full_blocks_reference(t_amp, n_total):
 
 
 def lossy_channel_reference(state, transmission_amplitude, env_occupation):
-    """Reference for the loss channel's output distribution, read off the full blocks."""
+    """Reference loss channel: a beam splitter with a thermal environment, unitary by unitary.
+
+    The environment is mixed over its occupations k, weights cut at 1e-12.
+    In branch |psi> x |k> output (m1, m2) receives only the input with
+    n1 = m1 + m2 - k, so block N contributes its columns n1 with k = N - n1.
+    """
     n_max = state.n_max
-    weights = fock._thermal_weights(env_occupation)
+    weights = thermal_weights(env_occupation)
     k_max = weights.size - 1
     n_total = n_max + k_max
     p_in = state.photon_distribution()
     p_out = np.zeros(n_total + 1)
     for total, block in enumerate(full_blocks_reference(abs(transmission_amplitude), n_total)):
         n1 = np.arange(max(0, total - k_max), min(total, n_max) + 1)
-        # block[:, n1] is Fortran-ordered, and its product would round differently
-        columns = np.ascontiguousarray(block[:, n1])
-        p_out[: total + 1] += np.square(columns) @ (weights[total - n1] * p_in[n1])
+        p_out[: total + 1] += np.square(block[:, n1]) @ (weights[total - n1] * p_in[n1])
     return p_out
 
 
-def amplifier_layer_reference(gain, idler_in, previous):
-    """Reference for the squeezer's j > 0 layer: the loop over signal occupations n."""
+def amplifier_layer_reference(gain, n_sig, idler_in, m2_max, previous):
+    """Amplitudes B[n + m2 - j, m2; n, j] of the two-mode squeezer at idler occupation j.
+
+    The squeezer realizes a_out = g a + h c+ with h = sqrt(g^2 - 1).  Layer j
+    is raised from layer j - 1 (``previous``) one signal occupation n at a
+    time; layer 0 is the squeezed-vacuum column (h/g)^m2 / g, raised over n.
+    """
     h = math.sqrt(gain**2 - 1.0)
-    n_sig, m2_max = previous.shape[0] - 1, previous.shape[1] - 1
     root_m2 = np.sqrt(np.arange(m2_max + 1))
-    layer = np.zeros_like(previous)
+    layer = np.zeros((n_sig + 1, m2_max + 1))
+    if idler_in == 0:
+        layer[0] = (h / gain) ** np.arange(m2_max + 1) / gain
+        for n in range(1, n_sig + 1):
+            layer[n] = layer[n - 1] * np.sqrt(np.arange(m2_max + 1) + n) / (gain * math.sqrt(n))
+        return layer
     shifted = np.zeros(m2_max + 1)
-    shifted[1:] = previous[0, :-1]
-    layer[0] = root_m2 * shifted / (gain * math.sqrt(idler_in))
-    for n in range(1, n_sig + 1):
+    for n in range(n_sig + 1):
         shifted[1:] = previous[n, :-1]
-        shifted[0] = 0.0
-        layer[n] = (root_m2 * shifted - h * math.sqrt(n) * previous[n - 1]) / (
-            gain * math.sqrt(idler_in)
-        )
+        lowered = h * math.sqrt(n) * previous[n - 1] if n else 0.0
+        layer[n] = (root_m2 * shifted - lowered) / (gain * math.sqrt(idler_in))
     return layer
+
+
+def amplifying_channel_reference(state, gain_amplitude, idler_occupation):
+    """Reference gain channel: the two-mode squeezer with a thermal idler, layer by layer.
+
+    The idler is mixed over its occupations j, weights cut at 1e-12; the
+    output m1 = n + m2 - j is summed over the signal occupations n and the
+    idler's output occupations m2 <= 3 (|g|^2 - 1)(n_max + j_max + 1) + 60.
+    """
+    gain = abs(gain_amplitude)
+    weights = thermal_weights(idler_occupation)
+    n_sig = state.n_max
+    m2_max = int(math.ceil((gain**2 - 1.0) * (n_sig + weights.size) * 3)) + 60
+    p_in = state.photon_distribution()
+    p_out = np.zeros(n_sig + m2_max + 1)
+    layer = None
+    for j, weight in enumerate(weights):
+        layer = amplifier_layer_reference(gain, n_sig, j, m2_max, layer)
+        for n in range(n_sig + 1):
+            m1 = n + np.arange(m2_max + 1) - j
+            inside = m1 >= 0
+            p_out[m1[inside]] += weight * p_in[n] * layer[n, inside] ** 2
+    return p_out
+
+
+def padded_difference(p, q):
+    """Largest entrywise difference of two distributions, zero-padded to one length."""
+    size = max(p.size, q.size)
+    return np.max(np.abs(np.pad(p, (0, size - p.size)) - np.pad(q, (0, size - q.size))))
 
 
 @pytest.mark.parametrize("t_amp", [0.0, 1.0, 0.37, 0.6 + 0.3j])
 def test_beamsplitter_blocks_match_column_loop(t_amp):
-    # the loop's own blocks drift from unitarity exponentially in N (5e-11 at
-    # N = 60 for t = 0.37), so it is a reference only up to N = 25, where it
-    # is unitary to 1e-13; the new blocks must stay unitary to N = 60
+    # two constructions of the reference blocks: the column loop's own blocks
+    # drift from unitarity exponentially in N (5e-11 at N = 60 for t = 0.37),
+    # so it is a reference only up to N = 25, where it is unitary to 1e-13;
+    # the two-relation blocks must stay unitary to N = 60
     reference = beamsplitter_blocks_reference(t_amp, 25)
-    blocks = list(fock._beamsplitter_blocks(t_amp, 60, 60, 60))
+    blocks = list(full_blocks_reference(t_amp, 60))
     assert len(blocks) == 61
     for total, block in enumerate(blocks):
         assert block.shape == (total + 1, total + 1)
@@ -129,52 +178,30 @@ def test_beamsplitter_blocks_match_column_loop(t_amp):
             assert np.max(np.abs(np.abs(block) ** 2 - np.abs(reference[total]) ** 2)) <= 1e-13
 
 
-@pytest.mark.parametrize("t_amp", [0.0, 1.0, 0.37, 0.6 + 0.3j])
-def test_beamsplitter_slabs_are_columns_of_full_blocks(t_amp):
-    # the slab of block N holds its columns n2 = N - n1 <= n2_max, bit for bit
-    reference = list(full_blocks_reference(t_amp, 60))
-    for n2_max in (0, 1, 7, 60):
-        slabs = list(fock._beamsplitter_blocks(t_amp, 60, n2_max, 60))
-        assert len(slabs) == 61
-        for total, slab in enumerate(slabs):
-            width = min(n2_max, total) + 1
-            assert slab.shape == (total + 1, width)
-            assert np.array_equal(slab, reference[total][:, total + 1 - width :])
-    # banded: only the columns N - n1_max <= n2 <= n2_max, as the loss channel
-    # raises them with n2_max = k_max and n1_max = n_max = n_total - k_max
-    for n2_max, n1_max in ((0, 60), (1, 59), (7, 53), (40, 20), (53, 7), (60, 0), (30, 45)):
-        slabs = list(fock._beamsplitter_blocks(t_amp, 60, n2_max, n1_max))
-        assert len(slabs) == 61
-        for total, slab in enumerate(slabs):
-            low, high = max(0, total - n2_max), min(total, n1_max)
-            assert slab.shape == (total + 1, high - low + 1)
-            assert np.array_equal(slab, reference[total][:, low : high + 1])
-
-
-# the oracle workload's grid, and two hot environments, where k_max > n_max
-# and the slabs are banded
+# the oracle workload's grid, and two hot environments, where k_max > n_max.
+# The decomposition sums different terms than the unitary, so the two agree
+# to rounding, not bit for bit: 2.4e-14 per entry at most on this grid
 @pytest.mark.parametrize("rho, env_occupation", [
     *((rho, f) for rho in (0.0, 0.4, 0.8) for f in (0.0, 0.1, 0.3)), (0.4, 5.0), (0.4, 10.0)])
 def test_lossy_channel_bitwise_equal_to_full_blocks(rho, env_occupation):
     state = fock.squeezed_coherent_fock(cmath.exp(0.3j), rho, 0.7, 120)
     out = fock.lossy_channel_photostats(state, math.sqrt(0.6), env_occupation)
-    assert np.array_equal(out.distribution, lossy_channel_reference(state, math.sqrt(0.6),
-                                                                    env_occupation))
+    reference = lossy_channel_reference(state, math.sqrt(0.6), env_occupation)
+    assert padded_difference(out.distribution, reference) <= 1e-13
 
 
 def test_lossy_channel_rejects_probability_gained(monkeypatch):
-    # blocks scaled by 1 + 1e-6 are no longer unitary: the output sums to 1 + 2e-6
-    blocks = fock._beamsplitter_blocks
-    monkeypatch.setattr(fock, "_beamsplitter_blocks",
-                        lambda *args: (block * (1 + 1e-6) for block in blocks(*args)))
+    # an amplifier output scaled by 1 + 2e-6 sums to 1 + 2e-6
+    amplify = fock._amplify
+    monkeypatch.setattr(fock, "_amplify", lambda *args: amplify(*args) * (1 + 2e-6))
     state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
     with pytest.raises(TruncationLeak, match="gained"):
         fock.lossy_channel_photostats(state, math.sqrt(0.6), 0.1)
 
 
 def test_lossy_channel_in_hot_environment():
-    # a hot environment reads the middle columns of blocks up to N = 272,
-    # where the raising relation alone gives kappa1 4 % off
+    # f = 5: the unitary picture reads blocks up to N = 272, where one raising
+    # relation alone gave kappa1 4 % off; thinning and amplifier have no blocks
     state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
     out = fock.lossy_channel_photostats(state, math.sqrt(0.5), 5.0)
     closed = ps.direct_cumulants_squeezed(
@@ -184,28 +211,67 @@ def test_lossy_channel_in_hot_environment():
     assert out.kappa2 == pytest.approx(closed.kappa2, rel=1e-8)
 
 
-def test_amplifier_layers_bitwise_equal_to_loop():
-    for gain in (math.sqrt(1.5), math.sqrt(3.0)):
-        layer = fock._amplifier_kernel(gain, 70, 0, 150, None)
-        for j in range(1, 12):
-            expected = amplifier_layer_reference(gain, j, layer)
-            layer = fock._amplifier_kernel(gain, 70, j, 150, layer)
-            assert np.array_equal(layer, expected)
+def test_amplifier_matches_squeezer_reference():
+    # the two-mode squeezer with a thermal idler, against thinning and the
+    # quantum-limited amplifier, at 1e-13 per entry
+    state = fock.squeezed_coherent_fock(cmath.exp(0.3j), 0.4, 0.7, 120)
+    for gain in (1.5, 3.0):
+        for idler_occupation in (0.0, 0.2, 1.0):
+            out = fock.amplifying_channel_photostats(state, math.sqrt(gain), idler_occupation)
+            reference = amplifying_channel_reference(state, math.sqrt(gain), idler_occupation)
+            assert padded_difference(out.distribution, reference) <= 1e-13, (
+                gain, idler_occupation)
 
 
-@given(transmittance=st.floats(0.0, 1.0), phase=st.floats(0.0, 2 * math.pi),
-       amplitude=st.floats(0.0, 2.0), alpha_phase=st.floats(0.0, 2 * math.pi),
-       rho=st.floats(0.0, 0.8), phi=st.floats(0.0, 2 * math.pi))
-@settings(max_examples=60, deadline=None)
-def test_lossy_channel_at_zero_temperature_is_binomial_thinning(
-        transmittance, phase, amplitude, alpha_phase, rho, phi):
-    # f = 0: P(m) = sum_n p_n C(n, m) T^m (1 - T)^(n - m), with no recursion
+def squeezed_state(amplitude, alpha_phase, rho, phi):
+    """A displaced squeezed state at the truncation rule's n_max, or no example."""
     alpha = amplitude * complex(math.cos(alpha_phase), math.sin(alpha_phase))
     n_max = math.ceil(4 * (amplitude**2 + math.sinh(rho) ** 2) + 40)
     try:
-        state = fock.squeezed_coherent_fock(alpha, rho, phi, n_max)
+        return fock.squeezed_coherent_fock(alpha, rho, phi, n_max)
     except TruncationLeak:
         assume(False)  # the rule holds but the squeezed tail still leaks
+
+
+STATES = dict(amplitude=st.floats(0.0, 2.0), alpha_phase=st.floats(0.0, 2 * math.pi),
+              rho=st.floats(0.0, 0.8), phi=st.floats(0.0, 2 * math.pi))
+# the means are compared relative to 1e-12; a mean near the smallest normal
+# double (below 1e-290) carries subnormal products and is compared absolutely
+MEAN_FLOOR = 1e-290
+
+
+@given(transmittance=st.floats(0.0, 1.0, allow_subnormal=False),
+       env_occupation=st.floats(0.0, 10.0, allow_subnormal=False), **STATES)
+@settings(max_examples=60, deadline=None)
+def test_lossy_channel_is_nonnegative_with_exact_mean(transmittance, env_occupation, **state):
+    state = squeezed_state(**state)
+    t_amp = math.sqrt(transmittance)
+    out = fock.lossy_channel_photostats(state, t_amp, env_occupation)
+    assert np.all(out.distribution >= 0)
+    transmittance = abs(t_amp) ** 2
+    expected = transmittance * state.mean_photon_number() + (1 - transmittance) * env_occupation
+    assert out.kappa1 == pytest.approx(expected, rel=1e-12, abs=MEAN_FLOOR)
+
+
+@given(gain=st.floats(1.0, 3.0), idler_occupation=st.floats(0.0, 1.0, allow_subnormal=False),
+       **STATES)
+@settings(max_examples=60, deadline=None)
+def test_amplifying_channel_is_nonnegative_with_exact_mean(gain, idler_occupation, **state):
+    state = squeezed_state(**state)
+    g_amp = math.sqrt(gain)
+    out = fock.amplifying_channel_photostats(state, g_amp, idler_occupation)
+    assert np.all(out.distribution >= 0)
+    gain = abs(g_amp) ** 2
+    expected = gain * state.mean_photon_number() + (gain - 1) * (1 + idler_occupation)
+    assert out.kappa1 == pytest.approx(expected, rel=1e-12, abs=MEAN_FLOOR)
+
+
+@given(transmittance=st.floats(0.0, 1.0), phase=st.floats(0.0, 2 * math.pi), **STATES)
+@settings(max_examples=60, deadline=None)
+def test_lossy_channel_at_zero_temperature_is_binomial_thinning(transmittance, phase, **state):
+    # f = 0: P(m) = sum_n p_n C(n, m) T^m (1 - T)^(n - m), with no recursion
+    state = squeezed_state(**state)
+    n_max = state.n_max
     t_amp = math.sqrt(transmittance) * complex(math.cos(phase), math.sin(phase))
     out = fock.lossy_channel_photostats(state, t_amp, 0.0)
     thinning = np.array([[math.comb(n, m) * transmittance**m * (1 - transmittance) ** (n - m)
@@ -217,8 +283,8 @@ def test_lossy_channel_at_zero_temperature_is_binomial_thinning(
 
 
 def test_lossy_channel_memory_bounded():
-    # the channel keeps one slab and a running output distribution, not every
-    # block or the mixture's columns (f = 10: k_max = 290, n_total = 410)
+    # the channel keeps one kernel row and the output distribution, no kernel
+    # matrix and no mixture over environment occupations
     state = fock.squeezed_coherent_fock(1.3, 0.5, 0.7, 120)
     for env_occupation, transmittance, bound in ((0.3, 0.6, 8e6), (10.0, 0.5, 10e6)):
         tracemalloc.start()
