@@ -87,6 +87,37 @@ _PARSERS = {
     "floats": _parse_float_list,
 }
 
+_MEDIUM_SIGNS = {"absorbing": 1, "amplifying": -1}
+
+
+def _one_of(*choices):
+    return "str", lambda value: value in choices, "one of " + ", ".join(choices)
+
+
+# option kind -> (its type in _PARSERS, the test of a parsed value, the domain
+# that test admits); an option whose kind is a bare type takes any such value
+_KINDS = {
+    **{kind: (kind, None, None) for kind in _PARSERS},
+    "count": ("int", lambda n: n >= 1, ">= 1"),
+    "samples": ("int", lambda n: n >= 2, ">= 2"),
+    "seed": ("int", lambda n: n >= 0, ">= 0"),
+    "positive": ("float", lambda x: x > 0, "> 0"),
+    "below_pi": ("float", lambda x: 0 < x < math.pi, "in (0, pi)"),
+    "non_negative": ("float", lambda x: x >= 0, ">= 0"),
+    "efficiency": ("float", lambda x: 0 <= x <= 1, "in [0, 1]"),
+    "coupling": ("float", lambda x: 0 < x < 1, "in (0, 1)"),
+    "non_negatives": ("floats", lambda xs: min(xs) >= 0, "each >= 0"),
+    "positives": ("floats", lambda xs: min(xs) > 0, "each > 0"),
+    "lengths": ("floats", md.fit_lengths_ok, md.FIT_LENGTHS_RULE),
+    "medium": _one_of(*_MEDIUM_SIGNS),
+    "media": _one_of(*_MEDIUM_SIGNS, "both"),
+    "averaging": _one_of(en.RATIO_OF_MEANS, en.MEAN_OF_RATIOS),
+    "policy": _one_of("min", "fixed", "scan"),
+    "level": _one_of("fast", "full"),
+    "path": ("str", lambda path: os.path.isdir(os.path.dirname(path) or "."),
+             "a path in an existing directory"),
+}
+
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -116,9 +147,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(options, args) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags, each in its domain."""
     resolved = {name: default for name, _, default, _ in options}
-    parser_of = {name: _PARSERS[kind] for name, kind, _, _ in options}
+    kind_of = {name: _KINDS[kind] for name, kind, _, _ in options}
+    parser_of = {name: _PARSERS[kind_of[name][0]] for name in resolved}
     file_values = {}
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
@@ -135,6 +167,10 @@ def _resolve(options, args) -> dict:
             resolved[name] = parser_of[name](getattr(args, name))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"option --{name.replace('_', '-')}: {exc}") from None
+    for name, value in resolved.items():
+        _, within, domain = kind_of[name]
+        if value is not None and within is not None and not within(value):
+            _reject(name, f"{value!r}, need {domain}")
     _check_domains(resolved, given)
     return resolved
 
@@ -143,60 +179,18 @@ def _reject(name: str, message: str):
     raise ConfigError(f"option --{name.replace('_', '-')}: {message}")
 
 
-def _check_lengths(name: str, lengths, hint: str = "") -> None:
-    """The Ohm's-law fit needs three or more positive lengths spanning a factor of four."""
-    if len(lengths) < 3 or min(lengths) <= 0 or max(lengths) / min(lengths) < 4:
-        _reject(name, f"calibration lengths {lengths} are not three or more positive "
-                      f"lengths spanning a factor of four{hint}")
-
-
 # the options that a fano-direct run whose --s are all 0 reads
 _ZERO_LENGTH_READS = {"s", "fano_in", "alpha", "rho", "phi", "efficiency", "medium", "occupation",
                       "n_modes", "samples", "output", "json"}
 
 
 def _check_domains(cfg, given) -> None:
-    """Reject every option value outside its domain, before any work starts.
-
-    ``given`` names the options set on the command line.
-    """
-    if cfg.get("n_modes", 1) < 1:
-        _reject("n_modes", f"{cfg['n_modes']} modes, need >= 1")
+    """Reject, before any work starts, an option value out of range for another
+    option, and a flag the run does not read; ``given`` names the flags set."""
     for name in ("incident_mode", "probe_mode"):
         if name in cfg and not 0 <= cfg[name] < cfg["n_modes"]:
             _reject(name, f"mode {cfg[name]} outside 0..{cfg['n_modes'] - 1} for --n-modes "
                           f"{cfg['n_modes']}")
-    if cfg.get("threads", 1) < 1:
-        _reject("threads", f"{cfg['threads']} worker processes, need >= 1")
-    for name in ("samples", "calibration_samples", "mc_samples"):
-        if cfg.get(name, 2) < 2:
-            _reject(name, f"{cfg[name]} realizations, need >= 2")
-    if cfg.get("averaging", en.RATIO_OF_MEANS) not in (en.RATIO_OF_MEANS, en.MEAN_OF_RATIOS):
-        _reject("averaging", f"must be {en.RATIO_OF_MEANS} or {en.MEAN_OF_RATIOS}, "
-                             f"got {cfg['averaging']!r}")
-    if cfg.get("seed", 0) < 0:
-        _reject("seed", f"{cfg['seed']}, need >= 0")
-    for name in ("l_over_xi", "scatter_strength", "mean_free_path", "s_max_absorbing",
-                 "s_max_amplifying"):
-        if cfg.get(name) is not None and cfg[name] <= 0:
-            _reject(name, f"{cfg[name]}, need > 0")
-    if cfg.get("s_max_amplifying", 0) >= math.pi:
-        _reject("s_max_amplifying", f"{cfg['s_max_amplifying']}, need < pi")
-    for name in ("n_phases", "points"):
-        if cfg.get(name, 1) < 1:
-            _reject(name, f"{cfg[name]}, need >= 1")
-    policy = cfg.get("phase_policy")
-    if policy not in (None, "min", "fixed", "scan"):
-        _reject("phase_policy", f"must be min, fixed or scan, got {policy!r}")
-    if cfg.get("level", "fast") not in ("fast", "full"):
-        _reject("level", f"must be fast or full, got {cfg['level']!r}")
-    media = (*_MEDIUM_SIGNS, "both") if "points" in cfg else tuple(_MEDIUM_SIGNS)  # figures
-    if cfg.get("medium", media[0]) not in media:
-        _reject("medium", f"must be one of {', '.join(media)}, got {cfg['medium']!r}")
-    for name in ("rho", "s"):
-        values = cfg.get(name, [])
-        if min(values if isinstance(values, list) else [values], default=0) < 0:
-            _reject(name, f"{values}, need >= 0")
     # a fano-direct run whose s are all 0 draws and calibrates nothing
     draws = max(cfg.get("s", [1.0])) > 0
     # a config file may hold keys the run does not read, a flag only what it reads
@@ -204,6 +198,7 @@ def _check_domains(cfg, given) -> None:
         for name in given:
             if name not in _ZERO_LENGTH_READS:
                 _reject(name, "only a run with some --s > 0 reads it")
+    policy = cfg.get("phase_policy")
     state_read = cfg.get("fano_in") is None  # --fano-in overrides the incident state
     # a mode-averaged run reads no incident mode, except the fixed policy's t_{n0 m0}
     mode_read = not cfg.get("mode_average") or policy == "fixed"
@@ -221,20 +216,11 @@ def _check_domains(cfg, given) -> None:
                                 "a run without --mean-free-path")):
         if name in given and not read:
             _reject(name, f"only {reader} reads it")
-    for name in ("output", "json"):
-        if cfg.get(name) and not os.path.isdir(os.path.dirname(cfg[name]) or "."):
-            _reject(name, f"the directory of {cfg[name]!r} does not exist")
-    if not 0 <= cfg.get("efficiency", 0) <= 1:
-        _reject("efficiency", f"{cfg['efficiency']} outside [0, 1]")
-    if not 0 < cfg.get("coupling", 0.5) < 1:
-        _reject("coupling", f"{cfg['coupling']} outside (0, 1)")
-    if "phase_policy" in cfg and min(cfg["s"]) <= 0:
-        _reject("s", f"{cfg['s']}, a homodyne sweep needs s > 0")
-    if "lengths" in cfg:
-        _check_lengths("lengths", cfg["lengths"])
     if "mean_free_path" in cfg and cfg["mean_free_path"] is None and draws:
-        _check_lengths("scatter_strength", _calibration_lengths(cfg["scatter_strength"]),
-                       "; give --mean-free-path")
+        lengths = _calibration_lengths(cfg["scatter_strength"])
+        if not md.fit_lengths_ok(lengths):
+            _reject("scatter_strength", f"calibration lengths {lengths} are not "
+                                        f"{md.FIT_LENGTHS_RULE}; give --mean-free-path")
     if "occupation" in cfg:  # the Monte Carlo commands
         f = _default_occupation(cfg)
         if cfg["medium"] == "absorbing" and f < 0:
@@ -250,12 +236,11 @@ def _check_domains(cfg, given) -> None:
 def _add_options(parser, options):
     parser.add_argument("--config", help="key = value or JSON configuration file")
     for name, kind, default, help_text in options:
+        kind, _, domain = _KINDS[kind]
         flag = "--" + name.replace("_", "-")
         parser.add_argument(flag, dest=name, default=None, metavar=kind.upper(),
-                            help=f"{help_text} (default: {default})")
-
-
-_MEDIUM_SIGNS = {"absorbing": 1, "amplifying": -1}
+                            help=f"{help_text} (default: {default}"
+                                 + (f"; {domain})" if domain else ")"))
 
 
 def _default_occupation(cfg) -> float:
@@ -282,45 +267,45 @@ def _emit(cfg, command, columns, rows):
 
 
 _COMMON_MC = [
-    ("n_modes", "int", 50, "number of propagating modes N"),
-    ("l_over_xi", "float", 0.1, "mean free path over absorption length"),
-    ("medium", "str", "absorbing", "absorbing or amplifying"),
+    ("n_modes", "count", 50, "number of propagating modes N"),
+    ("l_over_xi", "positive", 0.1, "mean free path over absorption length"),
+    ("medium", "medium", "absorbing", "medium kind"),
     ("occupation", "float", None, "signed Bose-Einstein occupation f"),
-    ("efficiency", "float", 1.0, "detector efficiency d"),
-    ("samples", "int", 500, "disorder realizations per point"),
-    ("seed", "int", 1, "master seed"),
-    ("scatter_strength", "float", 0.32, "slice scattering strength"),
-    ("mean_free_path", "float", None, "calibrated mean free path (auto if absent)"),
-    ("calibration_samples", "int", 100, "samples per length for auto-calibration"),
+    ("efficiency", "efficiency", 1.0, "detector efficiency d"),
+    ("samples", "samples", 500, "disorder realizations per point"),
+    ("seed", "seed", 1, "master seed"),
+    ("scatter_strength", "positive", 0.32, "slice scattering strength"),
+    ("mean_free_path", "positive", None, "calibrated mean free path (auto if absent)"),
+    ("calibration_samples", "samples", 100, "samples per length for auto-calibration"),
     ("mode_average", "bool", True, "average over mode indices"),
-    ("averaging", "str", en.RATIO_OF_MEANS, "ratio_of_means or mean_of_ratios"),
-    ("threads", "int", 1, "worker processes, the calling one included"),
+    ("averaging", "averaging", en.RATIO_OF_MEANS, "averaging convention"),
+    ("threads", "count", 1, "worker processes, the calling one included"),
 ]
 
 _OUTPUTS = [
-    ("output", "str", None, "CSV output path"),
-    ("json", "str", None, "JSON output path"),
+    ("output", "path", None, "CSV output path"),
+    ("json", "path", None, "JSON output path"),
 ]
 
 _STATE = [
     ("alpha", "float", 1.0, "displacement magnitude of the incident state"),
-    ("rho", "float", 0.0, "squeezing magnitude of the incident state"),
+    ("rho", "non_negative", 0.0, "squeezing magnitude of the incident state"),
     ("phi", "float", 0.0, "squeezing phase of the incident state"),
     ("incident_mode", "int", 0, "0-based incident mode index"),
 ]
 
 DIRECT_OPTIONS = _COMMON_MC + _STATE + [
-    ("s", "floats", [1.0], "lengths s = L/xi_a, sorted before the run"),
+    ("s", "non_negatives", [1.0], "lengths s = L/xi_a, sorted before the run"),
     ("fano_in", "floats", None, "incident Fano factors (overrides the state)"),
 ] + _OUTPUTS
 
 HOMODYNE_OPTIONS = _COMMON_MC + _STATE + [
-    ("s", "floats", [1.0], "lengths s = L/xi_a, sorted before the run"),
-    ("coupling", "float", 0.5, "homodyne beam-splitter coupling kappa"),
+    ("s", "positives", [1.0], "lengths s = L/xi_a, sorted before the run"),
+    ("coupling", "coupling", 0.5, "homodyne beam-splitter coupling kappa"),
     ("probe_mode", "int", 0, "0-based probe (transmitted) mode index"),
-    ("phase_policy", "str", "min", "min, fixed, or scan"),
+    ("phase_policy", "policy", "min", "probe phase policy"),
     ("probe_phase", "float", 0.0, "probe phase for the fixed policy"),
-    ("n_phases", "int", 64, "grid size for the scan policy"),
+    ("n_phases", "count", 64, "grid size for the scan policy"),
 ] + _OUTPUTS
 
 
@@ -334,10 +319,13 @@ def _collect(cfg, s_values):
         mean_free_path = md.calibrate_mean_free_path(
             cfg["n_modes"], cfg["scatter_strength"], _calibration_lengths(cfg["scatter_strength"]),
             cfg["calibration_samples"], cfg["seed"], workers=cfg["threads"]).mean_free_path
+    xi = mean_free_path / cfg["l_over_xi"]
+    # the slab length L = s xi_a and the decay length 3 xi_a^2 / l must be finite
+    if not math.isfinite(max(s_values) * xi) or not math.isfinite(xi * xi):
+        _reject("s", f"{max(s_values)!r}: L = s xi_a or 3 xi_a^2 / l overflows at xi_a = {xi:.3g}")
     base = en.spec_for_ratios(cfg["n_modes"], max(s_values), cfg["l_over_xi"],
                               mean_free_path, sign, occupation,
                               cfg["scatter_strength"], 0)
-    xi = mean_free_path / cfg["l_over_xi"]
     lengths = [s * xi for s in s_values]
     stats = en.collect_statistics(
         base, lengths, cfg["samples"], cfg["seed"],
@@ -424,19 +412,19 @@ def _homodyne_rows(cfg):
 
 
 _FIGURE_HEAD = [
-    ("medium", "str", "both", "absorbing, amplifying or both"),
-    ("l_over_xi", "float", 0.1, "mean free path over absorption length"),
-    ("efficiency", "float", 1.0, "detector efficiency d"),
+    ("medium", "media", "both", "medium kind of the panels"),
+    ("l_over_xi", "positive", 0.1, "mean free path over absorption length"),
+    ("efficiency", "efficiency", 1.0, "detector efficiency d"),
 ]
 _FIGURE_OCCUPATIONS = [
     ("occupation_absorbing", "float", 1e-3, "occupation of the absorbing panel"),
     ("occupation_amplifying", "float", -1.0, "occupation of the amplifying panel"),
 ]
 _FIGURE_TAIL = [
-    ("points", "int", 240, "points per curve"),
-    ("s_max_absorbing", "float", 12.0, "largest s of the absorbing panel"),
-    ("s_max_amplifying", "float", 3.12, "largest s of the amplifying panel (< pi)"),
-    ("seed", "int", 1, "unused; kept for config uniformity"),
+    ("points", "count", 240, "points per curve"),
+    ("s_max_absorbing", "positive", 12.0, "largest s of the absorbing panel"),
+    ("s_max_amplifying", "below_pi", 3.12, "largest s of the amplifying panel"),
+    ("seed", "seed", 1, "unused; kept for config uniformity"),
 ] + _OUTPUTS
 
 FIGURE3_OPTIONS = _FIGURE_HEAD + _FIGURE_OCCUPATIONS + [
@@ -444,10 +432,10 @@ FIGURE3_OPTIONS = _FIGURE_HEAD + _FIGURE_OCCUPATIONS + [
 ] + _FIGURE_TAIL
 
 FIGURE4_OPTIONS = _FIGURE_HEAD + [
-    ("coupling", "float", 0.5, "homodyne coupling kappa"),
-    ("n_modes", "int", 10, "number of propagating modes N"),
+    ("coupling", "coupling", 0.5, "homodyne coupling kappa"),
+    ("n_modes", "count", 10, "number of propagating modes N"),
 ] + _FIGURE_OCCUPATIONS + [
-    ("rho", "floats", [0.0, 0.25, 0.5, 0.75, 1.0], "squeezing curve family"),
+    ("rho", "non_negatives", [0.0, 0.25, 0.5, 0.75, 1.0], "squeezing curve family"),
 ] + _FIGURE_TAIL
 
 
@@ -474,11 +462,11 @@ def _figure_rows(cfg, column, family, formulas):
 
 
 CALIBRATE_OPTIONS = [
-    ("n_modes", "int", 25, "number of propagating modes N"),
-    ("scatter_strength", "float", 0.32, "slice scattering strength"),
-    ("lengths", "floats", [10.0, 20.0, 40.0, 80.0], "slab lengths for the Ohm fit"),
-    ("samples", "int", 500, "realizations per length"),
-    ("seed", "int", 1, "master seed"),
+    ("n_modes", "count", 25, "number of propagating modes N"),
+    ("scatter_strength", "positive", 0.32, "slice scattering strength"),
+    ("lengths", "lengths", [10.0, 20.0, 40.0, 80.0], "slab lengths for the Ohm fit"),
+    ("samples", "samples", 500, "realizations per length"),
+    ("seed", "seed", 1, "master seed"),
 ] + _OUTPUTS
 
 
@@ -494,8 +482,8 @@ def _calibrate_rows(cfg):
 
 
 VALIDATE_OPTIONS = [
-    ("level", "str", "fast", "fast or full"),
-    ("mc_samples", "int", 300, "realizations used by the full-level MC checks"),
+    ("level", "level", "fast", "check level"),
+    ("mc_samples", "samples", 300, "realizations used by the full-level MC checks"),
 ]
 
 

@@ -11,6 +11,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 
 SCHEMA_VERSION = 1
 
@@ -84,15 +85,20 @@ def read_csv(path):
     return config, columns or [], rows
 
 
+def _json_value(value):
+    """A value as strict JSON takes it: a non-finite float (the CSV's nan) is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, command: str, config: dict, columns, rows) -> None:
-    """Machine-readable twin of the CSV output."""
+    """Machine-readable twin of the CSV output, strict JSON (RFC 8259)."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": {key: config[key] for key in sorted(config)},
         "columns": list(columns),
-        "rows": [{col: row.get(col) for col in columns} for row in rows],
+        "rows": [{col: _json_value(row.get(col)) for col in columns} for row in rows],
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=False)
+        json.dump(payload, handle, indent=1, sort_keys=False, allow_nan=False)
         handle.write("\n")

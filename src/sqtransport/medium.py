@@ -108,6 +108,8 @@ _SAMPLER_ARRAYS = 4
 # below this q a slice's cavity bound (1 + q) / (1 - q) is under CONDITION_LIMIT,
 # with 1e-6 left for the round-off in ||r_A||_2 <= 1 and ||r'_B||_2 <= q
 _PROVEN_Q_MAX = (CONDITION_LIMIT - 1.0) / (CONDITION_LIMIT + 1.0) - 1e-6
+#: the lengths an Ohm's-law fit of the mean free path takes
+FIT_LENGTHS_RULE = "three or more positive lengths spanning a factor of four"
 
 _KIND_FROM_SIGN = {1: ABSORBING, -1: AMPLIFYING, 0: PASSIVE}
 
@@ -473,8 +475,8 @@ def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
     longer length carries the same NearSingularCavity.
     """
     lengths = list(lengths)
-    if any(length < 0 for length in lengths):
-        raise ValueError("lengths must be >= 0")
+    if not all(0 <= length < math.inf for length in lengths):
+        raise ValueError("lengths must be finite and >= 0")
     if sorted(lengths) != lengths:
         raise ValueError("lengths must be sorted ascending")
     period_targets = [int(math.ceil(length)) for length in lengths]
@@ -679,6 +681,11 @@ def _transmittances(seeds, spec: MediumSpec, lengths) -> list[list]:
     return rows
 
 
+def fit_lengths_ok(lengths) -> bool:
+    """Whether the Ohm's-law fit can take ``lengths``: ``FIT_LENGTHS_RULE``."""
+    return len(lengths) >= 3 and min(lengths) > 0 and max(lengths) / min(lengths) >= 4
+
+
 def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
                              samples_per_length: int, seed: int,
                              workers: int = 1) -> CalibrationResult:
@@ -692,7 +699,7 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
     the result is bitwise independent of ``workers``.
 
     Args:
-        lengths: at least three lengths spanning a factor of four or more.
+        lengths: ``FIT_LENGTHS_RULE``, in any order.
         samples_per_length: disorder realizations per length, at least two.
         seed: master seed for the disorder ensemble.
         workers: processes that build the samples, this one included.
@@ -702,12 +709,8 @@ def calibrate_mean_free_path(n_modes: int, scatter_strength: float, lengths,
             (scattering too strong for the slice model).
     """
     lengths = sorted(float(v) for v in lengths)
-    if len(lengths) < 3:
-        raise ValueError("need at least three lengths")
-    if lengths[0] <= 0:
-        raise ValueError("lengths must be positive")
-    if lengths[-1] / lengths[0] < 4:
-        raise ValueError("lengths must span at least a factor of four")
+    if not fit_lengths_ok(lengths):
+        raise ValueError(f"lengths {lengths}: need {FIT_LENGTHS_RULE}")
     if samples_per_length < 2:
         raise ValueError("need at least two samples per length")
 

@@ -355,6 +355,87 @@ def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monke
     assert option in capsys.readouterr().err
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+# option kind -> values just outside each bound of its domain
+_OUTSIDE = {
+    "count": ["0"], "samples": ["1"], "seed": ["-1"], "positive": ["0"],
+    "below_pi": ["0", "3.1416"], "non_negative": ["-1e-9"],
+    "efficiency": ["-1e-9", "1.000001"], "coupling": ["0", "1"],
+    "non_negatives": ["1,-1e-9"], "positives": ["1,0"],
+    "lengths": ["10,20", "0,10,40", "10,20,39.9"],
+    "medium": ["both"], "media": ["bogus"], "averaging": ["bogus"], "policy": ["bogus"],
+    "level": ["bogus"], "path": ["missing-dir/out"],
+}
+
+_DOMAIN_OPTIONS = [(command, name, kind, default)
+                   for command, (options, _) in cli.COMMANDS.items()
+                   for name, kind, default, _ in options if cli._KINDS[kind][1] is not None]
+
+
+def test_every_kind_with_a_domain_has_values_outside_it():
+    assert set(_OUTSIDE) == {kind for kind, (_, within, _) in cli._KINDS.items() if within}
+
+
+@pytest.mark.parametrize("command, name, kind, default", _DOMAIN_OPTIONS,
+                         ids=[f"{command}-{name}" for command, name, _, _ in _DOMAIN_OPTIONS])
+def test_option_domain_from_the_kind_table(command, name, kind, default, monkeypatch, capsys,
+                                           tmp_path):
+    _, within, domain = cli._KINDS[kind]
+    assert default is None or within(default)
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", _no_work)
+    monkeypatch.setattr(cli.en, "collect_statistics", _no_work)
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + name.replace("_", "-")
+    for value in _OUTSIDE[kind]:
+        assert run([command, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"option {flag}: " in err and f"need {domain}" in err
+
+
+def test_help_shows_each_domain(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["fano-direct", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--samples INT disorder realizations per point (default: 500; >= 2)" in out
+
+
+@pytest.mark.parametrize("calibrated", [False, True], ids=["mean-free-path", "calibrated"])
+@pytest.mark.parametrize("flags", [["--s", "1e308"], ["--l-over-xi", "1e-320"]],
+                         ids=["s", "l-over-xi"])
+def test_overflowing_slab_length_exits_2(flags, calibrated, monkeypatch, capsys):
+    # L = s xi_a overflows to inf: named before any sample is drawn
+    def fitted(*args, **kwargs):
+        return md.CalibrationResult(9.9, 0.1, 1.0, 0.0, ())
+
+    monkeypatch.setattr(cli.md, "calibrate_mean_free_path", fitted if calibrated else _no_work)
+    monkeypatch.setattr(cli.en, "collect_statistics", _no_work)
+    given = [] if calibrated else ["--mean-free-path", 9.9]
+    assert run(["fano-direct", "--n-modes", 2, "--samples", 2, *given, *flags]) == 2
+    assert "option --s: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("policy", ["min", "scan"])
+def test_json_output_is_strict_json(policy, tmp_path):
+    # the min row has no probe phase: nan in the CSV, null in the JSON
+    csv, out = tmp_path / "h.csv", tmp_path / "h.json"
+    n_scan = 3 if policy == "scan" else 0
+    scan = ["--n-phases", n_scan] if n_scan else []
+    assert run(["fano-homodyne", "--n-modes", 4, "--s", 0.5, "--samples", 4,
+                "--mean-free-path", 9.9, "--phase-policy", policy, *scan,
+                "--output", csv, "--json", out]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is no JSON")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    assert [row["policy"] for row in rows] == ["scan"] * n_scan + ["min"]
+    assert rows[-1]["probe_phase"] is None
+    assert math.isnan(sio.read_csv(csv)[2][-1]["probe_phase"])
+
+
 @pytest.mark.parametrize("output", [None, 5])
 def test_config_output_must_be_a_string(output, monkeypatch, capsys, tmp_path):
     # str(None) and str(5) would name a file in the working directory

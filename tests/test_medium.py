@@ -294,6 +294,13 @@ def _traced_build_peak(n_modes):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("length", [-1.0, math.inf, math.nan])
+def test_build_rejects_a_length_outside_zero_to_infinity(length):
+    spec = absorbing_spec(2, 4, seed=1, decay=40.0)
+    with pytest.raises(ValueError):
+        md.build_batch_checkpoints(spec, [1], [1.0, length])
+
+
 def test_large_n_build_memory_bounded():
     # the sampler's temporaries scale with its block: 16 periods at N = 100
     # would take five arrays of about 10 MB each, a 2-period block about 1.3 MB
