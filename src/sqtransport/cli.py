@@ -251,7 +251,10 @@ def _default_occupation(cfg) -> float:
 
 def _calibration_lengths(scatter_strength: float) -> list[int]:
     """Slab lengths of the auto-calibration, around the slice model's 2 / eps^2."""
-    base = 2.0 / scatter_strength ** 2
+    base = 2.0 / scatter_strength ** 2 if scatter_strength ** 2 > 0 else math.inf
+    if not math.isfinite(base * 4):
+        _reject("scatter_strength", f"2 / eps^2 = {base!r} leaves calibration lengths that "
+                                    "are not finite; give --mean-free-path")
     return [max(2, round(base * factor)) for factor in (0.5, 1, 2, 4)]
 
 

@@ -6,11 +6,18 @@ densities, so the overall detection-time prefactor never appears.  The signal
 is a single-mode ideal squeezed state entering the medium from the left; the
 medium injects thermal (or, for an amplifier, inverted-population) noise with
 signed occupation f through the deviation of S from unitarity.
+
+The generating function diagonalises the Hermitian d X, X = 1 - r r+ - t t+,
+once per z: with its eigenvalues lambda_i, m(z) = -z sum_i w_i / (1 - z f
+lambda_i) is real by construction.  ``m_element`` raises SingularResolvent only
+at an exactly zero factor 1 - z f lambda_i, and the generating function raises
+GeneratingFunctionDomainError at a factor or squeezed log argument <= 0.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +26,6 @@ import numpy as np
 
 from .errors import (
     GeneratingFunctionDomainError,
-    ImaginaryResidue,
     PrecisionLossWarning,
     SingularResolvent,
     ZeroMeanCount,
@@ -193,70 +199,69 @@ def direct_cumulants_squeezed(s: ScatteringMatrix, state: SqueezedInput,
                              thermal_kappa1=k1_th, thermal_kappa2=k2_th)
 
 
+def _resolvent_factors(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
+                       occupation: float, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors 1 - z f lambda_i of 1 - z f d X and the incident column's weights
+    w_i = d |(W+ t_{. m0})_i|^2, lambda_i and W the eigensystem of the Hermitian d X."""
+    d = config.efficiency
+    eigenvalues, basis = np.linalg.eigh(d * _noise_matrix(s))
+    weights = d * np.abs(basis.conj().T @ s.t[:, incident_mode]) ** 2
+    return 1.0 - z * occupation * eigenvalues, weights
+
+
+def _m(z: float, factors: np.ndarray, weights: np.ndarray) -> float:
+    """m(z) = -z sum_i w_i / (1 - z f lambda_i) from ``_resolvent_factors``."""
+    if np.any(factors == 0):
+        raise SingularResolvent("a factor 1 - z f lambda_i of the resolvent is exactly 0")
+    return -z * float(np.sum(weights / factors))
+
+
 def m_element(s: ScatteringMatrix, incident_mode: int, config: DetectionConfig,
               occupation: float, z: float) -> float:
     """Diagonal element -z [S+ (1 - z D (1 - S S+) f)^-1 D S]_{m0 m0}.
 
     D is d on the transmitted modes and 0 on the reflected ones, so the
-    resolvent is block triangular and the N x N solve of
-    -z d [t+ (1 - z d f X)^-1 t]_{m0 m0}, X = 1 - r r+ - t t+, is exact.
-    Real (it is the diagonal element of a Hermitian matrix).
+    resolvent is block triangular and the element is -z d [t+ (1 - z d f X)^-1
+    t]_{m0 m0}, X = 1 - r r+ - t t+: in the eigenbasis of the Hermitian d X the
+    real sum -z sum_i w_i / (1 - z f lambda_i) of ``_resolvent_factors``.
 
     Raises:
-        ImaginaryResidue: the computed element has an imaginary part of
-            1e-10 or more.
+        SingularResolvent: a factor 1 - z f lambda_i is exactly 0.
     """
-    if z == 0:
-        return 0.0
-    d = config.efficiency
-    resolvent = np.eye(s.n_modes) - z * occupation * (d * _noise_matrix(s))
-    column = s.t[:, incident_mode]
-    try:
-        solved = np.linalg.solve(resolvent, d * column)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(str(exc)) from None
-    m = -z * complex(column.conj() @ solved)
-    if not abs(m.imag) < 1e-10:
-        raise ImaginaryResidue(f"m acquired imaginary part {m.imag:.3e}")
-    return m.real
+    return _m(z, *_resolvent_factors(s, incident_mode, config, occupation, z))
 
 
 def log_generating_density_direct(z: float, s: ScatteringMatrix, state: SqueezedInput,
                                   config: DetectionConfig, occupation: float) -> float:
     """Spectral density of the log generating function of the photocount.
 
-    Thermal part -ln det[1 - z d f X], with X = 1 - r r+ - t t+, plus the
-    single-incident-mode squeezed-state part::
+    Thermal part -ln det[1 - z d f X] = -sum_i ln(1 - z f lambda_i), with X =
+    1 - r r+ - t t+, plus the single-incident-mode squeezed-state part::
 
         -1/2 ln(1 + 2 m sinh^2 rho - m^2 sinh^2 rho)
         - m |alpha|^2 (1 + m sinh rho [sinh rho + cosh rho cos(2 arg alpha - phi)])
           / (1 + 2 m sinh^2 rho - m^2 sinh^2 rho)
 
+    Both parts, with m of ``m_element``, come from one ``_resolvent_factors``.
     The factorial cumulant densities are its derivatives at z = 0.
 
     Raises:
-        GeneratingFunctionDomainError: a logarithm argument is not positive.
+        GeneratingFunctionDomainError: a factor 1 - z f lambda_i, or the
+            squeezed log argument, is not positive.
     """
-    block = config.efficiency * _noise_matrix(s)
-    eigenvalues = np.linalg.eigvalsh(block)
-    factors = 1.0 - z * occupation * eigenvalues
+    factors, weights = _resolvent_factors(s, state.incident_mode, config, occupation, z)
     if np.any(factors <= 0):
         raise GeneratingFunctionDomainError("thermal determinant crossed zero")
     thermal = -float(np.sum(np.log(factors)))
 
-    m = m_element(s, state.incident_mode, config, occupation, z)
-    sh = math.sinh(state.rho)
-    ch = math.cosh(state.rho)
+    m = _m(z, factors, weights)
+    sh, ch = math.sinh(state.rho), math.cosh(state.rho)
     gauge = 1.0 + 2.0 * m * sh * sh - m * m * sh * sh
     if gauge <= 0:
         raise GeneratingFunctionDomainError("squeezed log argument crossed zero")
     squeezed = -0.5 * math.log(gauge)
-    amp2 = abs(state.alpha) ** 2
-    if amp2 > 0:
-        phase = math.cos(2.0 * cmath.phase(complex(state.alpha)) - state.phi)
-        displaced = -m * amp2 * (1.0 + m * sh * (sh + ch * phase)) / gauge
-    else:
-        displaced = 0.0
+    phase = math.cos(2.0 * cmath.phase(complex(state.alpha)) - state.phi)
+    displaced = -m * abs(state.alpha) ** 2 * (1.0 + m * sh * (sh + ch * phase)) / gauge
     return thermal + squeezed + displaced
 
 
@@ -286,10 +291,9 @@ def numeric_factorial_cumulants(s: ScatteringMatrix, state: SqueezedInput,
     if not 1 <= order <= 4:
         raise ValueError("order must be between 1 and 4")
 
+    @functools.cache  # the stencils share points: each is evaluated once
     def generating(z: float) -> float:
-        if z == 0:
-            return 0.0
-        return log_generating_density_direct(z, s, state, config, occupation)
+        return log_generating_density_direct(z, s, state, config, occupation) if z else 0.0
 
     results = []
     for j in range(1, order + 1):
@@ -301,19 +305,13 @@ def numeric_factorial_cumulants(s: ScatteringMatrix, state: SqueezedInput,
         candidates = []
         for h0 in (_STEP, 8.0 * _STEP):  # the larger step escapes the round-off floor
             d0, d1, d2 = estimate(h0), estimate(h0 / 2), estimate(h0 / 4)
-            first = (4.0 * d1 - d0) / 3.0
-            second = (4.0 * d2 - d1) / 3.0
-            scale = max(abs(second), 1e-300)
-            candidates.append((abs(second - first) / scale,
+            first, second = (4.0 * d1 - d0) / 3.0, (4.0 * d2 - d1) / 3.0
+            candidates.append((abs(second - first) / max(abs(second), 1e-300),
                                (16.0 * second - first) / 15.0))
         disagreement, value = min(candidates)
         if disagreement > 1e-5:
-            warnings.warn(
-                f"order-{j} cumulant extrapolations disagree by "
-                f"{disagreement:.2e} relative",
-                PrecisionLossWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"order-{j} cumulant extrapolations disagree by {disagreement:.2e} "
+                          "relative", PrecisionLossWarning, stacklevel=2)
         results.append(value)
     return results
 

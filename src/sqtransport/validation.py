@@ -278,8 +278,8 @@ def check_fock_oracle_lossy():
     s = scalar_channel(math.sqrt(0.6), md.ABSORBING)
     closed = ps.direct_cumulants_squeezed(
         s, ps.SqueezedInput(1.3, 0.5, 0.7), ps.DetectionConfig(1.0), 0.1)
-    _expect(abs(out.kappa1 - closed.kappa1) <= 1e-8 * closed.kappa1)
-    _expect(abs(out.kappa2 - closed.kappa2) <= 1e-8 * abs(closed.kappa2))
+    _expect(abs(out.kappa1 - closed.kappa1) <= 1e-13 * closed.kappa1)
+    _expect(abs(out.kappa2 - closed.kappa2) <= 1e-13 * abs(closed.kappa2))
 
 
 def check_fock_oracle_amplifying():
@@ -288,8 +288,8 @@ def check_fock_oracle_amplifying():
     s = scalar_channel(math.sqrt(1.5), md.AMPLIFYING)
     closed = ps.direct_cumulants_squeezed(
         s, ps.SqueezedInput(1.0, 0.4, 0.0), ps.DetectionConfig(1.0), -1.0)
-    _expect(abs(out.kappa1 - closed.kappa1) <= 1e-7 * closed.kappa1)
-    _expect(abs(out.kappa2 - closed.kappa2) <= 1e-7 * abs(closed.kappa2))
+    _expect(abs(out.kappa1 - closed.kappa1) <= 1e-13 * closed.kappa1)
+    _expect(abs(out.kappa2 - closed.kappa2) <= 1e-13 * abs(closed.kappa2))
 
 
 def check_zero_length_ensemble():

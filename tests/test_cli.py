@@ -320,6 +320,10 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
     (["fano-homodyne", "--n-modes", 4, "--s", 0.5, "--samples", 4, "--mean-free-path", 9.9,
       "--phase-policy", "scan", "--n-phases", 4, "--incident-mode", 2],
      "option --incident-mode:"),
+    (["fano-direct", "--n-modes", 2, "--samples", 2, "--scatter-strength", 1e-200],
+     "option --scatter-strength:"),
+    (["fano-direct", "--n-modes", 2, "--samples", 2, "--scatter-strength", 1e-160],
+     "option --scatter-strength:"),
 ], ids=["calibrate-one", "direct-zero", "homodyne-one", "direct-calibration-one",
         "validate-mc-one", "unknown-averaging", "l-over-xi-zero", "mean-free-path-zero",
         "mean-free-path-negative", "scatter-strength-zero",
@@ -338,7 +342,8 @@ def test_threads_below_one_in_config_file_exits_2(tmp_path, capsys):
         "l-over-xi-with-s-zero", "incident-mode-with-s-zero", "alpha-with-fano-in",
         "rho-with-fano-in", "phi-with-fano-in", "seed-under-figure3", "seed-under-figure4",
         "incident-mode-under-mode-average", "incident-mode-under-homodyne-min",
-        "incident-mode-under-homodyne-scan"])
+        "incident-mode-under-homodyne-scan", "scatter-strength-squared-underflows",
+        "scatter-strength-lengths-overflow"])
 def test_bad_samples_or_averaging_exits_2_before_calibration(args, option, monkeypatch,
                                                              capsys, tmp_path):
     def no_calibration(*args, **kwargs):
@@ -675,19 +680,34 @@ names = [info.name for info in pkgutil.iter_modules(sqtransport.__path__)
          if info.name != "__main__"]
 for name in names:
     importlib.import_module("sqtransport." + name)
-print(len(names), sorted(module for module in sys.modules if module.split(".")[0] == "scipy"))
+print(len(names), " ".join(sorted(sys.modules)))
 """
 
 
-def test_no_module_imports_scipy():
-    # scipy is no declared dependency, and one import costs about 0.2 s of start-up
+@pytest.fixture(scope="module")
+def modules_after_importing_every_module():
+    """The modules loaded after a fresh interpreter imports every sqtransport module."""
     result = subprocess.run([sys.executable, "-c", _IMPORT_EVERY_MODULE], env=_source_env(),
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    count, loaded = result.stdout.split(maxsplit=1)
+    count, *loaded = result.stdout.split()
     modules = [path for path in Path(cli.__file__).parent.glob("*.py")
                if path.stem not in ("__init__", "__main__")]
-    assert int(count) == len(modules) and loaded.strip() == "[]"
+    assert int(count) == len(modules)
+    return set(loaded)
+
+
+def test_no_module_imports_scipy(modules_after_importing_every_module):
+    # scipy is no declared dependency, and one import costs about 0.2 s of start-up
+    assert sorted(module for module in modules_after_importing_every_module
+                  if module.split(".")[0] == "scipy") == []
+
+
+def test_no_module_imports_multiprocessing(modules_after_importing_every_module):
+    # medium.map_seed_chunks loads them only when its pool opens; at import
+    # every process, a benchmark pass's setup included, would pay for them
+    assert {"multiprocessing", "concurrent.futures.process"} \
+        & modules_after_importing_every_module == set()
 
 
 def test_closed_stdout_ends_the_run_quietly():

@@ -207,8 +207,8 @@ def test_lossy_channel_in_hot_environment():
     closed = ps.direct_cumulants_squeezed(
         scalar_channel(math.sqrt(0.5), md.ABSORBING), ps.SqueezedInput(1.3, 0.5, 0.7),
         ps.DetectionConfig(1.0), 5.0)
-    assert out.kappa1 == pytest.approx(closed.kappa1, rel=1e-8)
-    assert out.kappa2 == pytest.approx(closed.kappa2, rel=1e-8)
+    assert out.kappa1 == pytest.approx(closed.kappa1, rel=1e-13)
+    assert out.kappa2 == pytest.approx(closed.kappa2, rel=1e-13)
 
 
 def test_amplifier_matches_squeezer_reference():
