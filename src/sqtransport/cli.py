@@ -277,7 +277,7 @@ _COMMON_MC = [
     ("efficiency", "efficiency", 1.0, "detector efficiency d"),
     ("samples", "samples", 500, "disorder realizations per point"),
     ("seed", "seed", 1, "master seed"),
-    ("scatter_strength", "positive", 0.32, "slice scattering strength"),
+    ("scatter_strength", "positive", 0.32, "slice strength eps: mode reflectance eps^2/(2+eps^2)"),
     ("mean_free_path", "positive", None, "calibrated mean free path (auto if absent)"),
     ("calibration_samples", "samples", 100, "samples per length for auto-calibration"),
     ("mode_average", "bool", True, "average over mode indices"),
@@ -466,7 +466,7 @@ def _figure_rows(cfg, column, family, formulas):
 
 CALIBRATE_OPTIONS = [
     ("n_modes", "count", 25, "number of propagating modes N"),
-    ("scatter_strength", "positive", 0.32, "slice scattering strength"),
+    ("scatter_strength", "positive", 0.32, "slice strength eps: mode reflectance eps^2/(2+eps^2)"),
     ("lengths", "lengths", [10.0, 20.0, 40.0, 80.0], "slab lengths for the Ohm fit"),
     ("samples", "samples", 500, "realizations per length"),
     ("seed", "seed", 1, "master seed"),

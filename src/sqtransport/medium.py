@@ -1,10 +1,6 @@
 """Random scattering matrices of quasi-1D absorbing or amplifying waveguides.
 
-A disordered waveguide segment is modelled as an alternation of thin random
-scattering slices and uniform loss/gain propagation units, combined with the
-Redheffer star product.  All lengths are measured in units of the elementary
-slice thickness.  The 2N x 2N scattering matrix is stored through its four
-N x N blocks::
+The 2N x 2N scattering matrix is stored through its four N x N blocks::
 
         S = [[r', t'],
              [t,  r ]]
@@ -13,63 +9,56 @@ with modes 1..N on the left of the medium and modes N+1..2N on the right,
 so r' reflects left-to-left, t transmits left-to-right, and the star-product
 identity element is the perfectly transparent segment r = r' = 0, t = t' = 1.
 
-The disorder loop (``build_batch_checkpoints``) works on the four raw block
-arrays and makes a ``ScatteringMatrix`` only at the requested lengths.
+Model.  A medium of length L is ceil(L) periods, each two pieces combined
+with the Redheffer star product (the isotropic polar form of DMPK theory;
+Beenakker, Rev. Mod. Phys. 69, 731 (1997)): a scalar core
+C = [[sqrt(delta), sqrt(1 - delta)], [sqrt(1 - delta), -sqrt(delta)]] (x) 1_N,
+which reflects delta = eps^2 / (2 + eps^2) per mode (``core_amplitudes``),
+so the mean free path is l = (1 - delta) / delta = 2 / eps^2 periods; then a
+reflectionless interface t = a X, t' = a Y with X and Y independent N x N
+Haar unitaries and a = exp(-sign / (2 l_a)).  An isotropic slice is
+diag(u, v) C diag(u', v') with Haar u, v, u', v'; the law of a composite is
+invariant under rotations of its right side, so the next slice's left
+rotations fold into X and Y.  With M = (1 - sqrt(delta) r)^-1 and the old
+blocks on the right, one period is::
 
-Batched samples.  The loop advances a batch of B samples together.  Each
-sample draws its slices and phases from its own two streams, exactly as a
-sample built alone does; the composites are [B, N, N] stacks, so each period
-costs one stacked star product and one stacked propagation unit instead of B
-of each.  For small N this removes most of the per-call Python overhead.
-The batch's slices live in one (B, P, 2N, 2N) buffer, refilled in place for
-each sampling block of P periods.  ``BATCH_BYTES`` sizes both factors:
-P = max(1, min(SAMPLING_BLOCK, BATCH_BYTES // ((2N)^2 16 bytes))) and
-B = max(1, BATCH_BYTES // (P (2N)^2 16 bytes)), so the buffer stays within
-``BATCH_BYTES`` wherever one slice fits (N <= 142).  That gives
-(P, B) = (16, 12) at N = 10, (16, 2) at N = 25, (16, 1) from N = 26,
-(8, 1) at N = 50, (2, 1) at N = 100 and (1, 1) from N = 143 up.  Stacking
-leaves every sample bitwise unchanged: ``matmul``, ``solve`` and ``svd`` on a
-stack call the same BLAS or LAPACK routine matrix by matrix that they call
-on one matrix, and the elementwise steps do not depend on their neighbours.
-The cavity guard and a failure, which takes the sample out of the stack, are
-decided per sample.  The cavity-free formula is decided for the whole stack;
-every sample takes it in the first period and, with probability one, in no
-other.
-``build_batch_checkpoints`` splits any number of seeds into such batches;
-``build_medium_checkpoints`` is the batch of one.
+    r' <- r' + sqrt(delta) t' M t
+    t  <- a sqrt(1 - delta) X M t
+    t' <- a sqrt(1 - delta) t' M Y
+    r  <- a^2 X (r - sqrt(delta)) M Y  =  a^2 X [(1 - delta) r M - sqrt(delta)] Y
+
+one stacked inverse, eight N x N matmuls and the QRs of X and Y
+(``_haar_unitaries``).  Every checkpoint is a full S for ``validate``.
+
+Cavity bound.  A passive or absorbing composite is a contraction, so every
+singular value of the cavity factor 1 - sqrt(delta) r lies in
+[1 - sqrt(delta), 1 + sqrt(delta)], and cond <= (1 + sqrt(delta)) /
+(1 - sqrt(delta)), a constant (1.93 at delta = 0.1).  Below
+``CONDITION_LIMIT`` these media run no condition check; with the margin for
+round-off on sqrt(delta), the guard returns once delta is within about 2e-6
+of 1 (eps above about 1000).  An amplifying composite can have ||r||_2 > 1
+and keeps the guard of ``_check_cavity``, whose failure takes the sample out
+of its batch.
+
+Batched samples.  ``build_batch_checkpoints`` advances B samples together as
+[B, N, N] stacks.  Each sample draws X and Y from its own stream,
+``default_rng(seed)``, one contiguous normal draw per period, so a shorter
+medium is a prefix of a longer one.  The draws of P periods of every sample
+live in one (B, P, 2, N, N) buffer, refilled in place.  ``BATCH_BYTES``
+bounds the loop's whole live set, counted in N x N arrays: the buffer
+(2 B P), the QR's copy, Q and R of one sample's block (6 P) and the
+composites with one period's temporaries (``_STACK_ARRAYS`` B).  That gives
+(P, B) = (16, 16) at N = 10, (14, 1) at N = 25 and (2, 1) at N = 50, within
+``BATCH_BYTES`` up to N = 63.  ``qr``, ``inv`` and ``matmul`` on a stack
+call the same LAPACK or BLAS routine matrix by matrix as on one matrix, and
+the draws continue one stream, so every sample is bitwise the same whatever
+B and P.
 
 Sample driver.  ``map_seed_chunks`` runs the Ohm's-law calibration and the
 Monte Carlo of ``ensemble`` on W contiguous chunks of the sample seeds.  The
 pool's W - 1 chunks are submitted first, so it forks before the caller
 allocates anything; the caller computes the first chunk itself, and the
 chunks are joined in seed order.  Every result is bitwise independent of W.
-
-Block sampling.  The sampler fills a sample's rows of the buffer in chunks
-of max(1, BATCH_BYTES // (4 (2N)^2 16 bytes)) slices with four slice-sized
-arrays live per chunk, so its working set also stays within ``BATCH_BYTES``
-wherever four slices fit (N <= 71); at N = 50 a chunk is 2 slices.  A chunk's
-normal draws continue the stream where the last one stopped, and ``qr``,
-``eigvalsh`` and ``matmul`` act matrix by matrix, so a medium is bitwise the
-same whatever the block or chunk size; only the unitarity spot-check looks
-at its block (the first, middle and last slice of each call).
-
-Cavity bound.  A slice U = exp(i eps K) = V exp(i eps w) V+ is sampled as a
-Haar V and eigenvalues w drawn directly from their law, not as the ``eigh``
-of a drawn K (``_slice_unitaries``).  Appending it to a composite A needs the
-cavity factor 1 - r_A r'_B.  Since r'_B is an off-diagonal block of U, it is
-also an off-diagonal block of U - 1, so
-
-    ||r'_B||_2 <= ||U - 1||_2 = max_j |exp(i eps w_j) - 1| = q,
-
-the last step because U - 1 is normal with eigenvalues exp(i eps w_j) - 1.
-A passive or absorbing composite is a contraction, so ||r_A||_2 <= 1 and
-||r_A r'_B||_2 <= q.  For q < 1 every singular value of the cavity factor
-lies in [1 - q, 1 + q], so cond(1 - r_A r'_B) <= (1 + q) / (1 - q).  The
-sampler draws w anyway, so q is exact and costs nothing; where this bound
-stays below ``CONDITION_LIMIT`` the SVD condition check is skipped.  An amplifying
-composite can have ||r_A||_2 > 1, and a slice replaced by the polar fallback
-no longer has this q, so both keep the SVD guard that ``star_compose``
-always runs.
 """
 
 from __future__ import annotations
@@ -95,19 +84,15 @@ AMPLIFYING = "amplifying"
 
 #: tolerance on singular values of passive / absorbing composites
 SINGULAR_VALUE_TOL = 1e-10
-#: maximum allowed unitarity drift of a freshly sampled slice
-UNITARITY_DRIFT_TOL = 1e-12
 #: condition-number limit of the cavity factor in a star product
 CONDITION_LIMIT = 1e12
-#: most periods whose slices are sampled together (fewer from N = 36 up)
+#: most periods whose draws are sampled together (fewer from N = 25 up)
 SAMPLING_BLOCK = 16
-#: memory for one batch's slice buffer and for the slice sampler's working set
+#: memory for the disorder loop's whole live set
 BATCH_BYTES = 1_300_000
-# slice-sized arrays the sampler holds at once: the Ginibre draw, qr's copy, R and Q
-_SAMPLER_ARRAYS = 4
-# below this q a slice's cavity bound (1 + q) / (1 - q) is under CONDITION_LIMIT,
-# with 1e-6 left for the round-off in ||r_A||_2 <= 1 and ||r'_B||_2 <= q
-_PROVEN_Q_MAX = (CONDITION_LIMIT - 1.0) / (CONDITION_LIMIT + 1.0) - 1e-6
+# N x N complex arrays per sample besides the draws: the four composite blocks
+# and the temporaries of one period
+_STACK_ARRAYS = 12
 #: the lengths an Ohm's-law fit of the mean free path takes
 FIT_LENGTHS_RULE = "three or more positive lengths spanning a factor of four"
 
@@ -213,11 +198,12 @@ class MediumSpec:
 
     Attributes:
         n_modes: number of propagating modes N per side.
-        total_length: segment length in units of the slice thickness.
-        scatter_strength: dimensionless slice scattering strength.
+        total_length: segment length in periods (one slice each).
+        scatter_strength: dimensionless slice scattering strength eps; a
+            slice reflects delta = eps^2 / (2 + eps^2) per mode.
         loss_gain_sign: +1 absorbing, -1 amplifying, 0 passive.
         ballistic_decay_length: amplitude decays (grows) by
-            exp(-(+)1 / (2 * ballistic_decay_length)) per slice; ignored for
+            exp(-(+)1 / (2 * ballistic_decay_length)) per period; ignored for
             a passive medium.
         occupation: signed Bose-Einstein occupation of the medium's internal
             modes (negative for an amplifier).
@@ -254,110 +240,54 @@ class MediumSpec:
         return _KIND_FROM_SIGN[self.loss_gain_sign]
 
 
-def _slice_unitaries(n_modes: int, scatter_strength: float, rng: np.random.Generator,
-                     count: int, out: np.ndarray | None = None) -> tuple:
-    """Sample ``count`` unitaries exp(i * eps * K) with K from the Gaussian ensemble.
+def core_amplitudes(scatter_strength: float) -> tuple[float, float]:
+    """sqrt(delta) and sqrt(1 - delta) of the core, delta = eps^2 / (2 + eps^2).
 
-    K is Hermitian 2N x 2N with independent complex Gaussian off-diagonal
-    entries of variance 1/(2N) and real Gaussian diagonal entries of the same
-    variance, i.e. K = H / sqrt(2N) with H from the GUE of density
-    exp(-tr H^2 / 2).  K is never formed: it is unitarily invariant, so
-    K = V diag(w) V+ in law with V Haar and independent of the eigenvalues w,
-    and both factors are drawn from one complex Ginibre matrix G = X + iY,
-    the same (count, 2, 2N, 2N) normal draw as a direct K would take.
-
-    - V.  Let G = QR, and Lambda = diag(r_ii / |r_ii|).  Then Q Lambda is
-      Haar and independent of the triangular factor Lambda+ R, whose diagonal
-      is |r_ii| (chi with 2(2N - i) degrees of freedom, i = 0, 1, ...) and
-      whose strict upper entries are independent complex normals (Mezzadri,
-      Notices AMS 54, 592 (2007)).
-    - w.  The beta = 2 Hermite tridiagonal with the 2N standard normals of
-      the first row of Lambda+ R (real, then imaginary parts) on its
-      diagonal and |r_ii| / sqrt(2), i = 1 .. 2N - 1 (chi_{2(2N-1)}, ...,
-      chi_2 over sqrt 2) below it has exactly the GUE eigenvalue law
-      (Dumitriu and Edelman, J. Math. Phys. 43, 5830 (2002)); one real
-      ``eigvalsh`` gives w, divided by sqrt(2N) for K.
-    - U = Q Lambda exp(i eps w) Lambda+ Q+ = Q exp(i eps w) Q+, since the
-      diagonal Lambda commutes with exp(i eps w): no phase fix of Q is needed.
-
-    So U has the law of a slice exponentiated through ``eigh`` of a directly
-    drawn K, at the cost of one complex QR and one real eigenvalue solve, and
-    it is unitary to round-off.
-
-    Writes the slices into ``out`` (new when None) and returns it with, per
-    slice, q = ||U - 1||_2 = max_j |exp(i eps w_j) - 1| over the eigenvalues w
-    of K; q is None when the polar fallback replaced the slices.
+    delta ~ eps^2 / 2 for a weak slice, and l = (1 - delta) / delta = 2 / eps^2
+    periods.  Each factor is formed without cancellation.
     """
-    m = 2 * n_modes
-    out = np.empty((count, m, m), dtype=complex) if out is None else out
-    distance = np.empty(count)
-    chunk = max(1, BATCH_BYTES // (_SAMPLER_ARRAYS * m * m * 16))
-    for start in range(0, count, chunk):
-        # one contiguous draw per slice, so shorter media are stream prefixes
-        draws = rng.standard_normal((min(chunk, count - start), 2, m, m))
-        g = draws[:, 0] + 1j * draws[:, 1]
-        del draws
-        q, r = np.linalg.qr(g)
-        del g
-        diagonal = np.diagonal(r, axis1=1, axis2=2)
-        magnitude = np.abs(diagonal)
-        row = r[:, 0, 1:] * (magnitude[:, :1] / diagonal[:, :1])  # first row of Lambda+ R
-        normals = np.concatenate((row.real, row.imag), axis=1)[:, :m]
-        del r, diagonal, row
-        # only the lower triangle is read by eigvalsh
-        tridiagonal = np.zeros((len(normals), m * m))
-        tridiagonal[:, :: m + 1] = normals
-        tridiagonal[:, m :: m + 1] = magnitude[:, 1:] / math.sqrt(2.0)
-        w = np.linalg.eigvalsh(tridiagonal.reshape(-1, m, m))
-        phases = np.exp(1j * (scatter_strength / math.sqrt(m)) * w)
-        distance[start:start + chunk] = np.max(np.abs(phases - 1.0), axis=1)
-        np.matmul(q * phases[:, None, :], np.conj(q).transpose(0, 2, 1),
-                  out=out[start:start + chunk])
-        del q, tridiagonal  # before the next chunk's draw
-    # Householder QR keeps the slices unitary to round-off; spot-check a few
-    # and fall back to a full polar cleanup if any drifted
-    drift = max(np.max(np.abs(out[i] @ out[i].conj().T - np.eye(m)))
-                for i in {0, count // 2, count - 1})
-    if drift > UNITARITY_DRIFT_TOL:
-        u, _, vh = np.linalg.svd(out)
-        return np.matmul(u, vh, out=out), None
-    return out, distance
+    return (1.0 / math.sqrt(1.0 + 2.0 / scatter_strength**2),
+            1.0 / math.sqrt(1.0 + scatter_strength**2 / 2.0))
 
 
-def _transparent_order(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a 2N x 2N unitary (or a stack of them) as scattering blocks with a
-    transparent weak limit.
+def _haar_unitaries(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a C-contiguous stack of N x N complex arrays, with Haar unitaries.
 
-    The blocks are assigned so that exp(i * eps * K) -> identity corresponds to
-    the identity-transmission matrix: the dominant (diagonal) blocks of the
-    unitary become the transmission blocks t and t'.
+    Mezzadri's QR of a complex Ginibre matrix with its phase fix (Notices
+    AMS 54, 592 (2007)): the normals are drawn straight into ``out``, real
+    and imaginary parts interleaved, G = QR, and Q diag(R_ii / |R_ii|) is
+    Haar.  The draws continue one stream and ``qr`` acts matrix by matrix, so
+    a stack is bitwise the same however it is split into calls.
     """
-    n = unitary.shape[-1] // 2
-    r_prime = unitary[..., n:, :n]
-    t_prime = unitary[..., n:, n:]
-    t = unitary[..., :n, :n]
-    r = unitary[..., :n, n:]
-    return r_prime, t_prime, t, r
+    rng.standard_normal(out=out.view(np.float64))
+    q, r = np.linalg.qr(out)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return np.multiply(q, (diagonal / np.abs(diagonal))[..., None, :], out=out)
 
 
 def sample_slice(n_modes: int, scatter_strength: float,
                  rng: np.random.Generator) -> ScatteringMatrix:
-    """Draw one thin random scattering slice.
+    """Draw one isotropic slice S = diag(u, v) C diag(u', v').
 
-    The slice is a random unitary exp(i * eps * K) close to the transparent
-    segment, with per-mode reflectance of order eps**2 / 2.
+    C is the scalar core [[sqrt(delta), sqrt(1 - delta)], [sqrt(1 - delta),
+    -sqrt(delta)]] (x) 1_N and u, v, u', v' are independent Haar unitaries,
+    so r' = sqrt(delta) u u', t' = sqrt(1 - delta) u v', t = sqrt(1 - delta)
+    v u' and r = -sqrt(delta) v v': every mode has reflectance exactly
+    delta of ``core_amplitudes``.
 
     Args:
         n_modes: number of modes per side.
-        scatter_strength: eps > 0; values up to about 0.5 keep the slice weak.
+        scatter_strength: eps > 0.
         rng: numpy random generator.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     if scatter_strength <= 0:
         raise ValueError("scatter_strength must be positive")
-    unitary = _slice_unitaries(n_modes, scatter_strength, rng, 1)[0][0]
-    return ScatteringMatrix(*_transparent_order(unitary), medium_kind=PASSIVE)
+    u, v, u_right, v_right = _haar_unitaries(rng, np.empty((4, n_modes, n_modes), complex))
+    reflection, transmission = core_amplitudes(scatter_strength)
+    return ScatteringMatrix(reflection * (u @ u_right), transmission * (u @ v_right),
+                            transmission * (v @ u_right), -reflection * (v @ v_right), PASSIVE)
 
 
 def _combined_kind(kind_a: str, kind_b: str) -> str:
@@ -370,21 +300,47 @@ def _combined_kind(kind_a: str, kind_b: str) -> str:
     raise ValueError("cannot combine absorbing and amplifying segments")
 
 
+def _check_cavity(loop: np.ndarray, cavity: np.ndarray, guard) -> None:
+    """Condition check of the cavity factors 1 - loop of a stack, where ``guard`` is set.
+
+    sigma_max(loop) <= sqrt(norm1 * norminf); where that bound keeps 1 - loop
+    far from singular the SVD is unnecessary.
+
+    Raises:
+        NearSingularCavity: a guarded cavity factor is numerically singular;
+            ``samples`` lists the failing stack positions.
+    """
+    guard = np.broadcast_to(guard, loop.shape[:-2])
+    if not guard.any():
+        return
+    n = loop.shape[-1]
+    abs_loop = np.abs(loop)
+    bound = np.sqrt(abs_loop.sum(axis=-2).max(axis=-1) * abs_loop.sum(axis=-1).max(axis=-1))
+    flagged = np.flatnonzero(guard & (bound > 0.9))
+    if flagged.size:
+        sigma = np.linalg.svd(cavity.reshape(-1, n, n)[flagged], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            singular = (sigma[:, -1] == 0.0) | (sigma[:, 0] / sigma[:, -1] > CONDITION_LIMIT)
+        if singular.any():
+            raise NearSingularCavity(
+                f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}",
+                flagged[singular],
+            )
+
+
 def _star_blocks(a: tuple, b: tuple, guard) -> tuple:
     """Redheffer star product on raw (r', t', t, r) blocks, ``a`` left of ``b``.
 
     The blocks are N x N matrices, or [B, N, N] stacks of B samples with one
-    ``guard`` flag per sample.  ``guard`` runs the condition check of the
-    cavity factor; a caller may skip it only where a proven bound keeps the
-    factor well conditioned.  Every step acts matrix by matrix, so a sample's
-    composite does not depend on the other samples of its stack.
+    ``guard`` flag per sample.  ``guard`` runs ``_check_cavity``; a caller
+    may skip it only where a proven bound keeps the cavity factor well
+    conditioned.  Every step acts matrix by matrix, so a sample's composite
+    does not depend on the other samples of its stack.
 
     The cavity-free formula is taken when r_A or r'_B vanishes for the whole
-    stack.  In the disorder loop that decision is the same for every sample:
-    at period 0 all composites have r_A = 0, and afterwards a slice's r'_B
-    vanishes with probability zero.  A sample whose facing reflection
-    vanishes inside a cavity stack gets the cavity factor 1, and a composite
-    equal to the cavity-free one up to rounding.
+    stack.  A sample whose facing reflection vanishes inside a cavity stack
+    gets the cavity factor 1, and a composite equal to the cavity-free one up
+    to rounding.
 
     Raises:
         NearSingularCavity: a guarded cavity factor is numerically singular;
@@ -397,26 +353,10 @@ def _star_blocks(a: tuple, b: tuple, guard) -> tuple:
         return (a_r_prime + a_t_prime @ b_r_prime @ a_t, a_t_prime @ b_t_prime,
                 b_t @ a_t, b_r + b_t @ a_r @ b_t_prime)
 
-    n = a_r.shape[-1]
-    eye = np.eye(n)
+    eye = np.eye(a_r.shape[-1])
     loop = a_r @ b_r_prime
     cavity = eye - loop
-    guard = np.broadcast_to(guard, loop.shape[:-2])
-    if guard.any():
-        # sigma_max(loop) <= sqrt(norm1 * norminf); where the bound keeps
-        # 1 - loop far from singular the SVD condition check is unnecessary
-        abs_loop = np.abs(loop)
-        bound = np.sqrt(abs_loop.sum(axis=-2).max(axis=-1) * abs_loop.sum(axis=-1).max(axis=-1))
-        flagged = np.flatnonzero(guard & (bound > 0.9))
-        if flagged.size:
-            sigma = np.linalg.svd(cavity.reshape(-1, n, n)[flagged], compute_uv=False)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                singular = (sigma[:, -1] == 0.0) | (sigma[:, 0] / sigma[:, -1] > CONDITION_LIMIT)
-            if singular.any():
-                raise NearSingularCavity(
-                    f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}",
-                    flagged[singular],
-                )
+    _check_cavity(loop, cavity, guard)
     cavity_rev = eye - b_r_prime @ a_r
 
     x = np.linalg.solve(cavity, a_t)
@@ -449,14 +389,22 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     return ScatteringMatrix(*blocks, kind)
 
 
+def _matrices_in_budget(n_modes: int) -> int:
+    """How many N x N complex arrays ``BATCH_BYTES`` holds."""
+    return BATCH_BYTES // (16 * n_modes * n_modes)
+
+
 def _sampling_block(n_modes: int) -> int:
-    """Periods sampled per call: up to ``SAMPLING_BLOCK``, as many as fit in ``BATCH_BYTES``."""
-    return max(1, min(SAMPLING_BLOCK, BATCH_BYTES // ((2 * n_modes) ** 2 * 16)))
+    """Periods drawn per call: up to ``SAMPLING_BLOCK``, as many as one sample's
+    draws (2 per period), their QR (6 more) and one composite fit in ``BATCH_BYTES``."""
+    return max(1, min(SAMPLING_BLOCK, (_matrices_in_budget(n_modes) - _STACK_ARRAYS) // 8))
 
 
 def _batch_size(n_modes: int) -> int:
-    """Samples advanced together: as many as fit their slice buffers in ``BATCH_BYTES``."""
-    return max(1, BATCH_BYTES // (_sampling_block(n_modes) * (2 * n_modes) ** 2 * 16))
+    """Samples advanced together: as many as fit their draws and composites in
+    ``BATCH_BYTES`` beside the QR of one sample's block."""
+    block = _sampling_block(n_modes)
+    return max(1, (_matrices_in_budget(n_modes) - 6 * block) // (2 * block + _STACK_ARRAYS))
 
 
 def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
@@ -464,7 +412,7 @@ def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
 
     ``spec`` fixes the medium; each seed replaces ``spec.seed`` for one
     sample.  The seeds are built in consecutive batches of
-    ``_batch_size(spec.n_modes)``, so the slice buffers stay within
+    ``_batch_size(spec.n_modes)``, so the loop's live set stays within
     ``BATCH_BYTES`` however many seeds are passed, and a batch is built only
     when the returned iterator reaches it.
 
@@ -489,42 +437,37 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     """One batch of ``build_batch_checkpoints``, captured after each period target.
 
     The samples are advanced together as [B, N, N] stacks of raw blocks,
-    B = len(seeds), one stacked star product and one stacked propagation unit
-    per period; each sample keeps its own slice and phase streams, its own
-    cavity guard and its own failure.
+    B = len(seeds), one stacked period at a time; each sample keeps its own
+    stream and its own failure.
     """
     n = spec.n_modes
     size = len(seeds)
     n_periods = period_targets[-1] if period_targets else 0
-    streams = [[np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(2)]
-               for seed in seeds]
-    # a propagation unit is one slice of free propagation with uniform loss or
-    # gain: r = r' = 0 and t = t' = diag(a exp(i theta_n)), independent uniform
-    # phases and the amplitude a of the medium kind
+    streams = [np.random.default_rng(seed) for seed in seeds]
     amplitude = (
         1.0
         if spec.loss_gain_sign == 0
         else math.exp(-spec.loss_gain_sign / (2.0 * spec.ballistic_decay_length))
     )
-    zero = np.zeros((size, n, n), dtype=complex)
-    eye = np.repeat(np.eye(n, dtype=complex)[None], size, axis=0)
-    blocks = (zero, eye, eye, zero)
+    reflection, transmission = core_amplitudes(spec.scatter_strength)
+    # cond(1 - sqrt(delta) r) <= (1 + q) / (1 - q) for a contraction, with q
+    # sqrt(delta) raised by a relative 1e-6 for the round-off in ||r||_2 <= 1;
+    # an amplifying composite has no such bound
+    q = reflection * (1.0 + 1e-6)
+    guard = spec.loss_gain_sign < 0 or not 1.0 + q < CONDITION_LIMIT * (1.0 - q)
+    eye = np.eye(n)
+    r_prime, r = np.zeros((2, size, n, n), dtype=complex)
+    t_prime, t = np.broadcast_to(eye, (2, size, n, n)).astype(complex)
 
-    # one sampling block of every active sample, refilled in place
+    # X and Y of one sampling block of every active sample, refilled in place
     block_size = _sampling_block(n)
-    period_block = min(block_size, n_periods)
-    slices = np.empty((size, period_block, 2 * n, 2 * n), dtype=complex)
-    diagonals = np.empty((size, period_block, n), dtype=complex)
-    guards = np.empty((size, period_block), dtype=bool)
-    # the propagation units of one period; only the diagonal is ever written
-    units = np.zeros((size, n, n), dtype=complex)
-    unit_diagonals = units.reshape(size, n * n)[:, :: n + 1]
+    draws = np.empty((size, min(block_size, n_periods), 2, n, n), dtype=complex)
 
     active = np.arange(size)  # seed positions of the samples still in the stack
     results: list[list] = [[] for _ in range(size)]
     failures: dict = {}
     period = 0
-    drawn = -1  # index of the sampling block held in the buffers
+    drawn = -1  # index of the sampling block held in the buffer
     for target in period_targets:
         while active.size and period < target:
             sampling_block, offset = divmod(period, block_size)
@@ -533,41 +476,36 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
                 drawn = sampling_block
                 count = min(block_size, n_periods - period)
                 for row, sample in enumerate(active):
-                    rng_slices, rng_phases = streams[sample]
-                    _, distance = _slice_unitaries(n, spec.scatter_strength, rng_slices,
-                                                   count, out=slices[row, :count])
-                    thetas = rng_phases.uniform(0.0, 2.0 * np.pi, (count, n))
-                    diagonals[row, :count] = amplitude * np.exp(1j * thetas)
-                    # amplifying composites may have ||r_A||_2 > 1, and a polar
-                    # fallback leaves no q: both keep the SVD guard
-                    guards[row, :count] = (True if spec.loss_gain_sign < 0 or distance is None
-                                           else distance >= _PROVEN_Q_MAX)
-            try:
-                blocks = _star_blocks(blocks, _transparent_order(slices[:live, offset]),
-                                      guards[:live, offset])
-            except NearSingularCavity as exc:
-                # the failing samples leave the stack; the rest redo the star
-                # product of this period with the slices already drawn
-                keep = np.ones(live, dtype=bool)
-                keep[list(exc.samples)] = False
-                for sample in active[~keep]:
-                    failures[sample] = exc
-                active = active[keep]
-                blocks = tuple(block[keep] for block in blocks)
-                for buffer in (slices, diagonals, guards):
-                    buffer[:active.size] = buffer[:live][keep]
-                continue
-            # the propagation unit: r, r' = 0 and t = t' = diagonal, so
-            # r' + t' 0 t = r' stays and no star product is needed
-            unit_diagonals[:live] = diagonals[:live, offset]
-            d = units[:live]
-            r_prime, t_prime, t, r = blocks
-            blocks = (r_prime, t_prime @ d, d @ t, d @ r @ d)
+                    _haar_unitaries(streams[sample], draws[row, :count])
+            loop = reflection * r
+            cavity = eye - loop
+            if guard:
+                try:
+                    _check_cavity(loop, cavity, True)
+                except NearSingularCavity as exc:
+                    # the failing samples leave the stack; the rest redo this
+                    # period with the draws already made
+                    keep = np.ones(live, dtype=bool)
+                    keep[list(exc.samples)] = False
+                    for sample in active[~keep]:
+                        failures[sample] = exc
+                    active = active[keep]
+                    r_prime, t_prime, t, r = (block[keep] for block in (r_prime, t_prime, t, r))
+                    draws[:active.size] = draws[:live][keep]
+                    continue
+            x, y = draws[:live, offset, 0], draws[:live, offset, 1]
+            m = np.linalg.inv(cavity)
+            mt = m @ t
+            r_prime = r_prime + reflection * (t_prime @ mt)
+            t = (amplitude * transmission) * (x @ mt)
+            t_prime = (amplitude * transmission) * (t_prime @ m @ y)
+            r = amplitude**2 * (x @ ((r - reflection * eye) @ m) @ y)
             period += 1
         for sample, failure in failures.items():
             results[sample].append(failure)
         for row, sample in enumerate(active):
-            matrix = ScatteringMatrix(*(block[row] for block in blocks), spec.medium_kind)
+            matrix = ScatteringMatrix(r_prime[row], t_prime[row], t[row], r[row],
+                                      spec.medium_kind)
             try:
                 matrix.validate()
                 results[sample].append(matrix)
@@ -579,10 +517,10 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
 def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     """Composites of one disorder realization at several lengths, one pass.
 
-    Because the slice and phase streams are deterministic functions of the
-    seed, the medium of length L is a prefix of the medium of any longer
-    length built from the same spec.  This grows the composite once up to
-    max(lengths) and captures (and validates) it at every requested length,
+    Because the draws are a deterministic stream of the seed, the medium of
+    length L is a prefix of the medium of any longer length built from the
+    same spec.  This grows the composite once up to max(lengths) and
+    captures (and validates) it at every requested length,
     bit-identical to building each length separately: the batch of one of
     ``build_batch_checkpoints``.
 
@@ -597,10 +535,10 @@ def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
 def build_medium(spec: MediumSpec) -> ScatteringMatrix:
     """Assemble the scattering matrix of a full waveguide segment.
 
-    Alternates random slices and loss/gain propagation units over
-    ceil(total_length) periods.  Deterministic for a fixed seed: the slice
-    and phase streams are two children of ``SeedSequence(spec.seed)``, so
-    shorter segments built from the same seed share their leading slices.
+    Stacks ceil(total_length) periods of a scalar core and a Haar interface.
+    Deterministic for a fixed seed: the draws come from
+    ``default_rng(spec.seed)``, so shorter segments built from the same seed
+    share their leading periods.
 
     Raises:
         NearSingularCavity: the cavity factor of a star product is

@@ -42,13 +42,6 @@ def _expect(condition, message: str = "") -> None:
         raise AssertionError(message)
 
 
-def haar_unitary(rng, dim: int) -> np.ndarray:
-    """Haar-random dim x dim unitary: QR of a complex Gaussian matrix, phases fixed."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def scalar_channel(amplitude: complex, kind: str) -> md.ScatteringMatrix:
     """One-mode medium with transmission amplitude ``amplitude`` and no reflection."""
     zero = np.zeros((1, 1), dtype=complex)
@@ -59,8 +52,7 @@ def scalar_channel(amplitude: complex, kind: str) -> md.ScatteringMatrix:
 def random_contraction(rng, n_modes: int, smin=0.2, smax=0.95,
                        kind=md.ABSORBING) -> md.ScatteringMatrix:
     """Random 2N x 2N scattering matrix U diag(sigma) V, sigma uniform in [smin, smax]."""
-    u = haar_unitary(rng, 2 * n_modes)
-    v = haar_unitary(rng, 2 * n_modes)
+    u, v = md._haar_unitaries(rng, np.empty((2, 2 * n_modes, 2 * n_modes), dtype=complex))
     sigma = rng.uniform(smin, smax, 2 * n_modes)
     return md.ScatteringMatrix.from_full(u @ np.diag(sigma) @ v, kind)
 
@@ -343,6 +335,56 @@ FAST_CHECKS = [
 ]
 
 
+def _transmission_moments(seeds, spec: md.MediumSpec, lengths) -> list[list]:
+    """(tr t+ t, tr (t+ t)^2) of each seed's medium at every length, one row per seed."""
+    rows = []
+    for matrices in md.build_batch_checkpoints(spec, seeds, lengths):
+        moments = []
+        for matrix in matrices:
+            tt = matrix.t.conj().T @ matrix.t
+            moments.append((np.trace(tt).real, np.sum(np.abs(tt) ** 2)))
+        rows.append(moments)
+    return rows
+
+
+def check_passive_universality(workers: int = 1):
+    """Passive media at L = 5 l and 10 l against the universal results of a
+    quasi-1D wire without time-reversal symmetry (Beenakker, Rev. Mod. Phys.
+    69, 731 (1997)), each within 3 stderr: shot noise
+    1 - <tr (t+ t)^2> / <tr t+ t> = 1/3, var(tr t+ t) = 1/15 and
+    <tr t+ t> / N = 1 / (1 + L / l) at the realised whole periods, with
+    l = (1 - delta) / delta. N = 25, 200 samples from seed 23 at eps = 0.45
+    and 0.32; the sample count is fixed because the mean's gate carries a
+    small finite-N bias that a larger ensemble would resolve.
+    """
+    n_modes, samples, seed = 25, 200, 23
+    failures = []
+    for eps in (0.45, 0.32):
+        reflection, transmission = md.core_amplitudes(eps)
+        mean_free_path = (transmission / reflection) ** 2  # (1 - delta) / delta
+        lengths = [math.ceil(k * mean_free_path) for k in (5, 10)]
+        spec = md.MediumSpec(n_modes, lengths[-1], eps, 0, None, 0.0, seed)
+        seeds = [md.derive_sample_seed(seed, k) for k in range(samples)]
+        moments = np.array(md.map_seed_chunks(_transmission_moments, seeds, workers, spec,
+                                              lengths))
+        for j, length in enumerate(lengths):
+            g = moments[:, j, 0]
+            variance = g.var(ddof=1)
+            gates = [
+                ("shot noise", *en._jackknife(moments[:, j],
+                                              lambda means: 1.0 - means[..., 1] / means[..., 0]),
+                 1.0 / 3.0),
+                ("var(tr t+t)", variance, variance * math.sqrt(2.0 / (samples - 1)), 1.0 / 15.0),
+                ("<tr t+t>/N", g.mean() / n_modes, g.std(ddof=1) / math.sqrt(samples) / n_modes,
+                 1.0 / (1.0 + length / mean_free_path)),
+            ]
+            for name, value, stderr, target in gates:
+                if abs(value - target) > 3 * stderr:
+                    failures.append(f"eps={eps}, L={length}: {name} {value:.4f} "
+                                    f"+- {stderr:.4f} vs {target:.4f}")
+    _expect(not failures, "; ".join(failures))
+
+
 def _full_checks(mc_samples: int):
     # the Monte Carlo checks run on every core this process may use
     workers = md.usable_cores()
@@ -378,6 +420,7 @@ def _full_checks(mc_samples: int):
 
     return [
         ("MC passive Ohm fit", check_mc_passive_ohm),
+        ("MC passive universality", lambda: check_passive_universality(workers)),
         ("MC direct absorbing vs closed form", check_mc_direct_absorbing),
     ]
 

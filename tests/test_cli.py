@@ -559,7 +559,7 @@ def test_calibrate_fits_on_every_usable_core(tmp_path, monkeypatch):
     texts = []
     for cores in (1, 3):
         monkeypatch.setattr(cli.md, "usable_cores", lambda: cores)
-        assert run(["calibrate", "--n-modes", 4, "--samples", 6, "--seed", 5,
+        assert run(["calibrate", "--n-modes", 8, "--samples", 6, "--seed", 5,
                     "--output", out]) == 0
         texts.append(out.read_bytes())
     assert workers == [1, 3]

@@ -26,69 +26,92 @@ test_build_deterministic_bitwise = validation.check_determinism
 
 
 def test_slice_zero_strength_is_transparent():
-    s = md.sample_slice(1, 1e-7, np.random.default_rng(0))
-    assert abs(s.t[0, 0] - 1.0) < 1e-6
-    assert abs(s.t_prime[0, 0] - 1.0) < 1e-6
-    assert abs(s.r[0, 0]) < 1e-6 and abs(s.r_prime[0, 0]) < 1e-6
+    # the isotropic slice has no near-identity limit: r = r' = 0 as eps -> 0,
+    # while t and t' stay Haar unitaries
+    s = md.sample_slice(4, 1e-7, np.random.default_rng(0))
+    assert np.max(np.abs(s.r)) < 1e-7 and np.max(np.abs(s.r_prime)) < 1e-7
+    for block in (s.t, s.t_prime):
+        assert np.max(np.abs(block @ block.conj().T - np.eye(4))) < 1e-13
 
 
 def test_slice_first_order_in_strength():
-    eps = 1e-3
-    s = md.sample_slice(4, eps, np.random.default_rng(1))
-    assert np.max(np.abs(s.t - np.eye(4))) < 10 * eps
-    assert np.max(np.abs(s.r_prime)) < 10 * eps
+    # every mode reflects exactly delta = eps^2 / (2 + eps^2) ~ eps^2 / 2: all
+    # singular values of r and r' are sqrt(delta) <= eps / sqrt(2)
+    rng = np.random.default_rng(1)
+    for eps in (1e-3, 0.1, 0.45, 3.0):
+        reflection, transmission = md.core_amplitudes(eps)
+        delta = reflection**2
+        assert delta == pytest.approx(eps**2 / (2 + eps**2), rel=1e-15)
+        assert 1 - delta == pytest.approx(transmission**2, rel=1e-15)
+        s = md.sample_slice(4, eps, rng)
+        for block in (s.r, s.r_prime):
+            assert np.allclose(np.linalg.svd(block, compute_uv=False), reflection,
+                               rtol=1e-13, atol=0)
+        assert reflection <= eps / math.sqrt(2)
 
 
 def test_slice_mean_reflectance_fixture():
-    # regression value from a 10^4-sample run: 0.0049652 (close to eps^2/2)
+    # regression value from a 10^4-sample run of the earlier exp(i eps K)
+    # slice: 0.0049652 (close to eps^2/2); the isotropic slice reflects
+    # exactly delta(0.1) = 0.004975
     rng = np.random.default_rng(2024)
-    unitaries, _ = md._slice_unitaries(8, 0.1, rng, 1500)
-    reflectance = np.mean(np.sum(np.abs(unitaries[:, 8:, :8]) ** 2, axis=(1, 2))) / 8
+    slices = [md.sample_slice(8, 0.1, rng) for _ in range(1500)]
+    reflectance = np.mean([np.sum(np.abs(s.r_prime) ** 2) for s in slices]) / 8
     assert abs(reflectance - 0.0049652) < 3e-4
 
 
-def eigh_slice_unitaries(n_modes, eps, rng, count):
-    """Reference for the sampler's law: exp(i eps K) through ``eigh`` of a drawn K.
+def test_core_and_haar_draws_are_unitary():
+    for eps in (1e-7, 0.1, 0.45, 3.0, 1e7):
+        reflection, transmission = md.core_amplitudes(eps)
+        core = np.array([[reflection, transmission], [transmission, -reflection]])
+        assert np.max(np.abs(core @ core.T - np.eye(2))) <= 4e-16
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 50):
+        draws = md._haar_unitaries(rng, np.empty((3, 2, n, n), dtype=complex))
+        gram = draws @ np.conj(draws).swapaxes(-1, -2)
+        assert np.max(np.abs(gram - np.eye(n))) < 1e-13
 
-    K is Hermitian 2N x 2N, (G + G+) / 2 of a complex Ginibre G scaled so
-    that E|K_ij|^2 = 1/(2N).  Returns the unitaries and q = ||U - 1||_2.
-    """
-    m = 2 * n_modes
-    draws = rng.standard_normal((count, 2, m, m))
+
+def eigh_haar_unitaries(rng, count, n_modes):
+    """Reference for the Haar law: eigenvectors of drawn GUE matrices with uniform phases."""
+    draws = rng.standard_normal((count, 2, n_modes, n_modes))
     x, y = draws[:, 0], draws[:, 1]
-    k = np.empty((count, m, m), dtype=complex)
+    k = np.empty((count, n_modes, n_modes), dtype=complex)
     k.real = x + x.transpose(0, 2, 1)
     k.imag = y - y.transpose(0, 2, 1)
-    k *= 0.5 / math.sqrt(m)
-    w, v = np.linalg.eigh(k)
-    phases = np.exp(1j * eps * w)
-    return (v * phases[:, None, :]) @ np.conj(v).transpose(0, 2, 1), np.max(
-        np.abs(phases - 1.0), axis=1)
+    _, v = np.linalg.eigh(k)
+    return v * np.exp(2j * np.pi * rng.uniform(size=(count, 1, n_modes)))
 
 
-def _slice_statistics(sampler, n_modes, eps, seed, count):
-    """Per-slice reflectance, Re tr U / 2N, sum |t|^4 / N and q, in 16-slice blocks."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(count // 16):
-        unitaries, q = sampler(n_modes, eps, rng, 16)
-        r_prime, _, t, _ = md._transparent_order(unitaries)
-        rows.append(np.column_stack([
-            np.sum(np.abs(r_prime) ** 2, axis=(1, 2)) / n_modes,
-            np.trace(unitaries, axis1=1, axis2=2).real / (2 * n_modes),
-            np.sum(np.abs(t) ** 4, axis=(1, 2)) / n_modes,
-            q,
-        ]))
-    values = np.concatenate(rows)
-    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(len(values))
+def _slice_statistics(haar, n_modes, eps, seed, count):
+    """Re tr S / 2N, |tr S|^2 / 2N, sum |t|^4 / N and Re tr t / N of isotropic slices."""
+    u, v, u_right, v_right = haar(np.random.default_rng(seed), count).reshape(
+        count, 4, n_modes, n_modes).transpose(1, 0, 2, 3)
+    reflection, transmission = md.core_amplitudes(eps)
+    t = transmission * (v @ u_right)
+    trace = reflection * (np.trace(u @ u_right, axis1=1, axis2=2)
+                          - np.trace(v @ v_right, axis1=1, axis2=2))
+    values = np.column_stack([
+        trace.real / (2 * n_modes),
+        np.abs(trace) ** 2 / (2 * n_modes),
+        np.sum(np.abs(t) ** 4, axis=(1, 2)) / n_modes,
+        np.trace(t, axis1=1, axis2=2).real / n_modes,
+    ])
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(count)
 
 
 @pytest.mark.parametrize("n_modes,eps,count", [(4, 0.45, 6400), (25, 0.45, 960), (8, 0.1, 6400)])
 def test_slice_law_matches_eigh_reference(n_modes, eps, count):
-    # the sampler draws U from a QR and a tridiagonal eigenvalue solve; its
-    # law must be that of exp(i eps K) with K drawn and diagonalised directly
-    mean, stderr = _slice_statistics(md._slice_unitaries, n_modes, eps, 71, count)
-    ref_mean, ref_stderr = _slice_statistics(eigh_slice_unitaries, n_modes, eps, 72, count)
+    # the slice's Haar factors come from a QR with its phase fix; their law
+    # must be that of GUE eigenvectors with uniform phases
+    def qr_haar(rng, count):
+        return md._haar_unitaries(rng, np.empty((count * 4, n_modes, n_modes), dtype=complex))
+
+    def eigh_haar(rng, count):
+        return eigh_haar_unitaries(rng, count * 4, n_modes)
+
+    mean, stderr = _slice_statistics(qr_haar, n_modes, eps, 71, count)
+    ref_mean, ref_stderr = _slice_statistics(eigh_haar, n_modes, eps, 72, count)
     assert np.all(np.abs(mean - ref_mean) < 4 * np.hypot(stderr, ref_stderr))
 
 
@@ -102,29 +125,22 @@ def test_slice_rejects_bad_arguments():
         md.sample_slice(4, -0.3, rng)
 
 
-def propagation_unit(n_modes, loss_gain_sign, decay_length, rng):
-    """Reference for the loop's diagonal step: one slice of free propagation.
-
-    Pure transmission: r = r' = 0 and t = t' = diag(exp(i theta_n) * a) with
-    independent uniform phases and amplitude a = exp(-sign / (2 * decay_length)).
-    """
-    theta = rng.uniform(0.0, 2.0 * np.pi, n_modes)
-    amplitude = 1.0 if loss_gain_sign == 0 else math.exp(-loss_gain_sign / (2.0 * decay_length))
-    diag = np.diag(amplitude * np.exp(1j * theta))
-    zero = np.zeros((n_modes, n_modes), dtype=complex)
-    return md.ScatteringMatrix(zero, diag, diag, zero, md._KIND_FROM_SIGN[loss_gain_sign])
-
-
 @pytest.mark.parametrize("sign,decay,magnitude", [
     (0, None, 1.0),
     (1, 10.0, math.exp(-0.05)),
     (-1, 10.0, math.exp(0.05)),
 ])
 def test_propagation_unit_amplitudes(sign, decay, magnitude):
-    unit = propagation_unit(5, sign, decay, np.random.default_rng(3))
-    assert np.allclose(np.abs(np.diagonal(unit.t)), magnitude, atol=1e-14)
-    assert not unit.r.any() and not unit.r_prime.any()
-    assert np.array_equal(unit.t, unit.t_prime)
+    # at a vanishing scatter strength a period is the interface alone:
+    # t = a X and t' = a Y, so every singular value of t and t' after L
+    # periods is a^L, and r, r' vanish
+    length = 7
+    spec = md.MediumSpec(5, length, 1e-9, sign, decay, {0: 0.0, 1: 1e-3, -1: -1.0}[sign], 3)
+    built = md.build_medium(spec)
+    for block in (built.t, built.t_prime):
+        assert np.allclose(np.linalg.svd(block, compute_uv=False), magnitude**length,
+                           rtol=1e-13, atol=0)
+    assert np.max(np.abs(built.r)) < 1e-8 and np.max(np.abs(built.r_prime)) < 1e-8
 
 
 def test_star_two_passive_slices_unitary():
@@ -169,32 +185,39 @@ def test_checkpoints_match_independent_builds():
         assert np.array_equal(captured.full, alone.full)
 
 
-@given(n_modes=st.integers(1, 12), eps=st.floats(0.01, 3.0),
-       seed=st.integers(0, 2**32 - 1))
+@given(n_modes=st.integers(1, 6), eps=st.floats(0.01, 3.0),
+       sigma=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_slice_reflection_bounded_by_eigenphases(n_modes, eps, seed):
-    # ||r'||_2 <= ||U - 1||_2 = max_j |exp(i eps w_j) - 1|, the cavity bound's q
-    unitaries, q = md._slice_unitaries(n_modes, eps, np.random.default_rng(seed), 3)
-    assert q is not None  # the polar fallback did not replace the batch
-    for unitary, bound in zip(unitaries, q):
-        r_prime = md._transparent_order(unitary)[0]
-        assert np.linalg.norm(r_prime, 2) <= bound + 1e-12
-        assert abs(np.linalg.norm(unitary - np.eye(2 * n_modes), 2) - bound) < 1e-12
+def test_cavity_condition_within_constant_bound(n_modes, eps, sigma, seed):
+    # for a passive or absorbing composite ||r||_2 <= 1, so the loop's cavity
+    # factor 1 - sqrt(delta) r has cond <= (1 + sqrt(delta)) / (1 - sqrt(delta))
+    r = random_contraction(np.random.default_rng(seed), n_modes, sigma, 1.0).r
+    reflection = md.core_amplitudes(eps)[0]
+    bound = (1 + reflection) / (1 - reflection)
+    assert np.linalg.cond(np.eye(n_modes) - reflection * r) <= bound * (1 + 1e-12)
 
 
 def _star_fold(spec, n_periods):
-    """Composites after each period, folded with the public star_compose."""
-    slice_seq, phase_seq = np.random.SeedSequence(spec.seed).spawn(2)
-    rng_slices = np.random.default_rng(slice_seq)
-    rng_phases = np.random.default_rng(phase_seq)
-    composite = md.ScatteringMatrix.identity_transmission(spec.n_modes, spec.medium_kind)
+    """Composites after each period, folded with the public star_compose.
+
+    A period is the scalar core followed by the interface t = a X, t' = a Y,
+    with X and Y drawn from the sample's stream as the loop draws them.
+    """
+    n = spec.n_modes
+    rng = np.random.default_rng(spec.seed)
+    reflection, transmission = md.core_amplitudes(spec.scatter_strength)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    core = md.ScatteringMatrix(reflection * eye, transmission * eye, transmission * eye,
+                               -reflection * eye)
+    amplitude = (1.0 if spec.loss_gain_sign == 0
+                 else math.exp(-spec.loss_gain_sign / (2.0 * spec.ballistic_decay_length)))
+    composite = md.ScatteringMatrix.identity_transmission(n, spec.medium_kind)
     out = [composite]
     for _ in range(n_periods):
-        composite = md.star_compose(
-            composite, md.sample_slice(spec.n_modes, spec.scatter_strength, rng_slices))
-        composite = md.star_compose(
-            composite, propagation_unit(spec.n_modes, spec.loss_gain_sign,
-                                        spec.ballistic_decay_length, rng_phases))
+        x, y = md._haar_unitaries(rng, np.empty((2, n, n), dtype=complex))
+        composite = md.star_compose(composite, core)
+        composite = md.star_compose(composite, md.ScatteringMatrix(
+            zero, amplitude * y, amplitude * x, zero, spec.medium_kind))
         out.append(composite)
     return out
 
@@ -215,15 +238,18 @@ def test_checkpoints_across_sampling_blocks(spec):
     for length, captured in zip(lengths, checkpoints):
         alone = md.build_medium(dataclasses.replace(spec, total_length=length))
         assert np.array_equal(captured.full, alone.full)
-        assert np.array_equal(captured.full, folded[math.ceil(length)].full)
+        # the loop's inverse and grouping differ from star_compose's solves;
+        # relative to the largest entry, which exceeds 1 for gain media
+        reference = folded[math.ceil(length)].full
+        assert np.max(np.abs(captured.full - reference)) <= 1e-12 * np.max(np.abs(reference))
         assert captured.medium_kind == spec.medium_kind
 
 
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
 def test_checkpoints_independent_of_sampling_block(monkeypatch, spec, block):
-    # per-slice draws continue one stream, and the stacked qr and eigvalsh act
-    # matrix by matrix, so the block size leaves every medium bitwise unchanged
+    # per-period draws continue one stream, and the stacked qr acts matrix by
+    # matrix, so the block size leaves every medium bitwise unchanged
     seeds = [md.derive_sample_seed(spec.seed, k) for k in range(3)]
     lengths = [7, md.SAMPLING_BLOCK + 0.5, 33]
     default = list(md.build_batch_checkpoints(spec, seeds, lengths))
@@ -232,29 +258,49 @@ def test_checkpoints_independent_of_sampling_block(monkeypatch, spec, block):
         assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
 
 
-def test_slice_buffers_stay_within_batch_bytes():
+def _loop_peak(monkeypatch, n_modes):
+    """Traced peak of one full batch's disorder loop, its checkpoint validation left out."""
+    monkeypatch.setattr(md.ScatteringMatrix, "validate", lambda self: None)
+    spec = absorbing_spec(n_modes, 40, seed=5, decay=40.0, scatter_strength=0.45)
+    seeds = [md.derive_sample_seed(5, k) for k in range(md._batch_size(n_modes))]
+    tracemalloc.start()
+    try:
+        list(md.build_batch_checkpoints(spec, seeds, [40]))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_slice_buffers_stay_within_batch_bytes(monkeypatch):
+    # the loop's whole live set, in N x N arrays: the draw buffer (2 B P), the
+    # QR of one sample's block (6 P) and the composites with one period's
+    # temporaries (_STACK_ARRAYS B)
     for n in range(1, 201):
-        block, size, slice_bytes = md._sampling_block(n), md._batch_size(n), (2 * n) ** 2 * 16
+        block, size, matrix_bytes = md._sampling_block(n), md._batch_size(n), 16 * n * n
         assert 1 <= block <= md.SAMPLING_BLOCK
-        if slice_bytes <= md.BATCH_BYTES:
-            assert block * size * slice_bytes <= md.BATCH_BYTES, n
+        live = matrix_bytes * (2 * size * block + 6 * block + md._STACK_ARRAYS * size)
+        if (8 + md._STACK_ARRAYS) * matrix_bytes <= md.BATCH_BYTES:
+            assert live <= md.BATCH_BYTES, n
         else:
             assert (block, size) == (1, 1), n
-    assert (md._sampling_block(10), md._batch_size(10)) == (16, 12)
-    assert (md._sampling_block(50), md._batch_size(50)) == (8, 1)
+    assert (md._sampling_block(10), md._batch_size(10)) == (16, 16)
+    assert (md._sampling_block(50), md._batch_size(50)) == (2, 1)
+    # and the count holds for what the loop really allocates
+    for n in (10, 25, 50):
+        assert _loop_peak(monkeypatch, n) <= md.BATCH_BYTES, n
 
 
 def test_sampler_draws_at_most_one_sampling_block_per_call(monkeypatch):
     counts = []
-    real = md._slice_unitaries
+    real = md._haar_unitaries
 
-    def recording(n_modes, eps, rng, count, out):
-        counts.append(count)
-        return real(n_modes, eps, rng, count, out=out)
+    def recording(rng, out):
+        counts.append(out.shape[0])
+        return real(rng, out)
 
-    monkeypatch.setattr(md, "_slice_unitaries", recording)
+    monkeypatch.setattr(md, "_haar_unitaries", recording)
     md.build_medium(absorbing_spec(50, 20, seed=3, decay=40.0, scatter_strength=0.45))
-    assert max(counts) == 8 == md._sampling_block(50)
+    assert max(counts) == 2 == md._sampling_block(50)
     assert sum(counts) == 20
 
 
@@ -270,17 +316,6 @@ def test_checkpoints_independent_of_batch_bytes(monkeypatch, spec):
     assert md._batch_size(spec.n_modes) == 1
     for got, want in zip(md.build_batch_checkpoints(spec, seeds, lengths), default):
         assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
-
-
-def test_slices_independent_of_sampler_chunk(monkeypatch):
-    # chunks of 5 slices (the last one short) continue the stream of one
-    # 16-slice draw, and write the same slices and q into ``out``
-    whole, q_whole = md._slice_unitaries(5, 0.45, np.random.default_rng(4), 16)
-    monkeypatch.setattr(md, "BATCH_BYTES", 32000)
-    out = np.empty_like(whole)
-    chunked, q_chunked = md._slice_unitaries(5, 0.45, np.random.default_rng(4), 16, out=out)
-    assert chunked is out
-    assert np.array_equal(chunked, whole) and np.array_equal(q_chunked, q_whole)
 
 
 def _traced_build_peak(n_modes):
@@ -302,13 +337,12 @@ def test_build_rejects_a_length_outside_zero_to_infinity(length):
 
 
 def test_large_n_build_memory_bounded():
-    # the sampler's temporaries scale with its block: 16 periods at N = 100
-    # would take five arrays of about 10 MB each, a 2-period block about 1.3 MB
+    # the sampler's temporaries scale with its block: one period at N = 100
+    # is eight N x N arrays beside the composites
     assert _traced_build_peak(100) < 20e6
-    # at N = 50 four slices fit in BATCH_BYTES, so the slice buffer and the
-    # sampler's working set each stay within it; one more BATCH_BYTES covers
-    # the composites, the star products and the checkpoint validation
-    assert _traced_build_peak(50) < 3 * md.BATCH_BYTES
+    # at N = 50 the loop's live set stays within BATCH_BYTES; one more
+    # BATCH_BYTES covers the checkpoints and their validation
+    assert _traced_build_peak(50) < 2 * md.BATCH_BYTES
 
 
 def test_calibrate_equals_per_length_builds():
@@ -399,31 +433,37 @@ def test_absorbing_build_runs_no_cavity_svd(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize("sign,fallback", [(-1, False), (0, True)],
-                         ids=["amplifying", "polar-fallback"])
-def test_cavity_at_threshold_raises(monkeypatch, sign, fallback):
-    # hand-made slices whose round trip through the first propagation unit has
-    # gain one: r_A r'_B then has the eigenvalue 1 and 1 - r_A r'_B is singular.
-    # The sampler reports q = 0, which would prove the cavity harmless for a
-    # contraction; an amplifying medium, or a batch the polar fallback
-    # replaced (q = None), must keep the SVD guard anyway.
+def _rigged_draws(monkeypatch, doomed, draws):
+    """Make the sample of seed ``doomed`` take ``draws`` (periods, 2, N, N) as its X and Y."""
+    real = md._haar_unitaries
+    taken = []
+
+    def rigged(rng, out):
+        if rng.bit_generator.seed_seq.entropy != doomed:
+            return real(rng, out)
+        start = len(taken)
+        taken.extend(range(out.shape[0]))
+        out[...] = draws[start:start + out.shape[0]]
+        return out
+
+    monkeypatch.setattr(md, "_haar_unitaries", rigged)
+    return taken
+
+
+@pytest.mark.parametrize("sign,eps", [(-1, 0.32), (0, 1e7)], ids=["amplifying", "opaque-core"])
+def test_cavity_at_threshold_raises(monkeypatch, sign, eps):
+    # hand-made draws X = 1, Y = diag(y, 1) make r after the first period
+    # diag(1 / sqrt(delta), ...) up to rounding, so the second period's cavity
+    # factor 1 - sqrt(delta) r is singular.  An amplifying medium keeps the
+    # guard, and so does a core that reflects so strongly (delta = 1 - 2e-14)
+    # that the constant bound exceeds CONDITION_LIMIT; Y is a unitary there.
     n, seed, decay = 2, 5, 2.0
-    theta = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1]).uniform(
-        0.0, 2.0 * np.pi, (3, n))[0, 0]
+    delta = md.core_amplitudes(eps)[0] ** 2
     gain = math.exp(1.0 / decay) if sign else 1.0
-    first = np.eye(2 * n, dtype=complex)
-    first[0, n] = 0.5  # r of the first slice
-    second = np.eye(2 * n, dtype=complex)
-    second[n, 0] = np.exp(-2j * theta) / (0.5 * gain)  # r' of the second slice
-    stack = np.array([first, second, np.eye(2 * n)])
-
-    def rigged(n_modes, eps, rng, count, out):
-        out[...] = stack[:count]
-        return out, None if fallback else np.zeros(count)
-
-    monkeypatch.setattr(md, "_slice_unitaries", rigged)
-    spec = md.MediumSpec(n, 3, 0.32, sign, decay if sign else None,
-                         -1.0 if sign else 0.0, seed)
+    draws = np.broadcast_to(np.eye(n, dtype=complex), (3, 2, n, n)).copy()
+    draws[0, 1, 0, 0] = -1.0 / (gain * delta) if sign else -1.0
+    _rigged_draws(monkeypatch, seed, draws)
+    spec = md.MediumSpec(n, 3, eps, sign, decay if sign else None, -1.0 if sign else 0.0, seed)
     with pytest.raises(NearSingularCavity):
         md.build_medium(spec)
 
@@ -572,34 +612,25 @@ def test_stacked_star_blocks_equal_per_matrix_calls(n_modes, kind, opened, guard
 
 @pytest.mark.parametrize("fail_period", [md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 2])
 def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail_period):
-    # one amplifying sample of a batch gets hand-made slices: identity slices,
-    # then at period fail_period - 1 a slice with r = 0.5 and at fail_period
-    # one whose r' closes a round trip of gain one through the propagation
-    # unit between them, as in test_cavity_at_threshold_raises.  At
-    # fail_period = SAMPLING_BLOCK the failure hits the first period of a
-    # sampling block, which the survivors must not draw a second time.
+    # one amplifying sample of a batch gets hand-made draws: X = Y = 1, so its
+    # blocks stay multiples of the identity, then at period fail_period - 1
+    # Y = diag(y, 1, 1) with |y| > 1, an interface of extra gain in one mode,
+    # with y chosen to put that mode's round trip 1 - sqrt(delta) r at zero
+    # for the next period.  At fail_period = SAMPLING_BLOCK the failure hits
+    # the first period of a sampling block, which the survivors must not
+    # draw a second time.
     n, decay, n_periods = 3, 20.0, 40
     spec = md.MediumSpec(n, n_periods, 0.32, -1, decay, -1.0, 0)
     seeds = [md.derive_sample_seed(9, k) for k in range(5)]
     doomed = seeds[2]
-    theta = np.random.default_rng(np.random.SeedSequence(doomed).spawn(2)[1]).uniform(
-        0.0, 2.0 * np.pi, (n_periods, n))[fail_period - 1, 0]
-    stack = np.repeat(np.eye(2 * n, dtype=complex)[None], n_periods, axis=0)
-    stack[fail_period - 1, 0, n] = 0.5
-    stack[fail_period, n, 0] = np.exp(-2j * theta) / (0.5 * math.exp(1.0 / decay))
-    drawn = []
-    real = md._slice_unitaries
-
-    def rigged(n_modes, eps, rng, count, out):
-        if rng.bit_generator.seed_seq.entropy != doomed:
-            return real(n_modes, eps, rng, count, out=out)
-        start = len(drawn)
-        drawn.extend(range(count))
-        out[...] = stack[start:start + count]
-        return out, np.zeros(count)
-
-    monkeypatch.setattr(md, "_slice_unitaries", rigged)
+    draws = np.broadcast_to(np.eye(n, dtype=complex), (n_periods, 2, n, n)).copy()
+    taken = _rigged_draws(monkeypatch, doomed, draws)
     lengths = [10, fail_period - 0.5, fail_period, fail_period + 0.5, 30, n_periods]
+    # r of the unperturbed hand-made sample after period fail_period - 1
+    reached = md.build_medium(dataclasses.replace(spec, seed=doomed, total_length=fail_period))
+    taken.clear()
+    draws[fail_period - 1, 1, 0, 0] = 1.0 / (md.core_amplitudes(0.32)[0] * reached.r[0, 0])
+    assert abs(draws[fail_period - 1, 1, 0, 0]) > 1
     batch = list(md.build_batch_checkpoints(spec, seeds, lengths))
     for seed, row in zip(seeds, batch):
         if seed == doomed:
@@ -610,6 +641,13 @@ def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail
     assert all(isinstance(entry, md.ScatteringMatrix) for entry in failed[:3])
     assert isinstance(failed[3], NearSingularCavity)
     assert all(entry is failed[3] for entry in failed[3:])
-    drawn.clear()
+    taken.clear()
     alone = md.build_medium_checkpoints(dataclasses.replace(spec, seed=doomed), lengths[:3])
     assert all(np.array_equal(got.full, want.full) for got, want in zip(failed, alone))
+
+
+@pytest.mark.slow
+def test_passive_universality(workers):
+    # shot noise 1/3, var(tr t+t) 1/15 and Ohm's law at 5 l and 10 l, N = 25,
+    # at delta(0.45) and delta(0.32)
+    validation.check_passive_universality(workers=workers)
