@@ -15,44 +15,43 @@ Beenakker, Rev. Mod. Phys. 69, 731 (1997)): a scalar core
 C = [[sqrt(delta), sqrt(1 - delta)], [sqrt(1 - delta), -sqrt(delta)]] (x) 1_N,
 which reflects delta = eps^2 / (2 + eps^2) per mode (``core_amplitudes``),
 so the mean free path is l = (1 - delta) / delta = 2 / eps^2 periods; then a
-reflectionless interface t = a X, t' = a Y with X and Y independent N x N
-Haar unitaries and a = exp(-sign / (2 l_a)).  An isotropic slice is
-diag(u, v) C diag(u', v') with Haar u, v, u', v'; the law of a composite is
-invariant under rotations of its right side, so the next slice's left
-rotations fold into X and Y.  With M = (1 - sqrt(delta) r)^-1 and the old
-blocks on the right, one period is::
+reflectionless interface t = a X, t' = a Y with a = exp(-sign / (2 l_a)).
+An isotropic slice is diag(u, v) C diag(u', v') with Haar u, v, u', v'; the
+law of a composite is invariant under rotations of its right side, so the
+next slice's left rotations fold into X and Y.  Only that law matters, so X
+and Y are random-phase DFT layers (``_mix``; Emerson et al., Science 302,
+2098 (2003)): O(N^2 log N) per product and 6 N draws per period, which the
+tests compare with Haar interfaces.  With M = (1 - sqrt(delta) r)^-1 and the
+old blocks on the right, one period is::
 
     r' <- r' + sqrt(delta) t' M t
     t  <- a sqrt(1 - delta) X M t
     t' <- a sqrt(1 - delta) t' M Y
-    r  <- a^2 X (r - sqrt(delta)) M Y  =  a^2 X [(1 - delta) r M - sqrt(delta)] Y
+    r  <- a^2 X (r - sqrt(delta)) M Y  =  a^2 (1 - delta) X [r M - sqrt(delta) / (1 - delta)] Y
 
-one stacked inverse, eight N x N matmuls and the QRs of X and Y
-(``_haar_unitaries``).  Every checkpoint is a full S for ``validate``.
+one stacked inverse, four N x N matmuls and four stacked FFTs, with the
+factor a sqrt(1 - delta) on the first phase layer of X and of Y.  Every
+checkpoint is a full S for ``validate``.
 
 Cavity bound.  A passive or absorbing composite is a contraction, so every
 singular value of the cavity factor 1 - sqrt(delta) r lies in
 [1 - sqrt(delta), 1 + sqrt(delta)], and cond <= (1 + sqrt(delta)) /
-(1 - sqrt(delta)), a constant (1.93 at delta = 0.1).  Below
-``CONDITION_LIMIT`` these media run no condition check; with the margin for
-round-off on sqrt(delta), the guard returns once delta is within about 2e-6
-of 1 (eps above about 1000).  An amplifying composite can have ||r||_2 > 1
-and keeps the guard of ``_check_cavity``, whose failure takes the sample out
-of its batch.
+(1 - sqrt(delta)), a constant (1.93 at delta = 0.1), whatever the unitary X
+and Y.  Below ``CONDITION_LIMIT`` these media run no condition check; with
+the margin for round-off on sqrt(delta), the guard returns once delta is
+within about 2e-6 of 1 (eps above about 1000).  An amplifying composite can
+have ||r||_2 > 1 and keeps the guard of ``_check_cavity``, whose failure
+takes the sample out of its batch.
 
-Batched samples.  ``build_batch_checkpoints`` advances B samples together as
-[B, N, N] stacks.  Each sample draws X and Y from its own stream,
-``default_rng(seed)``, one contiguous normal draw per period, so a shorter
-medium is a prefix of a longer one.  The draws of P periods of every sample
-live in one (B, P, 2, N, N) buffer, refilled in place.  ``BATCH_BYTES``
-bounds the loop's whole live set, counted in N x N arrays: the buffer
-(2 B P), the QR's copy, Q and R of one sample's block (6 P) and the
-composites with one period's temporaries (``_STACK_ARRAYS`` B).  That gives
-(P, B) = (16, 16) at N = 10, (14, 1) at N = 25 and (2, 1) at N = 50, within
-``BATCH_BYTES`` up to N = 63.  ``qr``, ``inv`` and ``matmul`` on a stack
-call the same LAPACK or BLAS routine matrix by matrix as on one matrix, and
-the draws continue one stream, so every sample is bitwise the same whatever
-B and P.
+Batched samples.  ``build_batch_checkpoints`` advances B samples together
+as [B, N, N] stacks.  Each sample draws its phases from its own stream,
+``default_rng(seed)``, so a shorter medium is a prefix of a longer one.  The
+phases of P periods of every sample live in one (B, P, 6, N) buffer.
+``BATCH_BYTES`` bounds the loop's whole live set, phases, composites and
+temporaries: (P, B) = (16, 32) at N = 10, (16, 7) at N = 25 and (16, 1) at
+N = 50, within ``BATCH_BYTES`` up to N = 79.  ``inv``, ``matmul`` and
+``fft`` on a stack act matrix by matrix (or row by row) as on one matrix,
+so every sample is bitwise the same whatever B and P.
 
 Sample driver.  ``map_seed_chunks`` runs the Ohm's-law calibration and the
 Monte Carlo of ``ensemble`` on W contiguous chunks of the sample seeds.  The
@@ -86,13 +85,16 @@ AMPLIFYING = "amplifying"
 SINGULAR_VALUE_TOL = 1e-10
 #: condition-number limit of the cavity factor in a star product
 CONDITION_LIMIT = 1e12
-#: most periods whose draws are sampled together (fewer from N = 25 up)
+#: most periods whose draws are sampled together
 SAMPLING_BLOCK = 16
 #: memory for the disorder loop's whole live set
 BATCH_BYTES = 1_300_000
-# N x N complex arrays per sample besides the draws: the four composite blocks
-# and the temporaries of one period
-_STACK_ARRAYS = 12
+# N x N arrays per sample: the composite, the next stack, M and the r' update
+_STACK_ARRAYS = 10
+# bytes per mode and period of one sample's phases, and of their drawing
+_PHASE_BYTES, _DRAWING_BYTES = 6 * 16, 6 * (8 + 16)
+# numpy's iterator buffers of a broadcast operation: two of 8192 entries
+_BUFFER_BYTES = 2 * 8192 * 16
 #: the lengths an Ohm's-law fit of the mean free path takes
 FIT_LENGTHS_RULE = "three or more positive lengths spanning a factor of four"
 
@@ -110,24 +112,20 @@ class ScatteringMatrix:
     medium_kind: str = PASSIVE
 
     def __post_init__(self):
-        blocks = {}
+        if self.medium_kind not in (PASSIVE, ABSORBING, AMPLIFYING):
+            raise ValueError(f"unknown medium kind {self.medium_kind!r}")
         shape = None
         for name in ("r_prime", "t_prime", "t", "r"):
             block = np.array(getattr(self, name), dtype=complex)
             if block.ndim != 2 or block.shape[0] != block.shape[1]:
                 raise ValueError(f"block {name} must be a square matrix")
-            if shape is None:
-                shape = block.shape
-            elif block.shape != shape:
+            shape = shape or block.shape
+            if block.shape != shape:
                 raise ValueError("all four blocks must have the same shape")
             block.setflags(write=False)
-            blocks[name] = block
+            object.__setattr__(self, name, block)
         if shape[0] < 1:
             raise ValueError("need at least one propagating mode")
-        if self.medium_kind not in (PASSIVE, ABSORBING, AMPLIFYING):
-            raise ValueError(f"unknown medium kind {self.medium_kind!r}")
-        for name, block in blocks.items():
-            object.__setattr__(self, name, block)
 
     @property
     def n_modes(self) -> int:
@@ -251,18 +249,33 @@ def core_amplitudes(scatter_strength: float) -> tuple[float, float]:
 
 
 def _haar_unitaries(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out``, a C-contiguous stack of N x N complex arrays, with Haar unitaries.
-
-    Mezzadri's QR of a complex Ginibre matrix with its phase fix (Notices
-    AMS 54, 592 (2007)): the normals are drawn straight into ``out``, real
-    and imaginary parts interleaved, G = QR, and Q diag(R_ii / |R_ii|) is
-    Haar.  The draws continue one stream and ``qr`` acts matrix by matrix, so
-    a stack is bitwise the same however it is split into calls.
-    """
+    """Fill ``out``, a C-contiguous stack of N x N complex arrays, with Haar unitaries:
+    Q diag(R_ii / |R_ii|) of the QR of a complex Ginibre matrix drawn into
+    ``out`` (Mezzadri, Notices AMS 54, 592 (2007)), bitwise the same however
+    a stack is split into calls."""
     rng.standard_normal(out=out.view(np.float64))
     q, r = np.linalg.qr(out)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     return np.multiply(q, (diagonal / np.abs(diagonal))[..., None, :], out=out)
+
+
+def _interface_phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a C-contiguous (periods, 6, N) stack, with uniform unit phases,
+    one uniform per entry in stream order, however the periods are split."""
+    return np.exp(2j * np.pi * rng.random(out.shape), out=out)
+
+
+def _mix(stack: np.ndarray, layers: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply each sample's K matrices A of a [K, B, N, N] ``stack`` in place by
+    its interface: X A along ``axis`` -2, with X = diag(p2) F diag(p1) F
+    diag(p0), or A Y along -1, with Y = diag(p0) F diag(p1) F diag(p2), for
+    the phases (p0, p1, p2) = ``layers`` [B, 3, N] and the unitary DFT F."""
+    expand = (None, slice(None)) + ((slice(None), None) if axis == -2 else (None, slice(None)))
+    for k in range(3):
+        if k:
+            np.fft.fft(stack, axis=axis, norm="ortho", out=stack)
+        stack *= layers[:, k][expand]
+    return stack
 
 
 def sample_slice(n_modes: int, scatter_strength: float,
@@ -300,23 +313,20 @@ def _combined_kind(kind_a: str, kind_b: str) -> str:
     raise ValueError("cannot combine absorbing and amplifying segments")
 
 
-def _check_cavity(loop: np.ndarray, cavity: np.ndarray, guard) -> None:
-    """Condition check of the cavity factors 1 - loop of a stack, where ``guard`` is set.
+def _check_cavity(loop: np.ndarray, cavity: np.ndarray) -> None:
+    """Condition check of the cavity factors 1 - loop of an N x N matrix or a stack.
 
     sigma_max(loop) <= sqrt(norm1 * norminf); where that bound keeps 1 - loop
     far from singular the SVD is unnecessary.
 
     Raises:
-        NearSingularCavity: a guarded cavity factor is numerically singular;
+        NearSingularCavity: a cavity factor is numerically singular;
             ``samples`` lists the failing stack positions.
     """
-    guard = np.broadcast_to(guard, loop.shape[:-2])
-    if not guard.any():
-        return
     n = loop.shape[-1]
     abs_loop = np.abs(loop)
     bound = np.sqrt(abs_loop.sum(axis=-2).max(axis=-1) * abs_loop.sum(axis=-1).max(axis=-1))
-    flagged = np.flatnonzero(guard & (bound > 0.9))
+    flagged = np.flatnonzero(bound > 0.9)
     if flagged.size:
         sigma = np.linalg.svd(cavity.reshape(-1, n, n)[flagged], compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -326,43 +336,6 @@ def _check_cavity(loop: np.ndarray, cavity: np.ndarray, guard) -> None:
                 f"cavity factor condition number exceeds {CONDITION_LIMIT:.0e}",
                 flagged[singular],
             )
-
-
-def _star_blocks(a: tuple, b: tuple, guard) -> tuple:
-    """Redheffer star product on raw (r', t', t, r) blocks, ``a`` left of ``b``.
-
-    The blocks are N x N matrices, or [B, N, N] stacks of B samples with one
-    ``guard`` flag per sample.  ``guard`` runs ``_check_cavity``; a caller
-    may skip it only where a proven bound keeps the cavity factor well
-    conditioned.  Every step acts matrix by matrix, so a sample's composite
-    does not depend on the other samples of its stack.
-
-    The cavity-free formula is taken when r_A or r'_B vanishes for the whole
-    stack.  A sample whose facing reflection vanishes inside a cavity stack
-    gets the cavity factor 1, and a composite equal to the cavity-free one up
-    to rounding.
-
-    Raises:
-        NearSingularCavity: a guarded cavity factor is numerically singular;
-            ``samples`` lists the failing stack positions.
-    """
-    a_r_prime, a_t_prime, a_t, a_r = a
-    b_r_prime, b_t_prime, b_t, b_r = b
-    if not (a_r.any() and b_r_prime.any()):
-        # no internal cavity: one of the facing reflections vanishes exactly
-        return (a_r_prime + a_t_prime @ b_r_prime @ a_t, a_t_prime @ b_t_prime,
-                b_t @ a_t, b_r + b_t @ a_r @ b_t_prime)
-
-    eye = np.eye(a_r.shape[-1])
-    loop = a_r @ b_r_prime
-    cavity = eye - loop
-    _check_cavity(loop, cavity, guard)
-    cavity_rev = eye - b_r_prime @ a_r
-
-    x = np.linalg.solve(cavity, a_t)
-    y = np.linalg.solve(cavity_rev, b_t_prime)
-    return (a_r_prime + a_t_prime @ (b_r_prime @ x), a_t_prime @ y,
-            b_t @ x, b_r + b_t @ (a_r @ y))
 
 
 def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
@@ -384,27 +357,29 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     if a.n_modes != b.n_modes:
         raise ValueError("segments must carry the same number of modes")
     kind = _combined_kind(a.medium_kind, b.medium_kind)
-    blocks = _star_blocks((a.r_prime, a.t_prime, a.t, a.r),
-                          (b.r_prime, b.t_prime, b.t, b.r), guard=True)
-    return ScatteringMatrix(*blocks, kind)
-
-
-def _matrices_in_budget(n_modes: int) -> int:
-    """How many N x N complex arrays ``BATCH_BYTES`` holds."""
-    return BATCH_BYTES // (16 * n_modes * n_modes)
+    eye = np.eye(a.n_modes)
+    loop = a.r @ b.r_prime
+    cavity = eye - loop
+    _check_cavity(loop, cavity)
+    x = np.linalg.solve(cavity, a.t)
+    y = np.linalg.solve(eye - b.r_prime @ a.r, b.t_prime)
+    return ScatteringMatrix(a.r_prime + a.t_prime @ (b.r_prime @ x), a.t_prime @ y,
+                            b.t @ x, b.r + b.t @ (a.r @ y), kind)
 
 
 def _sampling_block(n_modes: int) -> int:
     """Periods drawn per call: up to ``SAMPLING_BLOCK``, as many as one sample's
-    draws (2 per period), their QR (6 more) and one composite fit in ``BATCH_BYTES``."""
-    return max(1, min(SAMPLING_BLOCK, (_matrices_in_budget(n_modes) - _STACK_ARRAYS) // 8))
+    phases, their drawing and one composite fit in ``BATCH_BYTES``."""
+    spare = BATCH_BYTES - _BUFFER_BYTES - _STACK_ARRAYS * 16 * n_modes**2
+    return max(1, min(SAMPLING_BLOCK, spare // ((_PHASE_BYTES + _DRAWING_BYTES) * n_modes)))
 
 
 def _batch_size(n_modes: int) -> int:
-    """Samples advanced together: as many as fit their draws and composites in
-    ``BATCH_BYTES`` beside the QR of one sample's block."""
+    """Samples advanced together: as many as fit their phases and composites in
+    ``BATCH_BYTES`` beside the drawing of one sample's block."""
     block = _sampling_block(n_modes)
-    return max(1, (_matrices_in_budget(n_modes) - 6 * block) // (2 * block + _STACK_ARRAYS))
+    return max(1, (BATCH_BYTES - _BUFFER_BYTES - block * _DRAWING_BYTES * n_modes)
+               // (_STACK_ARRAYS * 16 * n_modes**2 + block * _PHASE_BYTES * n_modes))
 
 
 def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
@@ -444,24 +419,23 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     size = len(seeds)
     n_periods = period_targets[-1] if period_targets else 0
     streams = [np.random.default_rng(seed) for seed in seeds]
-    amplitude = (
-        1.0
-        if spec.loss_gain_sign == 0
-        else math.exp(-spec.loss_gain_sign / (2.0 * spec.ballistic_decay_length))
-    )
+    amplitude = (1.0 if spec.loss_gain_sign == 0
+                 else math.exp(-spec.loss_gain_sign / (2.0 * spec.ballistic_decay_length)))
     reflection, transmission = core_amplitudes(spec.scatter_strength)
     # cond(1 - sqrt(delta) r) <= (1 + q) / (1 - q) for a contraction, with q
     # sqrt(delta) raised by a relative 1e-6 for the round-off in ||r||_2 <= 1;
     # an amplifying composite has no such bound
     q = reflection * (1.0 + 1e-6)
     guard = spec.loss_gain_sign < 0 or not 1.0 + q < CONDITION_LIMIT * (1.0 - q)
-    eye = np.eye(n)
+    eye = np.eye(n, dtype=complex)  # a real operand would take a casting buffer
+    # r <- (a sqrt(1 - delta))^2 X [r M - shift] Y: a sqrt(1 - delta) rides on the phases
+    scale, shift = amplitude * transmission, reflection / transmission**2
     r_prime, r = np.zeros((2, size, n, n), dtype=complex)
-    t_prime, t = np.broadcast_to(eye, (2, size, n, n)).astype(complex)
+    t_prime, t = np.broadcast_to(eye, (2, size, n, n)).copy()
 
-    # X and Y of one sampling block of every active sample, refilled in place
+    # the phases of one sampling block of every active sample, refilled in place
     block_size = _sampling_block(n)
-    draws = np.empty((size, min(block_size, n_periods), 2, n, n), dtype=complex)
+    phases = np.empty((size, min(block_size, n_periods), 6, n), dtype=complex)
 
     active = np.arange(size)  # seed positions of the samples still in the stack
     results: list[list] = [[] for _ in range(size)]
@@ -476,30 +450,37 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
                 drawn = sampling_block
                 count = min(block_size, n_periods - period)
                 for row, sample in enumerate(active):
-                    _haar_unitaries(streams[sample], draws[row, :count])
+                    _interface_phases(streams[sample], phases[row, :count])
+                phases[:live, :count, ::3] *= scale
             loop = reflection * r
             cavity = eye - loop
             if guard:
                 try:
-                    _check_cavity(loop, cavity, True)
+                    _check_cavity(loop, cavity)
                 except NearSingularCavity as exc:
                     # the failing samples leave the stack; the rest redo this
-                    # period with the draws already made
+                    # period with the phases already drawn
                     keep = np.ones(live, dtype=bool)
                     keep[list(exc.samples)] = False
                     for sample in active[~keep]:
                         failures[sample] = exc
                     active = active[keep]
                     r_prime, t_prime, t, r = (block[keep] for block in (r_prime, t_prime, t, r))
-                    draws[:active.size] = draws[:live][keep]
+                    phases[:active.size] = phases[:live][keep]
                     continue
-            x, y = draws[:live, offset, 0], draws[:live, offset, 1]
             m = np.linalg.inv(cavity)
-            mt = m @ t
-            r_prime = r_prime + reflection * (t_prime @ mt)
-            t = (amplitude * transmission) * (x @ mt)
-            t_prime = (amplitude * transmission) * (t_prime @ m @ y)
-            r = amplitude**2 * (x @ ((r - reflection * eye) @ m) @ y)
+            del loop, cavity  # freed before the next stack, as _STACK_ARRAYS counts
+            # [M t, r M - shift, t' M]: X acts on the first two, Y on the last two
+            stack = np.empty((3, live, n, n), dtype=complex)
+            np.matmul(m, t, out=stack[0])
+            np.matmul(r, m, out=stack[1])
+            stack[1].reshape(live, n * n)[:, ::n + 1] -= shift
+            np.matmul(t_prime, m, out=stack[2])
+            r_prime += reflection * (t_prime @ stack[0])
+            layers = phases[:live, offset]
+            _mix(stack[:2], layers[:, :3], -2)
+            _mix(stack[1:], layers[:, 3:], -1)
+            t, r, t_prime = stack
             period += 1
         for sample, failure in failures.items():
             results[sample].append(failure)
@@ -517,12 +498,9 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
 def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
     """Composites of one disorder realization at several lengths, one pass.
 
-    Because the draws are a deterministic stream of the seed, the medium of
-    length L is a prefix of the medium of any longer length built from the
-    same spec.  This grows the composite once up to max(lengths) and
-    captures (and validates) it at every requested length,
-    bit-identical to building each length separately: the batch of one of
-    ``build_batch_checkpoints``.
+    The batch of one of ``build_batch_checkpoints``: a shorter medium is a
+    prefix of a longer one, so each capture is bit-identical to building
+    that length on its own.
 
     Returns one entry per requested length, in the given order: the validated
     ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
@@ -535,10 +513,8 @@ def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
 def build_medium(spec: MediumSpec) -> ScatteringMatrix:
     """Assemble the scattering matrix of a full waveguide segment.
 
-    Stacks ceil(total_length) periods of a scalar core and a Haar interface.
-    Deterministic for a fixed seed: the draws come from
-    ``default_rng(spec.seed)``, so shorter segments built from the same seed
-    share their leading periods.
+    Stacks ceil(total_length) periods of a scalar core and a random-phase DFT
+    interface, drawn from ``default_rng(spec.seed)``.
 
     Raises:
         NearSingularCavity: the cavity factor of a star product is

@@ -268,8 +268,6 @@ def log_generating_density_direct(z: float, s: ScatteringMatrix, state: Squeezed
 _STENCILS = {
     1: ((-1, -0.5), (1, 0.5)),
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
 }
 #: the first differentiation step of ``numeric_factorial_cumulants``
 _STEP = 1e-3
@@ -281,15 +279,15 @@ def numeric_factorial_cumulants(s: ScatteringMatrix, state: SqueezedInput,
     """Factorial cumulant densities by numerical differentiation at z = 0.
 
     Central stencils with two Richardson extrapolation steps, starting from
-    ``_STEP``.  Orders one and two must agree with the closed forms; higher
-    orders probe the full generating function.
+    ``_STEP``, for order 1 or 2: the numerical counterparts of the closed
+    forms, which they must reproduce.
 
     Warns:
         PrecisionLossWarning: the two extrapolation levels disagree by more
             than 1e-5 relative.
     """
-    if not 1 <= order <= 4:
-        raise ValueError("order must be between 1 and 4")
+    if order not in _STENCILS:
+        raise ValueError("order must be 1 or 2")
 
     @functools.cache  # the stencils share points: each is evaluated once
     def generating(z: float) -> float:

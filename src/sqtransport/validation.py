@@ -57,6 +57,14 @@ def random_contraction(rng, n_modes: int, smin=0.2, smax=0.95,
     return md.ScatteringMatrix.from_full(u @ np.diag(sigma) @ v, kind)
 
 
+def interface_matrix(layers) -> np.ndarray:
+    """diag(p0) F diag(p1) F diag(p2) of ``layers`` = (p0, p1, p2), F written out."""
+    p0, p1, p2 = layers
+    k = np.arange(len(p0))
+    dft = np.exp(-2j * np.pi * (np.outer(k, k) % len(k)) / len(k)) / math.sqrt(len(k))
+    return p0[:, None] * (dft @ (p1[:, None] * (dft * p2)))
+
+
 def absorbing_spec(n_modes, length, seed, decay=400.0, occupation=1e-3,
                    scatter_strength=0.32) -> md.MediumSpec:
     return md.MediumSpec(n_modes, length, scatter_strength, 1, decay, occupation, seed)
@@ -133,6 +141,21 @@ def check_determinism():
     spec = absorbing_spec(6, 23, 99)
     a, b = md.build_medium(spec), md.build_medium(spec)
     _expect(a.full.tobytes() == b.full.tobytes())
+
+
+def check_interface_mixer():
+    # the loop's FFT-applied interfaces are the explicit D F D F D, and unitary
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 5, 16, 25):
+        phases = md._interface_phases(rng, np.empty((2, 6, n), dtype=complex))
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (1, 2, n, n))
+        x = md._mix(eye.copy(), phases[:, :3], -2)[0]
+        y = md._mix(eye.copy(), phases[:, 3:], -1)[0]
+        for sample in range(2):
+            for got, layers in ((x, phases[sample, 2::-1]), (y, phases[sample, 3:])):
+                explicit = interface_matrix(layers)
+                _expect(np.max(np.abs(got[sample] - explicit)) <= 1e-13)
+                _expect(np.max(np.abs(explicit @ explicit.conj().T - np.eye(n))) <= 1e-14)
 
 
 def check_thermal_cumulants_scalar():
@@ -319,6 +342,7 @@ FAST_CHECKS = [
     ("absorbing contraction", check_absorbing_contraction),
     ("amplifying positivity", check_amplifying_positivity),
     ("determinism", check_determinism),
+    ("interface mixer", check_interface_mixer),
     ("thermal cumulants scalar", check_thermal_cumulants_scalar),
     ("m element scalar", check_m_element_scalar),
     ("generating function vs closed forms", check_generating_function_consistency),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sqtransport import ensemble as en
 from sqtransport import medium as md
 from sqtransport import validation
 from sqtransport.errors import FitFailed, NearSingularCavity, PhysicalityError
@@ -197,11 +198,22 @@ def test_cavity_condition_within_constant_bound(n_modes, eps, sigma, seed):
     assert np.linalg.cond(np.eye(n_modes) - reflection * r) <= bound * (1 + 1e-12)
 
 
-def _star_fold(spec, n_periods):
+def phase_interface(rng, n_modes):
+    """The loop's X and Y of one period, as explicit matrices from its phase draws."""
+    phases = md._interface_phases(rng, np.empty((1, 6, n_modes), dtype=complex))[0]
+    return validation.interface_matrix(phases[2::-1]), validation.interface_matrix(phases[3:])
+
+
+def haar_interface(rng, n_modes):
+    """X and Y of one period as two independent Haar unitaries."""
+    return md._haar_unitaries(rng, np.empty((2, n_modes, n_modes), dtype=complex))
+
+
+def _star_fold(spec, n_periods, interface=phase_interface):
     """Composites after each period, folded with the public star_compose.
 
     A period is the scalar core followed by the interface t = a X, t' = a Y,
-    with X and Y drawn from the sample's stream as the loop draws them.
+    with X and Y from ``interface`` on the sample's stream.
     """
     n = spec.n_modes
     rng = np.random.default_rng(spec.seed)
@@ -214,7 +226,7 @@ def _star_fold(spec, n_periods):
     composite = md.ScatteringMatrix.identity_transmission(n, spec.medium_kind)
     out = [composite]
     for _ in range(n_periods):
-        x, y = md._haar_unitaries(rng, np.empty((2, n, n), dtype=complex))
+        x, y = interface(rng, n)
         composite = md.star_compose(composite, core)
         composite = md.star_compose(composite, md.ScatteringMatrix(
             zero, amplitude * y, amplitude * x, zero, spec.medium_kind))
@@ -245,11 +257,34 @@ def test_checkpoints_across_sampling_blocks(spec):
         assert captured.medium_kind == spec.medium_kind
 
 
+_VIEWS = [lambda a: a, lambda a: a[:2], lambda a: a[1:], lambda a: a[:, ::2],
+          lambda a: a.swapaxes(0, 1)]
+
+
+@pytest.mark.parametrize("n_modes", [3, 10, 25, 50, 64, 97])
+def test_stacked_fft_equals_per_matrix_calls(n_modes):
+    # the loop's batch independence rests on this: numpy's FFT of a stack,
+    # in place or not and on strided views, is each matrix's FFT bit for bit
+    rng = np.random.default_rng(n_modes)
+    for size in range(1, 17):
+        whole = rng.standard_normal((3, size, n_modes, n_modes, 2)).view(complex)[..., 0]
+        for axis in (-2, -1):
+            alone = np.array([np.fft.fft(matrix, axis=axis, norm="ortho")
+                              for matrix in whole.reshape(-1, n_modes, n_modes)])
+            alone = alone.reshape(whole.shape)
+            for view in _VIEWS:
+                in_place = view(whole.copy())
+                np.fft.fft(in_place, axis=axis, norm="ortho", out=in_place)
+                assert np.array_equal(np.fft.fft(view(whole), axis=axis, norm="ortho"),
+                                      view(alone))
+                assert np.array_equal(in_place, view(alone))
+
+
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
 def test_checkpoints_independent_of_sampling_block(monkeypatch, spec, block):
-    # per-period draws continue one stream, and the stacked qr acts matrix by
-    # matrix, so the block size leaves every medium bitwise unchanged
+    # per-period draws continue one stream, and the stacked fft acts row by
+    # row, so the block size leaves every medium bitwise unchanged
     seeds = [md.derive_sample_seed(spec.seed, k) for k in range(3)]
     lengths = [7, md.SAMPLING_BLOCK + 0.5, 33]
     default = list(md.build_batch_checkpoints(spec, seeds, lengths))
@@ -271,20 +306,26 @@ def _loop_peak(monkeypatch, n_modes):
         tracemalloc.stop()
 
 
+def _live_bytes(n, block, size):
+    """The loop's whole live set: the phase buffer, the drawing of one sample's
+    block, the composites with one period's temporaries and numpy's buffers."""
+    return (n * (md._PHASE_BYTES * size * block + md._DRAWING_BYTES * block)
+            + 16 * n * n * md._STACK_ARRAYS * size + md._BUFFER_BYTES)
+
+
 def test_slice_buffers_stay_within_batch_bytes(monkeypatch):
-    # the loop's whole live set, in N x N arrays: the draw buffer (2 B P), the
-    # QR of one sample's block (6 P) and the composites with one period's
-    # temporaries (_STACK_ARRAYS B)
     for n in range(1, 201):
-        block, size, matrix_bytes = md._sampling_block(n), md._batch_size(n), 16 * n * n
+        block, size = md._sampling_block(n), md._batch_size(n)
         assert 1 <= block <= md.SAMPLING_BLOCK
-        live = matrix_bytes * (2 * size * block + 6 * block + md._STACK_ARRAYS * size)
-        if (8 + md._STACK_ARRAYS) * matrix_bytes <= md.BATCH_BYTES:
-            assert live <= md.BATCH_BYTES, n
+        if _live_bytes(n, 1, 1) <= md.BATCH_BYTES:
+            assert _live_bytes(n, block, size) <= md.BATCH_BYTES, n
+            # the largest block, then the largest batch, that fits
+            assert block == md.SAMPLING_BLOCK or _live_bytes(n, block + 1, 1) > md.BATCH_BYTES
+            assert _live_bytes(n, block, size + 1) > md.BATCH_BYTES, n
         else:
             assert (block, size) == (1, 1), n
-    assert (md._sampling_block(10), md._batch_size(10)) == (16, 16)
-    assert (md._sampling_block(50), md._batch_size(50)) == (2, 1)
+    assert (md._sampling_block(10), md._batch_size(10)) == (16, 32)
+    assert (md._sampling_block(50), md._batch_size(50)) == (16, 1)
     # and the count holds for what the loop really allocates
     for n in (10, 25, 50):
         assert _loop_peak(monkeypatch, n) <= md.BATCH_BYTES, n
@@ -292,21 +333,21 @@ def test_slice_buffers_stay_within_batch_bytes(monkeypatch):
 
 def test_sampler_draws_at_most_one_sampling_block_per_call(monkeypatch):
     counts = []
-    real = md._haar_unitaries
+    real = md._interface_phases
 
     def recording(rng, out):
         counts.append(out.shape[0])
         return real(rng, out)
 
-    monkeypatch.setattr(md, "_haar_unitaries", recording)
+    monkeypatch.setattr(md, "_interface_phases", recording)
     md.build_medium(absorbing_spec(50, 20, seed=3, decay=40.0, scatter_strength=0.45))
-    assert max(counts) == 2 == md._sampling_block(50)
+    assert max(counts) == md.SAMPLING_BLOCK == md._sampling_block(50)
     assert sum(counts) == 20
 
 
 @pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
 def test_checkpoints_independent_of_batch_bytes(monkeypatch, spec):
-    # a small budget shrinks the sampling block (3 periods at N = 5) and the
+    # a small budget shrinks the sampling block (one period at N = 5) and the
     # batch (one sample); every medium stays bitwise the same
     seeds = [md.derive_sample_seed(spec.seed, k) for k in range(3)]
     lengths = [7, 16.5, 33]
@@ -337,8 +378,8 @@ def test_build_rejects_a_length_outside_zero_to_infinity(length):
 
 
 def test_large_n_build_memory_bounded():
-    # the sampler's temporaries scale with its block: one period at N = 100
-    # is eight N x N arrays beside the composites
+    # beyond the budget's reach the loop runs one sample and one period's
+    # phases per block, so its live set is the composites and temporaries
     assert _traced_build_peak(100) < 20e6
     # at N = 50 the loop's live set stays within BATCH_BYTES; one more
     # BATCH_BYTES covers the checkpoints and their validation
@@ -434,8 +475,8 @@ def test_absorbing_build_runs_no_cavity_svd(monkeypatch):
 
 
 def _rigged_draws(monkeypatch, doomed, draws):
-    """Make the sample of seed ``doomed`` take ``draws`` (periods, 2, N, N) as its X and Y."""
-    real = md._haar_unitaries
+    """Make the sample of seed ``doomed`` take ``draws`` (periods, 6, N) as its phases."""
+    real = md._interface_phases
     taken = []
 
     def rigged(rng, out):
@@ -446,24 +487,29 @@ def _rigged_draws(monkeypatch, doomed, draws):
         out[...] = draws[start:start + out.shape[0]]
         return out
 
-    monkeypatch.setattr(md, "_haar_unitaries", rigged)
+    monkeypatch.setattr(md, "_interface_phases", rigged)
     return taken
 
 
 @pytest.mark.parametrize("sign,eps", [(-1, 0.32), (0, 1e7)], ids=["amplifying", "opaque-core"])
 def test_cavity_at_threshold_raises(monkeypatch, sign, eps):
-    # hand-made draws X = 1, Y = diag(y, 1) make r after the first period
-    # diag(1 / sqrt(delta), ...) up to rounding, so the second period's cavity
-    # factor 1 - sqrt(delta) r is singular.  An amplifying medium keeps the
-    # guard, and so does a core that reflects so strongly (delta = 1 - 2e-14)
-    # that the constant bound exceeds CONDITION_LIMIT; Y is a unitary there.
+    # hand-made phases: all 1 make X = Y = F^2 the DFT parity permutation P,
+    # and a last layer diag(y, 1) of Y makes r after the first period
+    # -a^2 sqrt(delta) P^2 diag(y, 1) = diag(1 / sqrt(delta), ...) up to
+    # rounding, so the second period's cavity factor 1 - sqrt(delta) r is
+    # singular.  An amplifying medium keeps the guard, and so does a core
+    # that reflects so strongly (delta = 1 - 2e-14) that the constant bound
+    # exceeds CONDITION_LIMIT; y is a unit phase there.
     n, seed, decay = 2, 5, 2.0
     delta = md.core_amplitudes(eps)[0] ** 2
     gain = math.exp(1.0 / decay) if sign else 1.0
-    draws = np.broadcast_to(np.eye(n, dtype=complex), (3, 2, n, n)).copy()
-    draws[0, 1, 0, 0] = -1.0 / (gain * delta) if sign else -1.0
-    _rigged_draws(monkeypatch, seed, draws)
+    draws = np.ones((3, 6, n), dtype=complex)
+    draws[0, 5, 0] = -1.0 / (gain * delta) if sign else -1.0
+    taken = _rigged_draws(monkeypatch, seed, draws)
     spec = md.MediumSpec(n, 3, eps, sign, decay if sign else None, -1.0 if sign else 0.0, seed)
+    first, second = md.build_medium_checkpoints(spec, [1, 2])
+    assert isinstance(first, md.ScatteringMatrix) and isinstance(second, NearSingularCavity)
+    taken.clear()
     with pytest.raises(NearSingularCavity):
         md.build_medium(spec)
 
@@ -547,10 +593,6 @@ def test_ohms_law_at_ten_mean_free_paths(workers):
     assert abs(observed - 11.0) < 3 * stderr + 0.01 * 11.0
 
 
-def _blocks(matrix):
-    return (matrix.r_prime, matrix.t_prime, matrix.t, matrix.r)
-
-
 _SIGMA_RANGE = {md.PASSIVE: (1.0, 1.0), md.ABSORBING: (0.2, 0.95), md.AMPLIFYING: (1.0, 1.3)}
 
 
@@ -585,52 +627,28 @@ def test_star_product_algebra(n_modes, kind, seed):
         composite.validate()
 
 
-@given(n_modes=st.integers(1, 4), kind=st.sampled_from(sorted(_SIGMA_RANGE)),
-       opened=st.booleans(), guards=st.lists(st.booleans(), min_size=1, max_size=6),
-       seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_stacked_star_blocks_equal_per_matrix_calls(n_modes, kind, opened, guards, seed):
-    # a stack whose r_A all vanish takes the cavity-free formula, as each of
-    # its matrices does alone; the guard is per sample
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in guards:
-        a, b = _random_medium(rng, n_modes, kind), _random_medium(rng, n_modes, kind)
-        a_blocks = _blocks(a)
-        if opened:
-            a_blocks = a_blocks[:3] + (np.zeros_like(a.r),)
-        pairs.append((a_blocks, _blocks(b)))
-    assume(all(np.linalg.cond(np.eye(n_modes) - a[3] @ b[0]) < 1e6 for a, b in pairs))
-    guard = np.array(guards)
-    stacked = md._star_blocks(tuple(np.array(x) for x in zip(*(a for a, _ in pairs))),
-                              tuple(np.array(x) for x in zip(*(b for _, b in pairs))), guard)
-    for k, (a, b) in enumerate(pairs):
-        single = md._star_blocks(a, b, guard[k])
-        for whole, block in zip(stacked, single):
-            assert np.array_equal(whole[k], block)
-
-
 @pytest.mark.parametrize("fail_period", [md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 2])
 def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail_period):
-    # one amplifying sample of a batch gets hand-made draws: X = Y = 1, so its
-    # blocks stay multiples of the identity, then at period fail_period - 1
-    # Y = diag(y, 1, 1) with |y| > 1, an interface of extra gain in one mode,
-    # with y chosen to put that mode's round trip 1 - sqrt(delta) r at zero
-    # for the next period.  At fail_period = SAMPLING_BLOCK the failure hits
-    # the first period of a sampling block, which the survivors must not
-    # draw a second time.
+    # one amplifying sample of a batch gets hand-made phases, all 1: X = Y is
+    # the DFT parity permutation P, an involution, so its r and r' stay
+    # multiples of the identity.  Then at period fail_period - 1 the last
+    # layer of Y is diag(y, 1, 1) with |y| > 1, an interface of extra gain in
+    # one mode, with y chosen to put that mode's round trip 1 - sqrt(delta) r
+    # at zero for the next period.  At fail_period = SAMPLING_BLOCK the
+    # failure hits the first period of a sampling block, which the survivors
+    # must not draw a second time.
     n, decay, n_periods = 3, 20.0, 40
     spec = md.MediumSpec(n, n_periods, 0.32, -1, decay, -1.0, 0)
     seeds = [md.derive_sample_seed(9, k) for k in range(5)]
     doomed = seeds[2]
-    draws = np.broadcast_to(np.eye(n, dtype=complex), (n_periods, 2, n, n)).copy()
+    draws = np.ones((n_periods, 6, n), dtype=complex)
     taken = _rigged_draws(monkeypatch, doomed, draws)
     lengths = [10, fail_period - 0.5, fail_period, fail_period + 0.5, 30, n_periods]
     # r of the unperturbed hand-made sample after period fail_period - 1
     reached = md.build_medium(dataclasses.replace(spec, seed=doomed, total_length=fail_period))
     taken.clear()
-    draws[fail_period - 1, 1, 0, 0] = 1.0 / (md.core_amplitudes(0.32)[0] * reached.r[0, 0])
-    assert abs(draws[fail_period - 1, 1, 0, 0]) > 1
+    draws[fail_period - 1, 5, 0] = 1.0 / (md.core_amplitudes(0.32)[0] * reached.r[0, 0])
+    assert abs(draws[fail_period - 1, 5, 0]) > 1
     batch = list(md.build_batch_checkpoints(spec, seeds, lengths))
     for seed, row in zip(seeds, batch):
         if seed == doomed:
@@ -651,3 +669,66 @@ def test_passive_universality(workers):
     # shot noise 1/3, var(tr t+t) 1/15 and Ohm's law at 5 l and 10 l, N = 25,
     # at delta(0.45) and delta(0.32)
     validation.check_passive_universality(workers=workers)
+
+
+def _moments(matrix):
+    tt = matrix.t.conj().T @ matrix.t
+    return np.trace(tt).real, np.sum(np.abs(tt) ** 2)
+
+
+def _phase_rows(seeds, spec, periods):
+    """(tr t+t, tr (t+t)^2) of each seed's medium after each period count, built by the loop."""
+    return [[_moments(matrix) for matrix in row]
+            for row in md.build_batch_checkpoints(spec, seeds, periods)]
+
+
+def _haar_rows(seeds, spec, periods):
+    """The same moments of the same seeds with Haar interfaces, folded by star_compose."""
+    rows = []
+    for seed in seeds:
+        folded = _star_fold(dataclasses.replace(spec, seed=seed), periods[-1], haar_interface)
+        rows.append([_moments(folded[period]) for period in periods])
+    return rows
+
+
+def _mixer_statistics(moments, n_modes, passive):
+    """(value, stderr) per statistic of one length; only <tr t+t>/N for an absorbing medium."""
+    g = moments[:, 0]
+    statistics = {"<tr t+t>/N": (g.mean() / n_modes, g.std(ddof=1) / math.sqrt(g.size) / n_modes)}
+    if passive:
+        statistics["shot noise"] = en._jackknife(moments, lambda m: 1.0 - m[..., 1] / m[..., 0])
+        statistics["var(tr t+t)"] = en._jackknife(np.column_stack([g, g * g]),
+                                                  lambda m: m[..., 1] - m[..., 0] ** 2)
+    return statistics
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_modes, samples", [(4, 600), (8, 600), (25, 300)])
+def test_phase_mixer_matches_haar_mixer(workers, n_modes, samples):
+    # two-sample test of the loop's DFT-layer interfaces against Haar
+    # interfaces: the same seeds, eps = 0.45, L = 5 l and 10 l (50 and 99
+    # periods), each statistic within 3 two-sample stderr.  N = 4 and 8 reach
+    # the localised regime (L up to 2.5 N l) and compare the passive shot
+    # noise, var(tr t+t) and <tr t+t>/N and the absorbing <tr t+t>/N at
+    # l/xi_a = 0.1; N = 25 compares the absorbing first moment
+    eps = 0.45
+    reflection, transmission = md.core_amplitudes(eps)
+    mean_free_path = (transmission / reflection) ** 2
+    periods = [math.ceil(5 * mean_free_path), math.ceil(10 * mean_free_path)]
+    specs = {"absorbing": en.spec_for_ratios(n_modes, 1.0, 0.1, mean_free_path, 1, 1e-3, eps, 0)}
+    if n_modes < 25:
+        specs["passive"] = md.MediumSpec(n_modes, periods[-1], eps, 0, None, 0.0, 0)
+    seeds = [md.derive_sample_seed(26 + n_modes, k) for k in range(samples)]
+    failures = []
+    for kind, spec in specs.items():
+        phase, haar = (np.array(md.map_seed_chunks(rows, seeds, workers, spec, periods))
+                       for rows in (_phase_rows, _haar_rows))
+        for j, length in enumerate(periods):
+            ours = _mixer_statistics(phase[:, j], n_modes, kind == "passive")
+            reference = _mixer_statistics(haar[:, j], n_modes, kind == "passive")
+            for name, (value, stderr) in ours.items():
+                ref_value, ref_stderr = reference[name]
+                if abs(value - ref_value) > 3 * math.hypot(stderr, ref_stderr):
+                    failures.append(f"{kind} L={length} {name}: {value:.4f} +- {stderr:.4f} "
+                                    f"vs Haar {ref_value:.4f} +- {ref_stderr:.4f}")
+    assert not failures, "; ".join(failures)
