@@ -46,10 +46,10 @@ takes the sample out of its batch.
 Batched samples.  ``build_batch_checkpoints`` advances B samples together
 as [B, N, N] stacks.  Each sample draws its phases from its own stream,
 ``default_rng(seed)``, so a shorter medium is a prefix of a longer one.  The
-phases of P periods of every sample live in one (B, P, 6, N) buffer.
-``BATCH_BYTES`` bounds the loop's whole live set, phases, composites and
-temporaries: (P, B) = (16, 32) at N = 10, (16, 7) at N = 25 and (16, 1) at
-N = 50, within ``BATCH_BYTES`` up to N = 79.  ``inv``, ``matmul`` and
+phases of P = ``SAMPLING_BLOCK`` periods of every sample live in one
+(B, P, 6, N) buffer.  B is the largest batch whose whole live set, phases,
+composites and temporaries, fits in ``BATCH_BYTES``: 32 at N = 10, 7 at
+N = 25 and 1 at N = 50; one sample fits up to N = 69.  ``inv``, ``matmul`` and
 ``fft`` on a stack act matrix by matrix (or row by row) as on one matrix,
 so every sample is bitwise the same whatever B and P.
 
@@ -85,7 +85,7 @@ AMPLIFYING = "amplifying"
 SINGULAR_VALUE_TOL = 1e-10
 #: condition-number limit of the cavity factor in a star product
 CONDITION_LIMIT = 1e12
-#: most periods whose draws are sampled together
+#: periods whose draws are sampled together
 SAMPLING_BLOCK = 16
 #: memory for the disorder loop's whole live set
 BATCH_BYTES = 1_300_000
@@ -252,7 +252,8 @@ def _haar_unitaries(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill ``out``, a C-contiguous stack of N x N complex arrays, with Haar unitaries:
     Q diag(R_ii / |R_ii|) of the QR of a complex Ginibre matrix drawn into
     ``out`` (Mezzadri, Notices AMS 54, 592 (2007)), bitwise the same however
-    a stack is split into calls."""
+    a stack is split into calls.  The disorder loop draws none: these serve
+    random test matrices and the Haar-interface reference of the tests."""
     rng.standard_normal(out=out.view(np.float64))
     q, r = np.linalg.qr(out)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
@@ -276,31 +277,6 @@ def _mix(stack: np.ndarray, layers: np.ndarray, axis: int) -> np.ndarray:
             np.fft.fft(stack, axis=axis, norm="ortho", out=stack)
         stack *= layers[:, k][expand]
     return stack
-
-
-def sample_slice(n_modes: int, scatter_strength: float,
-                 rng: np.random.Generator) -> ScatteringMatrix:
-    """Draw one isotropic slice S = diag(u, v) C diag(u', v').
-
-    C is the scalar core [[sqrt(delta), sqrt(1 - delta)], [sqrt(1 - delta),
-    -sqrt(delta)]] (x) 1_N and u, v, u', v' are independent Haar unitaries,
-    so r' = sqrt(delta) u u', t' = sqrt(1 - delta) u v', t = sqrt(1 - delta)
-    v u' and r = -sqrt(delta) v v': every mode has reflectance exactly
-    delta of ``core_amplitudes``.
-
-    Args:
-        n_modes: number of modes per side.
-        scatter_strength: eps > 0.
-        rng: numpy random generator.
-    """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if scatter_strength <= 0:
-        raise ValueError("scatter_strength must be positive")
-    u, v, u_right, v_right = _haar_unitaries(rng, np.empty((4, n_modes, n_modes), complex))
-    reflection, transmission = core_amplitudes(scatter_strength)
-    return ScatteringMatrix(reflection * (u @ u_right), transmission * (u @ v_right),
-                            transmission * (v @ u_right), -reflection * (v @ v_right), PASSIVE)
 
 
 def _combined_kind(kind_a: str, kind_b: str) -> str:
@@ -367,19 +343,11 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
                             b.t @ x, b.r + b.t @ (a.r @ y), kind)
 
 
-def _sampling_block(n_modes: int) -> int:
-    """Periods drawn per call: up to ``SAMPLING_BLOCK``, as many as one sample's
-    phases, their drawing and one composite fit in ``BATCH_BYTES``."""
-    spare = BATCH_BYTES - _BUFFER_BYTES - _STACK_ARRAYS * 16 * n_modes**2
-    return max(1, min(SAMPLING_BLOCK, spare // ((_PHASE_BYTES + _DRAWING_BYTES) * n_modes)))
-
-
 def _batch_size(n_modes: int) -> int:
     """Samples advanced together: as many as fit their phases and composites in
     ``BATCH_BYTES`` beside the drawing of one sample's block."""
-    block = _sampling_block(n_modes)
-    return max(1, (BATCH_BYTES - _BUFFER_BYTES - block * _DRAWING_BYTES * n_modes)
-               // (_STACK_ARRAYS * 16 * n_modes**2 + block * _PHASE_BYTES * n_modes))
+    return max(1, (BATCH_BYTES - _BUFFER_BYTES - SAMPLING_BLOCK * _DRAWING_BYTES * n_modes)
+               // (_STACK_ARRAYS * 16 * n_modes**2 + SAMPLING_BLOCK * _PHASE_BYTES * n_modes))
 
 
 def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
@@ -434,8 +402,7 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     t_prime, t = np.broadcast_to(eye, (2, size, n, n)).copy()
 
     # the phases of one sampling block of every active sample, refilled in place
-    block_size = _sampling_block(n)
-    phases = np.empty((size, min(block_size, n_periods), 6, n), dtype=complex)
+    phases = np.empty((size, min(SAMPLING_BLOCK, n_periods), 6, n), dtype=complex)
 
     active = np.arange(size)  # seed positions of the samples still in the stack
     results: list[list] = [[] for _ in range(size)]
@@ -444,11 +411,11 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     drawn = -1  # index of the sampling block held in the buffer
     for target in period_targets:
         while active.size and period < target:
-            sampling_block, offset = divmod(period, block_size)
+            sampling_block, offset = divmod(period, SAMPLING_BLOCK)
             live = active.size
             if sampling_block != drawn:
                 drawn = sampling_block
-                count = min(block_size, n_periods - period)
+                count = min(SAMPLING_BLOCK, n_periods - period)
                 for row, sample in enumerate(active):
                     _interface_phases(streams[sample], phases[row, :count])
                 phases[:live, :count, ::3] *= scale

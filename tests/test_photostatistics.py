@@ -65,7 +65,7 @@ def test_squeezed_bracket_matches_expansion():
 
 
 def test_thermal_cumulants_unitary_vanish():
-    s = md.sample_slice(4, 0.3, np.random.default_rng(22))
+    s = random_contraction(np.random.default_rng(22), 4, 1.0, 1.0, md.PASSIVE)
     k1, k2 = ps.thermal_cumulant_densities(s, ps.DetectionConfig(1.0), 0.3)
     assert abs(k1) < 1e-12 and abs(k2) < 1e-12
 
@@ -115,7 +115,7 @@ def test_direct_cumulants_coherent_reduction():
 def test_direct_cumulants_unitary_full_detection_preserves_statistics():
     # a lossless medium, detected at unit efficiency, thins the input by T:
     # no thermal part, kappa1 = T n and excess kappa2 = T^2 n (F_in - 1)
-    s = md.sample_slice(3, 0.4, np.random.default_rng(25))
+    s = random_contraction(np.random.default_rng(25), 3, 1.0, 1.0, md.PASSIVE)
     state = ps.SqueezedInput(1.1 + 0.4j, 0.6, 0.9, 1)
     got = ps.direct_cumulants_squeezed(s, state, ps.DetectionConfig(1.0), 0.25)
     transmittance = float(np.sum(np.abs(s.t[:, 1]) ** 2))
@@ -260,7 +260,7 @@ def test_generating_function_domain_error():
 
 def test_numeric_cumulants_poisson_higher_orders_vanish():
     # coherent input, lossless medium, unit efficiency: kappa1 = |alpha|^2 T
-    s = md.sample_slice(3, 0.4, np.random.default_rng(31))
+    s = random_contraction(np.random.default_rng(31), 3, 1.0, 1.0, md.PASSIVE)
     state = ps.SqueezedInput(1.3, 0.0, 0.0, 0)
     config = ps.DetectionConfig(1.0)
     cumulants = ps.numeric_factorial_cumulants(s, state, config, 0.0, order=2)
@@ -282,7 +282,7 @@ def test_numeric_cumulants_squeezed_vacuum_mean():
 
 
 def test_fano_direct_unitary_medium():
-    s = md.sample_slice(3, 0.4, np.random.default_rng(33))
+    s = random_contraction(np.random.default_rng(33), 3, 1.0, 1.0, md.PASSIVE)
     state = ps.SqueezedInput(0.9, 0.5, 0.4, 2)
     config = ps.DetectionConfig(0.75)
     breakdown = ps.fano_direct(s, state, config, 0.3)
