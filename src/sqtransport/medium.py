@@ -24,14 +24,18 @@ and Y are random-phase DFT layers (``_mix``; Emerson et al., Science 302,
 tests compare with Haar interfaces.  With M = (1 - sqrt(delta) r)^-1 and the
 old blocks on the right, one period is::
 
-    r' <- r' + sqrt(delta) t' M t
     t  <- a sqrt(1 - delta) X M t
-    t' <- a sqrt(1 - delta) t' M Y
     r  <- a^2 X (r - sqrt(delta)) M Y  =  a^2 (1 - delta) X [r M - sqrt(delta) / (1 - delta)] Y
+    r' <- r' + sqrt(delta) t' M t
+    t' <- a sqrt(1 - delta) t' M Y
 
-one stacked inverse, four N x N matmuls and four stacked FFTs, with the
-factor a sqrt(1 - delta) on the first phase layer of X and of Y.  Every
-checkpoint is a full S for ``validate``.
+with a sqrt(1 - delta) on the first phase layer of X and of Y.  t and r
+never read r' or t', and the Fano factors and the Ohm fit read only [t r]:
+``build_batch_checkpoints`` (Monte Carlo, calibration) runs one stacked
+inverse, two matmuls, X on [M t, r M - shift] and Y on the latter, and checks
+a RowBlock per capture.  ``build_medium_checkpoints`` adds r' and t' (two
+more matmuls, Y on t' M) for the full S that ``validate``, the tests and
+``perfbench/checks.py`` read, checked by a 2N x 2N SVD.
 
 Cavity bound.  A passive or absorbing composite is a contraction, so every
 singular value of the cavity factor 1 - sqrt(delta) r lies in
@@ -48,10 +52,10 @@ as [B, N, N] stacks.  Each sample draws its phases from its own stream,
 ``default_rng(seed)``, so a shorter medium is a prefix of a longer one.  The
 phases of P = ``SAMPLING_BLOCK`` periods of every sample live in one
 (B, P, 6, N) buffer.  B is the largest batch whose whole live set, phases,
-composites and temporaries, fits in ``BATCH_BYTES``: 32 at N = 10, 7 at
-N = 25 and 1 at N = 50; one sample fits up to N = 69.  ``inv``, ``matmul`` and
-``fft`` on a stack act matrix by matrix (or row by row) as on one matrix,
-so every sample is bitwise the same whatever B and P.
+row blocks and temporaries, fits in ``BATCH_BYTES``: 43 at N = 10, 11 at
+N = 25 and 3 at N = 50; one sample fits up to N = 92.  ``inv``, ``matmul``
+and ``fft`` on a stack act matrix by matrix (or row by row) as on one
+matrix, so every sample is bitwise the same whatever B and P.
 
 Sample driver.  ``map_seed_chunks`` runs the Ohm's-law calibration and the
 Monte Carlo of ``ensemble`` on W contiguous chunks of the sample seeds.  The
@@ -89,8 +93,8 @@ CONDITION_LIMIT = 1e12
 SAMPLING_BLOCK = 16
 #: memory for the disorder loop's whole live set
 BATCH_BYTES = 1_300_000
-# N x N arrays per sample: the composite, the next stack, M and the r' update
-_STACK_ARRAYS = 10
+# N x N arrays per sample: t and r, M, and the next [t, r] (before M, loop and cavity)
+_STACK_ARRAYS = 5
 # bytes per mode and period of one sample's phases, and of their drawing
 _PHASE_BYTES, _DRAWING_BYTES = 6 * 16, 6 * (8 + 16)
 # numpy's iterator buffers of a broadcast operation: two of 8192 entries
@@ -188,6 +192,42 @@ class ScatteringMatrix:
             excess = np.max(sigma) - 1.0
             if excess > SINGULAR_VALUE_TOL:
                 raise PhysicalityError(f"absorbing matrix has singular value 1 + {excess:.3e}")
+
+
+@dataclass(frozen=True)
+class RowBlock:
+    """The right-side rows [t r] of S: all that a Fano factor or the Ohm fit reads."""
+
+    t: np.ndarray
+    r: np.ndarray
+    medium_kind: str = PASSIVE
+
+    @property
+    def n_modes(self) -> int:
+        return self.t.shape[0]
+
+    def validate(self) -> None:
+        """``ScatteringMatrix.validate`` on [t r], by the eigenvalues 1 - sigma^2
+        of 1 - r r+ - t t+ for the singular values sigma of [t r], which
+        interlace those of S.  With tol = ``SINGULAR_VALUE_TOL``: sigma <= 1 + tol
+        is lambda >= -(2 tol + tol^2), |sigma - 1| <= tol adds lambda <= 2 tol -
+        tol^2, and gain checks lambda <= tol on this principal block of 1 - S S+.
+        """
+        lowest, highest = np.linalg.eigvalsh(noise_matrix(self))[[0, -1]]
+        tol = SINGULAR_VALUE_TOL
+        if self.medium_kind == AMPLIFYING:
+            if highest > tol:
+                raise GainPositivityViolation(f"1 - r r+ - t t+ has eigenvalue {highest:.3e}")
+        elif lowest < -(2 * tol + tol**2) or (self.medium_kind == PASSIVE
+                                              and highest > 2 * tol - tol**2):
+            raise PhysicalityError(f"{self.medium_kind} rows [t r]: 1 - r r+ - t t+ has "
+                                   f"eigenvalues in [{lowest:.3e}, {highest:.3e}]")
+
+
+def noise_matrix(s: ScatteringMatrix | RowBlock) -> np.ndarray:
+    """1 - r r+ - t t+, the transmitted-mode block of 1 - S S+."""
+    t = s.t
+    return np.eye(s.n_modes) - s.r @ s.r.conj().T - t @ t.conj().T
 
 
 @dataclass(frozen=True)
@@ -351,7 +391,7 @@ def _batch_size(n_modes: int) -> int:
 
 
 def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
-    """Composites of one disorder realization per seed at several lengths, one pass.
+    """Row blocks of one disorder realization per seed at several lengths, one pass.
 
     ``spec`` fixes the medium; each seed replaces ``spec.seed`` for one
     sample.  The seeds are built in consecutive batches of
@@ -360,28 +400,30 @@ def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
     when the returned iterator reaches it.
 
     Yields, per seed in order, one list with an entry per requested length in
-    the given order: the validated ScatteringMatrix, or the
-    NearSingularCavity / GainPositivityViolation instance if that length is
-    unreachable.  A sample whose cavity fails leaves its batch, and every
-    longer length carries the same NearSingularCavity.
+    the given order: the validated RowBlock, or the NearSingularCavity /
+    GainPositivityViolation instance if that length is unreachable.  A
+    sample whose cavity fails leaves its batch, and every longer length
+    carries the same NearSingularCavity.
     """
-    lengths = list(lengths)
-    if not all(0 <= length < math.inf for length in lengths):
-        raise ValueError("lengths must be finite and >= 0")
-    if sorted(lengths) != lengths:
-        raise ValueError("lengths must be sorted ascending")
-    period_targets = [int(math.ceil(length)) for length in lengths]
+    period_targets = _period_targets(lengths)
     size = _batch_size(spec.n_modes)
     return (row for first in range(0, len(seeds), size)
-            for row in _build_batch(spec, seeds[first:first + size], period_targets))
+            for row in _build_batch(spec, seeds[first:first + size], period_targets, False))
 
 
-def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
-    """One batch of ``build_batch_checkpoints``, captured after each period target.
+def _period_targets(lengths) -> list[int]:
+    lengths = list(lengths)
+    if not all(0 <= length < math.inf for length in lengths) or sorted(lengths) != lengths:
+        raise ValueError("lengths must be finite, >= 0 and sorted ascending")
+    return [int(math.ceil(length)) for length in lengths]
+
+
+def _build_batch(spec: MediumSpec, seeds, period_targets, full: bool) -> list[list]:
+    """One batch of samples, captured after each period target.
 
     The samples are advanced together as [B, N, N] stacks of raw blocks,
     B = len(seeds), one stacked period at a time; each sample keeps its own
-    stream and its own failure.
+    stream and its own failure.  ``full`` keeps t' and r' for a ScatteringMatrix.
     """
     n = spec.n_modes
     size = len(seeds)
@@ -398,8 +440,9 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
     eye = np.eye(n, dtype=complex)  # a real operand would take a casting buffer
     # r <- (a sqrt(1 - delta))^2 X [r M - shift] Y: a sqrt(1 - delta) rides on the phases
     scale, shift = amplitude * transmission, reflection / transmission**2
-    r_prime, r = np.zeros((2, size, n, n), dtype=complex)
-    t_prime, t = np.broadcast_to(eye, (2, size, n, n)).copy()
+    # the composites [t, r] or [t, r, t', r'] of every sample as one stack
+    stack = np.zeros((4 if full else 2, size, n, n), dtype=complex)
+    stack[0::2] = eye
 
     # the phases of one sampling block of every active sample, refilled in place
     phases = np.empty((size, min(SAMPLING_BLOCK, n_periods), 6, n), dtype=complex)
@@ -419,6 +462,7 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
                 for row, sample in enumerate(active):
                     _interface_phases(streams[sample], phases[row, :count])
                 phases[:live, :count, ::3] *= scale
+            t, r = stack[:2]
             loop = reflection * r
             cavity = eye - loop
             if guard:
@@ -432,28 +476,31 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
                     for sample in active[~keep]:
                         failures[sample] = exc
                     active = active[keep]
-                    r_prime, t_prime, t, r = (block[keep] for block in (r_prime, t_prime, t, r))
+                    stack = stack[:, keep]
                     phases[:active.size] = phases[:live][keep]
                     continue
             m = np.linalg.inv(cavity)
             del loop, cavity  # freed before the next stack, as _STACK_ARRAYS counts
-            # [M t, r M - shift, t' M]: X acts on the first two, Y on the last two
-            stack = np.empty((3, live, n, n), dtype=complex)
-            np.matmul(m, t, out=stack[0])
-            np.matmul(r, m, out=stack[1])
-            stack[1].reshape(live, n * n)[:, ::n + 1] -= shift
-            np.matmul(t_prime, m, out=stack[2])
-            r_prime += reflection * (t_prime @ stack[0])
+            # [M t, r M - shift (, t' M, r')]: X acts on the first two, Y on the middle
+            mixed = np.empty_like(stack)
+            np.matmul(m, t, out=mixed[0])
+            np.matmul(r, m, out=mixed[1])
+            mixed[1].reshape(live, n * n)[:, ::n + 1] -= shift
+            if full:
+                np.matmul(stack[2], m, out=mixed[2])
+                np.add(stack[3], reflection * (stack[2] @ mixed[0]), out=mixed[3])
+            del t, r, m
+            stack = mixed
             layers = phases[:live, offset]
             _mix(stack[:2], layers[:, :3], -2)
-            _mix(stack[1:], layers[:, 3:], -1)
-            t, r, t_prime = stack
+            _mix(stack[1:3], layers[:, 3:], -1)
             period += 1
         for sample, failure in failures.items():
             results[sample].append(failure)
         for row, sample in enumerate(active):
-            matrix = ScatteringMatrix(r_prime[row], t_prime[row], t[row], r[row],
-                                      spec.medium_kind)
+            t, r = stack[:2, row]
+            matrix = (ScatteringMatrix(stack[3, row], stack[2, row], t, r, spec.medium_kind)
+                      if full else RowBlock(t.copy(), r.copy(), spec.medium_kind))
             try:
                 matrix.validate()
                 results[sample].append(matrix)
@@ -463,18 +510,17 @@ def _build_batch(spec: MediumSpec, seeds, period_targets) -> list[list]:
 
 
 def build_medium_checkpoints(spec: MediumSpec, lengths) -> list:
-    """Composites of one disorder realization at several lengths, one pass.
+    """Full composites of one disorder realization at several lengths, one pass.
 
-    The batch of one of ``build_batch_checkpoints``: a shorter medium is a
-    prefix of a longer one, so each capture is bit-identical to building
-    that length on its own.
+    ``build_batch_checkpoints`` for one seed with r' and t' kept, t and r the
+    same bits; a shorter medium is a prefix of a longer one.
 
     Returns one entry per requested length, in the given order: the validated
     ScatteringMatrix, or the NearSingularCavity / GainPositivityViolation
     instance if that length is unreachable (every longer length then carries
     the same failure).
     """
-    return next(build_batch_checkpoints(spec, [spec.seed], lengths))
+    return _build_batch(spec, [spec.seed], _period_targets(lengths), True)[0]
 
 
 def build_medium(spec: MediumSpec) -> ScatteringMatrix:

@@ -31,7 +31,7 @@ from .errors import (
     ZeroMeanCount,
     ZeroTransmission,
 )
-from .medium import ScatteringMatrix
+from .medium import RowBlock, ScatteringMatrix, noise_matrix
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,6 @@ def fano_in_squeezed(state: SqueezedInput) -> float:
     return 1.0 + squeezed_number_bracket(state) / mean
 
 
-def _noise_matrix(s: ScatteringMatrix) -> np.ndarray:
-    """1 - r r+ - t t+, the transmitted-mode block of 1 - S S+."""
-    t = s.t
-    return np.eye(s.n_modes) - s.r @ s.r.conj().T - t @ t.conj().T
-
-
 def thermal_cumulant_densities(s: ScatteringMatrix, config: DetectionConfig,
                                occupation: float) -> tuple[float, float]:
     """Thermal factorial cumulant densities of the transmitted modes.
@@ -170,7 +164,7 @@ def thermal_cumulant_densities(s: ScatteringMatrix, config: DetectionConfig,
     kappa1 = d f tr X and kappa2 = d^2 f^2 tr X^2, with X = 1 - r r+ - t t+.
     Both vanish for a lossless medium.
     """
-    block = _noise_matrix(s)
+    block = noise_matrix(s)
     d = config.efficiency
     trace = float(np.trace(block).real)
     trace_sq = float(np.sum(np.abs(block) ** 2))  # tr(A^2) = |A|_F^2 for Hermitian A
@@ -204,7 +198,7 @@ def _resolvent_factors(s: ScatteringMatrix, incident_mode: int, config: Detectio
     """Factors 1 - z f lambda_i of 1 - z f d X and the incident column's weights
     w_i = d |(W+ t_{. m0})_i|^2, lambda_i and W the eigensystem of the Hermitian d X."""
     d = config.efficiency
-    eigenvalues, basis = np.linalg.eigh(d * _noise_matrix(s))
+    eigenvalues, basis = np.linalg.eigh(d * noise_matrix(s))
     weights = d * np.abs(basis.conj().T @ s.t[:, incident_mode]) ** 2
     return 1.0 - z * occupation * eigenvalues, weights
 
@@ -333,18 +327,18 @@ class SampleStatistics:
     probe_amplitude: complex
 
 
-def sample_statistics(s: ScatteringMatrix, incident_mode: int, probe_mode: int,
+def sample_statistics(s: ScatteringMatrix | RowBlock, incident_mode: int, probe_mode: int,
                       mode_average: bool = False) -> SampleStatistics:
     """The scalars of one realization that the direct and homodyne Fano factors use.
 
-    Reads the noise matrix 1 - r r+ - t t+ of ``_noise_matrix``, as the
-    cumulants and the generating function do.  With ``mode_average`` the
-    transmittance and beating weights are averaged over the incident mode,
-    and the probe transmittance over both mode indices.
+    Reads t and the noise matrix 1 - r r+ - t t+ (``medium.noise_matrix``),
+    so a RowBlock serves.  With ``mode_average`` the transmittance and
+    beating weights are averaged over the incident mode, and the probe
+    transmittance over both mode indices.
     """
     t = s.t
     n = s.n_modes
-    noise = _noise_matrix(s)
+    noise = noise_matrix(s)
     if mode_average:
         transmittance = float(np.sum(np.abs(t) ** 2)) / n
         beating = float(np.trace(t.conj().T @ noise @ t).real) / n

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from sqtransport import ensemble as en
 from sqtransport import medium as md
 from sqtransport import validation
-from sqtransport.errors import FitFailed, NearSingularCavity, PhysicalityError
+from sqtransport.errors import (
+    FitFailed,
+    GainPositivityViolation,
+    NearSingularCavity,
+    PhysicalityError,
+)
 
 from conftest import absorbing_spec, random_contraction, scalar_channel
 
@@ -206,6 +211,13 @@ _SPECS = [
 _SPEC_IDS = ["absorbing", "passive", "amplifying"]
 
 
+def _same_blocks(got, want):
+    """Entry by entry: t and r equal bit for bit, or failures of one type."""
+    return all(type(a) is type(b) if isinstance(a, Exception)
+               else (a.t.tobytes(), a.r.tobytes()) == (b.t.tobytes(), b.r.tobytes())
+               for a, b in zip(got, want, strict=True))
+
+
 @pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
 def test_checkpoints_across_sampling_blocks(spec):
     lengths = sorted([15, md.SAMPLING_BLOCK, 17, 2 * md.SAMPLING_BLOCK + 0.5, 33])
@@ -254,12 +266,12 @@ def test_checkpoints_independent_of_sampling_block(monkeypatch, spec, block):
     default = list(md.build_batch_checkpoints(spec, seeds, lengths))
     monkeypatch.setattr(md, "SAMPLING_BLOCK", block)
     for got, want in zip(md.build_batch_checkpoints(spec, seeds, lengths), default):
-        assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
+        assert _same_blocks(got, want)
 
 
 def _loop_peak(monkeypatch, n_modes):
     """Traced peak of one full batch's disorder loop, its checkpoint validation left out."""
-    monkeypatch.setattr(md.ScatteringMatrix, "validate", lambda self: None)
+    monkeypatch.setattr(md.RowBlock, "validate", lambda self: None)
     spec = absorbing_spec(n_modes, 40, seed=5, decay=40.0, scatter_strength=0.45)
     seeds = [md.derive_sample_seed(5, k) for k in range(md._batch_size(n_modes))]
     tracemalloc.start()
@@ -272,7 +284,7 @@ def _loop_peak(monkeypatch, n_modes):
 
 def _live_bytes(n, block, size):
     """The loop's whole live set: the phase buffer, the drawing of one sample's
-    block, the composites with one period's temporaries and numpy's buffers."""
+    block, the row blocks with one period's temporaries and numpy's buffers."""
     return (n * (md._PHASE_BYTES * size * block + md._DRAWING_BYTES * block)
             + 16 * n * n * md._STACK_ARRAYS * size + md._BUFFER_BYTES)
 
@@ -286,9 +298,9 @@ def test_slice_buffers_stay_within_batch_bytes(monkeypatch):
             assert _live_bytes(n, block, size) <= md.BATCH_BYTES < _live_bytes(n, block, size + 1)
         else:
             assert size == 1, n
-    # one sample fits up to N = 69
-    assert _live_bytes(69, block, 1) <= md.BATCH_BYTES < _live_bytes(70, block, 1)
-    assert [md._batch_size(n) for n in (10, 25, 50)] == [32, 7, 1]
+    # one sample fits up to N = 92
+    assert _live_bytes(92, block, 1) <= md.BATCH_BYTES < _live_bytes(93, block, 1)
+    assert [md._batch_size(n) for n in (10, 25, 50)] == [43, 11, 3]
     # and the count holds for what the loop really allocates, beyond the budget too
     for n in (10, 25, 50):
         assert _loop_peak(monkeypatch, n) <= md.BATCH_BYTES, n
@@ -319,7 +331,7 @@ def test_checkpoints_independent_of_batch_bytes(monkeypatch, spec):
     monkeypatch.setattr(md, "BATCH_BYTES", 5000)
     assert md._batch_size(spec.n_modes) == 1
     for got, want in zip(md.build_batch_checkpoints(spec, seeds, lengths), default):
-        assert all(np.array_equal(a.full, b.full) for a, b in zip(got, want))
+        assert _same_blocks(got, want)
 
 
 def _traced_build_peak(n_modes):
@@ -342,9 +354,9 @@ def test_build_rejects_a_length_outside_zero_to_infinity(length):
 
 def test_large_n_build_memory_bounded():
     # at N = 50 the loop's live set stays within BATCH_BYTES; beyond the
-    # budget's reach it is one sample's, 2.25 MB at N = 100.  One more
+    # budget's reach it is one sample's, 1.45 MB at N = 100.  One more
     # BATCH_BYTES covers the checkpoints of two samples and their validation:
-    # the traced peaks read 0.97 MB at N = 50 and 3.20 MB at N = 100 (numpy 2.4.6)
+    # the traced peaks read 0.79 MB at N = 50 and 1.81 MB at N = 100 (numpy 2.4.6)
     assert _traced_build_peak(50) < 2 * md.BATCH_BYTES
     assert _traced_build_peak(100) < _live_bytes(100, md.SAMPLING_BLOCK, 1) + md.BATCH_BYTES
 
@@ -513,6 +525,37 @@ def test_scattering_matrix_validation_errors():
         overgrown.validate()
 
 
+_TOL = md.SINGULAR_VALUE_TOL
+_FRACTIONS = (0.5, 0.9, 1.1, 2.0)
+# (one singular value of [t r], whether the kind's check passes): a value a
+# fraction f of the tolerance past a bound passes for f < 1 and fails for
+# f > 1; the amplifying bound is on 1 - sigma^2
+_ROW_CASES = {
+    md.ABSORBING: [(1 + f * _TOL, f < 1) for f in _FRACTIONS] + [(0.3, True)],
+    md.PASSIVE: [(1 + sign * f * _TOL, f < 1) for sign in (1, -1) for f in _FRACTIONS],
+    md.AMPLIFYING: [(math.sqrt(1 - f * _TOL), f < 1) for f in _FRACTIONS] + [(1.5, True)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_CASES))
+def test_row_block_check_maps_the_singular_value_tolerance(kind):
+    # S = diag(1, ..., sigma, ...) U with U unitary: sigma is a singular
+    # value of S and of its rows [t r], and both checks agree
+    n = 3
+    unitary = random_contraction(np.random.default_rng(17), n, 1.0, 1.0, md.PASSIVE).full
+    error = GainPositivityViolation if kind == md.AMPLIFYING else PhysicalityError
+    for sigma, passes in _ROW_CASES[kind]:
+        scale = np.ones(2 * n)
+        scale[n + 1] = sigma
+        full = md.ScatteringMatrix.from_full(scale[:, None] * unitary, kind)
+        for matrix in (full, md.RowBlock(full.t, full.r, kind)):
+            if passes:
+                matrix.validate()
+            else:
+                with pytest.raises(error):
+                    matrix.validate()
+
+
 def test_blocks_are_immutable():
     s = md.ScatteringMatrix.identity_transmission(2)
     with pytest.raises(ValueError):
@@ -590,41 +633,75 @@ def test_star_product_algebra(n_modes, kind, seed):
         composite.validate()
 
 
-@pytest.mark.parametrize("fail_period", [md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 2])
-def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail_period):
-    # one amplifying sample of a batch gets hand-made phases, all 1: X = Y is
-    # the DFT parity permutation P, an involution, so its r and r' stay
-    # multiples of the identity.  Then at period fail_period - 1 the last
-    # layer of Y is diag(y, 1, 1) with |y| > 1, an interface of extra gain in
-    # one mode, with y chosen to put that mode's round trip 1 - sqrt(delta) r
-    # at zero for the next period.  At fail_period = SAMPLING_BLOCK the
-    # failure hits the first period of a sampling block, which the survivors
-    # must not draw a second time.
-    n, decay, n_periods = 3, 20.0, 40
-    spec = md.MediumSpec(n, n_periods, 0.32, -1, decay, -1.0, 0)
-    seeds = [md.derive_sample_seed(9, k) for k in range(5)]
-    doomed = seeds[2]
-    draws = np.ones((n_periods, 6, n), dtype=complex)
+def _rig_threshold(monkeypatch, spec, doomed, fail_period):
+    """Hand-made phases that take the sample of seed ``doomed`` to its lasing
+    threshold after ``fail_period`` periods of the amplifying ``spec``.
+
+    All phases 1 make X = Y the DFT parity permutation P, an involution, so r
+    and r' stay multiples of the identity.  Then at period fail_period - 1 the
+    last layer of Y is diag(y, 1, ...) with |y| > 1, an interface of extra
+    gain in one mode, with y chosen to put that mode's round trip
+    1 - sqrt(delta) r at zero for the next period.
+    """
+    draws = np.ones((math.ceil(spec.total_length), 6, spec.n_modes), dtype=complex)
     taken = _rigged_draws(monkeypatch, doomed, draws)
-    lengths = [10, fail_period - 0.5, fail_period, fail_period + 0.5, 30, n_periods]
     # r of the unperturbed hand-made sample after period fail_period - 1
     reached = md.build_medium(dataclasses.replace(spec, seed=doomed, total_length=fail_period))
     taken.clear()
-    draws[fail_period - 1, 5, 0] = 1.0 / (md.core_amplitudes(0.32)[0] * reached.r[0, 0])
+    draws[fail_period - 1, 5, 0] = 1.0 / (md.core_amplitudes(spec.scatter_strength)[0]
+                                          * reached.r[0, 0])
     assert abs(draws[fail_period - 1, 5, 0]) > 1
+    return taken
+
+
+@pytest.mark.parametrize("fail_period", [md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 2])
+def test_batch_sample_at_threshold_leaves_the_others_unchanged(monkeypatch, fail_period):
+    # at fail_period = SAMPLING_BLOCK the failure hits the first period of a
+    # sampling block, which the survivors must not draw a second time
+    spec = md.MediumSpec(3, 40, 0.32, -1, 20.0, -1.0, 0)
+    seeds = [md.derive_sample_seed(9, k) for k in range(5)]
+    doomed = seeds[2]
+    taken = _rig_threshold(monkeypatch, spec, doomed, fail_period)
+    lengths = [10, fail_period - 0.5, fail_period, fail_period + 0.5, 30, 40]
     batch = list(md.build_batch_checkpoints(spec, seeds, lengths))
     for seed, row in zip(seeds, batch):
         if seed == doomed:
             continue
-        alone = md.build_medium_checkpoints(dataclasses.replace(spec, seed=seed), lengths)
-        assert all(np.array_equal(got.full, want.full) for got, want in zip(row, alone))
+        assert _same_blocks(row, md.build_medium_checkpoints(dataclasses.replace(spec, seed=seed),
+                                                             lengths))
     failed = batch[seeds.index(doomed)]
-    assert all(isinstance(entry, md.ScatteringMatrix) for entry in failed[:3])
+    assert all(isinstance(entry, md.RowBlock) for entry in failed[:3])
     assert isinstance(failed[3], NearSingularCavity)
     assert all(entry is failed[3] for entry in failed[3:])
     taken.clear()
     alone = md.build_medium_checkpoints(dataclasses.replace(spec, seed=doomed), lengths[:3])
-    assert all(np.array_equal(got.full, want.full) for got, want in zip(failed, alone))
+    assert _same_blocks(failed[:3], alone)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, None])
+@pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
+def test_row_blocks_equal_full_blocks(monkeypatch, spec, size):
+    # the Monte Carlo's row blocks are the t and r of the full build bit for
+    # bit, in every batch of 1, 2, 3 or the budget's B samples; the
+    # amplifying batch carries a sample that reaches its threshold
+    seeds = [md.derive_sample_seed(spec.seed, k) for k in range(7)]
+    lengths = [7, md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 1.5, 33]
+    taken = []
+    if spec.loss_gain_sign < 0:
+        taken = _rig_threshold(monkeypatch, spec, seeds[4], md.SAMPLING_BLOCK + 1)
+    alone = []
+    for seed in seeds:
+        alone.append(md.build_medium_checkpoints(dataclasses.replace(spec, seed=seed), lengths))
+        taken.clear()
+    if size:
+        monkeypatch.setattr(md, "_batch_size", lambda n_modes: size)
+    batch = list(md.build_batch_checkpoints(spec, seeds, lengths))
+    assert len(batch) == len(seeds)
+    for got, want in zip(batch, alone):
+        assert all(isinstance(entry, (md.RowBlock, NearSingularCavity)) for entry in got)
+        assert _same_blocks(got, want)
+    if spec.loss_gain_sign < 0:
+        assert [type(entry) for entry in batch[4]][-2:] == [NearSingularCavity] * 2
 
 
 @pytest.mark.slow
