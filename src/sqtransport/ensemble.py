@@ -55,15 +55,8 @@ def spec_for_ratios(n_modes: int, s: float, l_over_xi: float, mean_free_path: fl
     relation between the absorption length and the decay rate).
     """
     xi = mean_free_path / l_over_xi
-    return MediumSpec(
-        n_modes=n_modes,
-        total_length=s * xi,
-        scatter_strength=scatter_strength,
-        loss_gain_sign=loss_gain_sign,
-        ballistic_decay_length=3.0 * xi**2 / mean_free_path,
-        occupation=occupation,
-        seed=seed,
-    )
+    return MediumSpec(n_modes, s * xi, scatter_strength, loss_gain_sign,
+                      3.0 * xi**2 / mean_free_path, occupation, seed)
 
 
 def _collect_chunk(seeds, base_spec, lengths, incident_mode, probe_mode, mode_average):

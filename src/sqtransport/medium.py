@@ -12,30 +12,31 @@ identity element is the perfectly transparent segment r = r' = 0, t = t' = 1.
 Model.  A medium of length L is ceil(L) periods, each two pieces combined
 with the Redheffer star product (the isotropic polar form of DMPK theory;
 Beenakker, Rev. Mod. Phys. 69, 731 (1997)): a scalar core
-C = [[sqrt(delta), sqrt(1 - delta)], [sqrt(1 - delta), -sqrt(delta)]] (x) 1_N,
+S_c = [[sqrt(delta), sqrt(1 - delta)], [sqrt(1 - delta), -sqrt(delta)]] (x) 1_N,
 which reflects delta = eps^2 / (2 + eps^2) per mode (``core_amplitudes``),
 so the mean free path is l = (1 - delta) / delta = 2 / eps^2 periods; then a
 reflectionless interface t = a X, t' = a Y with a = exp(-sign / (2 l_a)).
-An isotropic slice is diag(u, v) C diag(u', v') with Haar u, v, u', v'; the
-law of a composite is invariant under rotations of its right side, so the
-next slice's left rotations fold into X and Y.  Only that law matters, so X
-and Y are random-phase DFT layers (``_mix``; Emerson et al., Science 302,
-2098 (2003)): O(N^2 log N) per product and 6 N draws per period, which the
-tests compare with Haar interfaces.  With M = (1 - sqrt(delta) r)^-1 and the
-old blocks on the right, one period is::
+An isotropic slice is diag(u, v) S_c diag(u', v') with Haar u, v, u', v';
+the law of a composite is invariant under rotations of its right side, so
+the next slice's left rotations fold into X and Y.  Only that law matters,
+so X and Y are random-phase DFT layers (Emerson et al., Science 302, 2098
+(2003)), X = D2 F D1 F D0 and Y = E0 F E1 F E2 with the unitary DFT F and
+6 N uniform phases per period, which the tests compare with Haar
+interfaces.  As (F D1 F)_jk = h_((j + k) mod N) with h = fft(p1) / N, the
+loop forms X^T = D0 H D2 (H is symmetric) and Y = E0 H' E2 in O(N^2), and
+one solve C^T K^T = X^T gives K = X C^-1 for the cavity factor
+C = 1 - sqrt(delta) r, which commutes with r.  With a sqrt(1 - delta) on h
+and a / sqrt(1 - delta) on h', one period is::
 
-    t  <- a sqrt(1 - delta) X M t
-    r  <- a^2 X (r - sqrt(delta)) M Y  =  a^2 (1 - delta) X [r M - sqrt(delta) / (1 - delta)] Y
-    r' <- r' + sqrt(delta) t' M t
-    t' <- a sqrt(1 - delta) t' M Y
+    t  <- K t                        =  a sqrt(1 - delta) X C^-1 t
+    r  <- K (r - sqrt(delta)) Y      =  a^2 X (r - sqrt(delta)) C^-1 Y
+    r' <- r' + sqrt(delta) t' C^-1 t
+    t' <- (1 - delta) t' C^-1 Y      =  a sqrt(1 - delta) t' C^-1 Y
 
-with a sqrt(1 - delta) on the first phase layer of X and of Y.  t and r
-never read r' or t', and the Fano factors and the Ohm fit read only [t r]:
-``build_batch_checkpoints`` (Monte Carlo, calibration) runs one stacked
-inverse, two matmuls, X on [M t, r M - shift] and Y on the latter, and checks
-a RowBlock per capture.  ``build_medium_checkpoints`` adds r' and t' (two
-more matmuls, Y on t' M) for the full S that ``validate``, the tests and
-``perfbench/checks.py`` read, checked by a 2N x 2N SVD.
+t and r never read r' or t', and the Fano factors and the Ohm fit read only
+[t r]: ``build_batch_checkpoints`` (Monte Carlo, calibration) runs one solve
+and three products and checks a RowBlock per capture; the full S that
+``build_medium_checkpoints`` returns costs a second solve and two products.
 
 Cavity bound.  A passive or absorbing composite is a contraction, so every
 singular value of the cavity factor 1 - sqrt(delta) r lies in
@@ -47,15 +48,15 @@ within about 2e-6 of 1 (eps above about 1000).  An amplifying composite can
 have ||r||_2 > 1 and keeps the guard of ``_check_cavity``, whose failure
 takes the sample out of its batch.
 
-Batched samples.  ``build_batch_checkpoints`` advances B samples together
-as [B, N, N] stacks.  Each sample draws its phases from its own stream,
-``default_rng(seed)``, so a shorter medium is a prefix of a longer one.  The
-phases of P = ``SAMPLING_BLOCK`` periods of every sample live in one
-(B, P, 6, N) buffer.  B is the largest batch whose whole live set, phases,
-row blocks and temporaries, fits in ``BATCH_BYTES``: 43 at N = 10, 11 at
-N = 25 and 3 at N = 50; one sample fits up to N = 92.  ``inv``, ``matmul``
-and ``fft`` on a stack act matrix by matrix (or row by row) as on one
-matrix, so every sample is bitwise the same whatever B and P.
+Batched samples.  ``build_batch_checkpoints`` advances B samples together,
+their rows [t r] as one [B, N, 2N] stack.  Each sample draws its phases from
+its own stream, ``default_rng(seed)``, so a shorter medium is a prefix of a
+longer one.  The phases of P = ``SAMPLING_BLOCK`` periods of every sample
+live in one (B, P, 6, N) buffer.  B is the largest batch whose whole live set
+(``_batch_size``) fits in ``BATCH_BYTES``: 43 at N = 10, 11 at N = 25 and 3
+at N = 50; one sample fits up to N = 91.  ``solve``, ``matmul`` and ``fft`` on
+a stack act matrix by matrix (or row by row) as on one matrix, so every
+sample is bitwise the same whatever B and P.
 
 Sample driver.  ``map_seed_chunks`` runs the Ohm's-law calibration and the
 Monte Carlo of ``ensemble`` on W contiguous chunks of the sample seeds.  The
@@ -93,12 +94,13 @@ CONDITION_LIMIT = 1e12
 SAMPLING_BLOCK = 16
 #: memory for the disorder loop's whole live set
 BATCH_BYTES = 1_300_000
-# N x N arrays per sample: t and r, M, and the next [t, r] (before M, loop and cavity)
+# N x N arrays per sample: [t r], the cavity factor, X^T and K, then [t r] <- K [t r]
 _STACK_ARRAYS = 5
-# bytes per mode and period of one sample's phases, and of their drawing
-_PHASE_BYTES, _DRAWING_BYTES = 6 * 16, 6 * (8 + 16)
-# numpy's iterator buffers of a broadcast operation: two of 8192 entries
-_BUFFER_BYTES = 2 * 8192 * 16
+# bytes per mode and period of one sample's phases and of their drawing, per mode
+# of its (h, h') and per sample of its Generator and results; numpy's iterator
+# buffers: two operands of 8192 entries, or of the whole stack if it is smaller
+_PHASE_BYTES, _DRAWING_BYTES, _HANKEL_BYTES, _SAMPLE_BYTES = 6 * 16, 6 * (8 + 16), 4 * 16, 2048
+_BUFFER_ENTRIES = 8192
 #: the lengths an Ohm's-law fit of the mean free path takes
 FIT_LENGTHS_RULE = "three or more positive lengths spanning a factor of four"
 
@@ -306,34 +308,29 @@ def _interface_phases(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(out.shape), out=out)
 
 
-def _mix(stack: np.ndarray, layers: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply each sample's K matrices A of a [K, B, N, N] ``stack`` in place by
-    its interface: X A along ``axis`` -2, with X = diag(p2) F diag(p1) F
-    diag(p0), or A Y along -1, with Y = diag(p0) F diag(p1) F diag(p2), for
-    the phases (p0, p1, p2) = ``layers`` [B, 3, N] and the unitary DFT F."""
-    expand = (None, slice(None)) + ((slice(None), None) if axis == -2 else (None, slice(None)))
-    for k in range(3):
-        if k:
-            np.fft.fft(stack, axis=axis, norm="ortho", out=stack)
-        stack *= layers[:, k][expand]
-    return stack
+def _hankel_factors(layers: np.ndarray, weights, out: np.ndarray) -> np.ndarray:
+    """The Hankel factors [H, H'] of X and Y of each sample's ``layers`` [B, 6, N],
+    a [B, 2, N, N] view H_jk = out[b, i, j + k] of ``out`` [B, 2, 2N], filled
+    with (h, h), h = weight fft(p1) / N for the middle layer p1: with the
+    unitary DFT F, F diag(p1) F is H / weight."""
+    size, n = layers.shape[0], layers.shape[-1]
+    np.fft.fft(layers[:, 1::3], out=out[..., :n])
+    out[..., :n] *= weights
+    out[..., n:] = out[..., :n]
+    step = out.strides[-1]
+    return np.ndarray((size, 2, n, n), out.dtype, out, 0, out.strides[:2] + (step, step))
 
 
-def _combined_kind(kind_a: str, kind_b: str) -> str:
-    if kind_a == kind_b:
-        return kind_a
-    if kind_a == PASSIVE:
-        return kind_b
-    if kind_b == PASSIVE:
-        return kind_a
-    raise ValueError("cannot combine absorbing and amplifying segments")
+def _interface(hankel: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """diag(left) H diag(right) for each sample's Hankel factor H of ``hankel``
+    [B, N, N]: X^T = D0 H D2 (H is symmetric) and Y = E0 H' E2."""
+    out = np.multiply(hankel, right[:, None, :])
+    return np.multiply(out, left[:, :, None], out=out)
 
 
-def _check_cavity(loop: np.ndarray, cavity: np.ndarray) -> None:
-    """Condition check of the cavity factors 1 - loop of an N x N matrix or a stack.
-
-    sigma_max(loop) <= sqrt(norm1 * norminf); where that bound keeps 1 - loop
-    far from singular the SVD is unnecessary.
+def _check_cavity(loop: np.ndarray) -> None:
+    """Condition check of the cavity factors 1 - loop of an N x N matrix or a stack,
+    by an SVD only where the bound sqrt(norm1 * norminf) on sigma_max(loop) exceeds 0.9.
 
     Raises:
         NearSingularCavity: a cavity factor is numerically singular;
@@ -344,7 +341,7 @@ def _check_cavity(loop: np.ndarray, cavity: np.ndarray) -> None:
     bound = np.sqrt(abs_loop.sum(axis=-2).max(axis=-1) * abs_loop.sum(axis=-1).max(axis=-1))
     flagged = np.flatnonzero(bound > 0.9)
     if flagged.size:
-        sigma = np.linalg.svd(cavity.reshape(-1, n, n)[flagged], compute_uv=False)
+        sigma = np.linalg.svd(np.eye(n) - loop.reshape(-1, n, n)[flagged], compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             singular = (sigma[:, -1] == 0.0) | (sigma[:, 0] / sigma[:, -1] > CONDITION_LIMIT)
         if singular.any():
@@ -372,22 +369,26 @@ def star_compose(a: ScatteringMatrix, b: ScatteringMatrix) -> ScatteringMatrix:
     """
     if a.n_modes != b.n_modes:
         raise ValueError("segments must carry the same number of modes")
-    kind = _combined_kind(a.medium_kind, b.medium_kind)
+    kinds = {a.medium_kind, b.medium_kind} - {PASSIVE}
+    if len(kinds) > 1:
+        raise ValueError("cannot combine absorbing and amplifying segments")
     eye = np.eye(a.n_modes)
     loop = a.r @ b.r_prime
-    cavity = eye - loop
-    _check_cavity(loop, cavity)
-    x = np.linalg.solve(cavity, a.t)
+    _check_cavity(loop)
+    x = np.linalg.solve(eye - loop, a.t)
     y = np.linalg.solve(eye - b.r_prime @ a.r, b.t_prime)
     return ScatteringMatrix(a.r_prime + a.t_prime @ (b.r_prime @ x), a.t_prime @ y,
-                            b.t @ x, b.r + b.t @ (a.r @ y), kind)
+                            b.t @ x, b.r + b.t @ (a.r @ y), kinds.pop() if kinds else PASSIVE)
 
 
 def _batch_size(n_modes: int) -> int:
-    """Samples advanced together: as many as fit their phases and composites in
-    ``BATCH_BYTES`` beside the drawing of one sample's block."""
-    return max(1, (BATCH_BYTES - _BUFFER_BYTES - SAMPLING_BLOCK * _DRAWING_BYTES * n_modes)
-               // (_STACK_ARRAYS * 16 * n_modes**2 + SAMPLING_BLOCK * _PHASE_BYTES * n_modes))
+    """Samples advanced together: as many as fit their live set in ``BATCH_BYTES``
+    beside the drawing of one sample's block and numpy's iterator buffers."""
+    room = BATCH_BYTES - SAMPLING_BLOCK * _DRAWING_BYTES * n_modes
+    sample = (_STACK_ARRAYS * 16 * n_modes**2 + _SAMPLE_BYTES
+              + (SAMPLING_BLOCK * _PHASE_BYTES + _HANKEL_BYTES) * n_modes)
+    return max(1, (room - 2 * 16 * _BUFFER_ENTRIES) // sample,
+               room // (sample + 2 * 16 * n_modes**2))
 
 
 def build_batch_checkpoints(spec: MediumSpec, seeds, lengths) -> Iterator[list]:
@@ -421,9 +422,9 @@ def _period_targets(lengths) -> list[int]:
 def _build_batch(spec: MediumSpec, seeds, period_targets, full: bool) -> list[list]:
     """One batch of samples, captured after each period target.
 
-    The samples are advanced together as [B, N, N] stacks of raw blocks,
-    B = len(seeds), one stacked period at a time; each sample keeps its own
-    stream and its own failure.  ``full`` keeps t' and r' for a ScatteringMatrix.
+    The B = len(seeds) samples are advanced together, one stacked period at a
+    time; each sample keeps its own stream and its own failure.  ``full``
+    keeps t' and r' for a ScatteringMatrix.
     """
     n = spec.n_modes
     size = len(seeds)
@@ -437,15 +438,17 @@ def _build_batch(spec: MediumSpec, seeds, period_targets, full: bool) -> list[li
     # an amplifying composite has no such bound
     q = reflection * (1.0 + 1e-6)
     guard = spec.loss_gain_sign < 0 or not 1.0 + q < CONDITION_LIMIT * (1.0 - q)
-    eye = np.eye(n, dtype=complex)  # a real operand would take a casting buffer
-    # r <- (a sqrt(1 - delta))^2 X [r M - shift] Y: a sqrt(1 - delta) rides on the phases
-    scale, shift = amplitude * transmission, reflection / transmission**2
-    # the composites [t, r] or [t, r, t', r'] of every sample as one stack
-    stack = np.zeros((4 if full else 2, size, n, n), dtype=complex)
-    stack[0::2] = eye
+    # a sqrt(1 - delta) on h of X and a / sqrt(1 - delta) on h' of Y
+    weights = amplitude * transmission * np.array([[1.0], [1.0 / transmission**2]]) / n
+    # the rows [t r] of every sample as one [B, N, 2N] stack (and t', r')
+    rows = np.zeros((size, n, 2 * n), dtype=complex)
+    rows[..., :n] = np.eye(n)
+    t_prime, r_prime = (rows[..., :n].copy(), rows[..., n:].copy()) if full else (None, None)
 
-    # the phases of one sampling block of every active sample, refilled in place
+    # the phases of one sampling block of every active sample, refilled in
+    # place, and the Hankel sequences (h, h) of one period's X and Y
     phases = np.empty((size, min(SAMPLING_BLOCK, n_periods), 6, n), dtype=complex)
+    doubled = np.empty((size, 2, 2 * n), dtype=complex)
 
     active = np.arange(size)  # seed positions of the samples still in the stack
     results: list[list] = [[] for _ in range(size)]
@@ -461,13 +464,9 @@ def _build_batch(spec: MediumSpec, seeds, period_targets, full: bool) -> list[li
                 count = min(SAMPLING_BLOCK, n_periods - period)
                 for row, sample in enumerate(active):
                     _interface_phases(streams[sample], phases[row, :count])
-                phases[:live, :count, ::3] *= scale
-            t, r = stack[:2]
-            loop = reflection * r
-            cavity = eye - loop
             if guard:
                 try:
-                    _check_cavity(loop, cavity)
+                    _check_cavity(reflection * rows[..., n:])
                 except NearSingularCavity as exc:
                     # the failing samples leave the stack; the rest redo this
                     # period with the phases already drawn
@@ -476,30 +475,38 @@ def _build_batch(spec: MediumSpec, seeds, period_targets, full: bool) -> list[li
                     for sample in active[~keep]:
                         failures[sample] = exc
                     active = active[keep]
-                    stack = stack[:, keep]
+                    rows = rows[keep]
+                    if full:
+                        t_prime, r_prime = t_prime[keep], r_prime[keep]
                     phases[:active.size] = phases[:live][keep]
                     continue
-            m = np.linalg.inv(cavity)
-            del loop, cavity  # freed before the next stack, as _STACK_ARRAYS counts
-            # [M t, r M - shift (, t' M, r')]: X acts on the first two, Y on the middle
-            mixed = np.empty_like(stack)
-            np.matmul(m, t, out=mixed[0])
-            np.matmul(r, m, out=mixed[1])
-            mixed[1].reshape(live, n * n)[:, ::n + 1] -= shift
-            if full:
-                np.matmul(stack[2], m, out=mixed[2])
-                np.add(stack[3], reflection * (stack[2] @ mixed[0]), out=mixed[3])
-            del t, r, m
-            stack = mixed
+            cavity = rows[..., n:] * -reflection
+            cavity.reshape(live, n * n)[:, ::n + 1] += 1.0
             layers = phases[:live, offset]
-            _mix(stack[:2], layers[:, :3], -2)
-            _mix(stack[1:3], layers[:, 3:], -1)
+            hankel = _hankel_factors(layers, weights, doubled[:live])
+            # K = X C^-1 from C^T K^T = X^T
+            transposed = cavity.swapaxes(-1, -2)
+            k = np.linalg.solve(transposed, _interface(hankel[:, 0], layers[:, 0],
+                                                       layers[:, 2])).swapaxes(-1, -2)
+            if full:
+                # t' C^-1, and r' <- r' + sqrt(delta) t' C^-1 t with the old t
+                tm = np.linalg.solve(transposed, t_prime.swapaxes(-1, -2)).swapaxes(-1, -2)
+                r_prime = r_prime + reflection * (tm @ rows[..., :n])
+            del cavity, transposed  # freed before the products, as _STACK_ARRAYS counts
+            # [t r] <- K [t, r - sqrt(delta)], then r <- r Y
+            rows.reshape(live, 2 * n * n)[:, n::2 * n + 1] -= reflection
+            rows = k @ rows
+            y = _interface(hankel[:, 1], layers[:, 3], layers[:, 5])
+            rows[..., n:] = rows[..., n:] @ y
+            if full:
+                t_prime = transmission**2 * (tm @ y)
+            del k, y
             period += 1
         for sample, failure in failures.items():
             results[sample].append(failure)
         for row, sample in enumerate(active):
-            t, r = stack[:2, row]
-            matrix = (ScatteringMatrix(stack[3, row], stack[2, row], t, r, spec.medium_kind)
+            t, r = rows[row, :, :n], rows[row, :, n:]
+            matrix = (ScatteringMatrix(r_prime[row], t_prime[row], t, r, spec.medium_kind)
                       if full else RowBlock(t.copy(), r.copy(), spec.medium_kind))
             try:
                 matrix.validate()

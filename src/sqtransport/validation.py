@@ -135,18 +135,17 @@ def check_determinism():
 
 
 def check_interface_mixer():
-    # the loop's FFT-applied interfaces are the explicit D F D F D, and unitary
+    # the loop's Hankel-form interfaces X^T = D0 H D2 and Y = E0 H' E2 are the
+    # explicit D F D F D, and unitary; N = 1 and 2 are the edge cases of H
     rng = np.random.default_rng(41)
-    for n in (1, 2, 5, 16, 25):
+    for n in (1, 2, 5, 16, 25, 50):
         phases = md._interface_phases(rng, np.empty((2, 6, n), dtype=complex))
-        eye = np.broadcast_to(np.eye(n, dtype=complex), (1, 2, n, n))
-        x = md._mix(eye.copy(), phases[:, :3], -2)[0]
-        y = md._mix(eye.copy(), phases[:, 3:], -1)[0]
-        for sample in range(2):
-            for got, layers in ((x, phases[sample, 2::-1]), (y, phases[sample, 3:])):
-                explicit = interface_matrix(layers)
-                _expect(np.max(np.abs(got[sample] - explicit)) <= 1e-13)
-                _expect(np.max(np.abs(explicit @ explicit.conj().T - np.eye(n))) <= 1e-14)
+        hankel = md._hankel_factors(phases, 1.0 / n, np.empty((2, 2, 2 * n), dtype=complex))
+        x = md._interface(hankel[:, 0], phases[:, 0], phases[:, 2]).swapaxes(-1, -2)
+        y = md._interface(hankel[:, 1], phases[:, 3], phases[:, 5])
+        for got, layers in zip([*x, *y], [*phases[:, 2::-1], *phases[:, 3:]]):
+            _expect(np.max(np.abs(got - interface_matrix(layers))) <= 1e-13)
+            _expect(np.max(np.abs(got @ got.conj().T - np.eye(n))) <= 1e-14)
 
 
 def check_thermal_cumulants_scalar():

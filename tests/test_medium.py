@@ -233,6 +233,21 @@ def test_checkpoints_across_sampling_blocks(spec):
         assert captured.medium_kind == spec.medium_kind
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 10, 50])
+@pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
+def test_full_build_matches_star_fold(spec, n_modes):
+    # the loop's K = X (1 - sqrt(delta) r)^-1 and Hankel-form X, Y against the
+    # star_compose fold of the same draws, over 20 periods that cross a
+    # sampling block; N = 1 and 2 are the edge cases of the Hankel factor
+    spec = dataclasses.replace(spec, n_modes=n_modes, total_length=20)
+    lengths = [1, md.SAMPLING_BLOCK, md.SAMPLING_BLOCK + 1, 20]
+    folded = _star_fold(spec, 20)
+    for length, captured in zip(lengths, md.build_medium_checkpoints(spec, lengths)):
+        assert isinstance(captured, md.ScatteringMatrix)
+        reference = folded[length].full
+        assert np.max(np.abs(captured.full - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 _VIEWS = [lambda a: a, lambda a: a[:2], lambda a: a[1:], lambda a: a[:, ::2],
           lambda a: a.swapaxes(0, 1)]
 
@@ -240,7 +255,7 @@ _VIEWS = [lambda a: a, lambda a: a[:2], lambda a: a[1:], lambda a: a[:, ::2],
 @pytest.mark.parametrize("n_modes", [3, 10, 25, 50, 64, 97])
 def test_stacked_fft_equals_per_matrix_calls(n_modes):
     # the loop's batch independence rests on this: numpy's FFT of a stack,
-    # in place or not and on strided views, is each matrix's FFT bit for bit
+    # in place or not and on strided views, is each row's FFT bit for bit
     rng = np.random.default_rng(n_modes)
     for size in range(1, 17):
         whole = rng.standard_normal((3, size, n_modes, n_modes, 2)).view(complex)[..., 0]
@@ -284,9 +299,12 @@ def _loop_peak(monkeypatch, n_modes):
 
 def _live_bytes(n, block, size):
     """The loop's whole live set: the phase buffer, the drawing of one sample's
-    block, the row blocks with one period's temporaries and numpy's buffers."""
-    return (n * (md._PHASE_BYTES * size * block + md._DRAWING_BYTES * block)
-            + 16 * n * n * md._STACK_ARRAYS * size + md._BUFFER_BYTES)
+    block, the Hankel sequences, the row blocks with one period's temporaries,
+    each sample's Python objects and numpy's buffers."""
+    return (n * (md._PHASE_BYTES * size * block + md._DRAWING_BYTES * block
+                 + md._HANKEL_BYTES * size)
+            + 16 * n * n * md._STACK_ARRAYS * size + md._SAMPLE_BYTES * size
+            + 2 * 16 * min(md._BUFFER_ENTRIES, size * n * n))
 
 
 def test_slice_buffers_stay_within_batch_bytes(monkeypatch):
@@ -298,11 +316,12 @@ def test_slice_buffers_stay_within_batch_bytes(monkeypatch):
             assert _live_bytes(n, block, size) <= md.BATCH_BYTES < _live_bytes(n, block, size + 1)
         else:
             assert size == 1, n
-    # one sample fits up to N = 92
-    assert _live_bytes(92, block, 1) <= md.BATCH_BYTES < _live_bytes(93, block, 1)
+    # one sample fits up to N = 91
+    assert _live_bytes(91, block, 1) <= md.BATCH_BYTES < _live_bytes(92, block, 1)
     assert [md._batch_size(n) for n in (10, 25, 50)] == [43, 11, 3]
-    # and the count holds for what the loop really allocates, beyond the budget too
-    for n in (10, 25, 50):
+    # and the count holds for what the loop really allocates, beyond the budget
+    # too; at N = 1 and 2 the samples' Python objects outweigh their arrays
+    for n in (1, 2, 5, 10, 25, 50):
         assert _loop_peak(monkeypatch, n) <= md.BATCH_BYTES, n
     assert _loop_peak(monkeypatch, 100) <= _live_bytes(100, block, 1)
 
@@ -356,7 +375,7 @@ def test_large_n_build_memory_bounded():
     # at N = 50 the loop's live set stays within BATCH_BYTES; beyond the
     # budget's reach it is one sample's, 1.45 MB at N = 100.  One more
     # BATCH_BYTES covers the checkpoints of two samples and their validation:
-    # the traced peaks read 0.79 MB at N = 50 and 1.81 MB at N = 100 (numpy 2.4.6)
+    # the traced peaks read 0.77 MB at N = 50 and 1.66 MB at N = 100 (numpy 2.4.6)
     assert _traced_build_peak(50) < 2 * md.BATCH_BYTES
     assert _traced_build_peak(100) < _live_bytes(100, md.SAMPLING_BLOCK, 1) + md.BATCH_BYTES
 
